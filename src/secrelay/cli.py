@@ -175,7 +175,7 @@ def _cmd_sweep(parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(parser, args) -> int:
     try:
         report = run_validation(
             grid_size=args.grid_size,
@@ -187,6 +187,8 @@ def _cmd_validate(args) -> int:
             mc_abs_floor=args.mc_floor,
             n_jobs=max(1, args.jobs),
         )
+    except DomainError as exc:
+        parser.error(str(exc))
     except NumericError as exc:
         print(f"secrelay: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -199,7 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sweep":
         return _cmd_sweep(parser, args)
-    return _cmd_validate(args)
+    return _cmd_validate(parser, args)
 
 
 if __name__ == "__main__":

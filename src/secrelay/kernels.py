@@ -1,16 +1,22 @@
 """Monte Carlo reduction kernel: uniforms -> per-scheme outage/rate tallies.
 
 This is the package's hot loop.  Two interchangeable backends compute the
-same single pass over the sampled uniforms:
+same reduction of a block of sampled uniforms:
 
 * ``numba`` - a jitted scalar loop, no temporaries (default when numba is
   importable);
-* ``numpy`` - a vectorized fallback.
+* ``numpy`` - a vectorized fallback.  It makes some thirty passes over
+  per-trial temporaries, so it is fast only while those stay in cache:
+  ``oracles.monte_carlo_all`` streams each chunk's Philox stream through
+  it in sub-blocks of ``oracles.SUB_BLOCK_TRIALS`` (8192) trials.  A
+  sub-block holds ~145 bytes per trial at its peak (the 40-byte uniform
+  block plus temporaries), ~1.1 MiB in all, so an MC run needs about that
+  much per worker thread whatever its trial count.
 
 Selection: set ``SECRELAY_BACKEND=numpy`` or ``SECRELAY_BACKEND=numba``;
 unset picks numba when available.  Within one backend the tallies are
 bit-reproducible; across backends they may differ in the last few ulps
-because the summation orders differ.
+because the summation orders differ.  Outage counts are exact in both.
 
 Tally layout (all shape (4,), indexed in ``fading.SCHEME_ORDER``):
 outage counts without/with the transmitter-side CSI condition, and sum /
@@ -52,35 +58,41 @@ def active_backend() -> str:
 
 
 def _reduce_numpy(u, b_sd, b_sr, b_rd, a_se, a_re, gamma_th, rho):
-    g_sd = -np.log1p(-u[:, 0]) / b_sd
-    g_sr = -np.log1p(-u[:, 1]) / b_sr
-    g_rd = -np.log1p(-u[:, 2]) / b_rd
-    g_se = -np.log1p(-u[:, 3]) / a_se
-    g_re = -np.log1p(-u[:, 4]) / a_re
+    n = u.shape[0]
+    # One contiguous row per link.  log1p(-u) / -rate is bit-identical to
+    # -log1p(-u) / rate: negation is exact.
+    g = np.negative(u.T, order="C")
+    np.log1p(g, out=g)
+    g /= np.array([[-b_sd], [-b_sr], [-b_rd], [-a_se], [-a_re]])
+    g_sd, g_sr, g_rd, g_se, g_re = g
     relay = g_sr >= gamma_th
-    m_mrc = np.where(relay, g_sd + g_rd, g_sd)
-    m_sc = np.where(relay, np.maximum(g_sd, g_rd), g_sd)
-    e_mrc = np.where(relay, g_se + g_re, g_se)
-    e_sc = np.where(relay, np.maximum(g_se, g_re), g_se)
+    # A silent relay's branches become 0; the SNRs are >= 0, so x + 0 and
+    # max(x, 0) both give back the direct branch x exactly.
+    g[2::2] *= relay
+    gm = np.empty((2, n))  # destination: MRC, SC
+    ge = np.empty((2, n))  # eavesdropper: SC, MRC
+    np.add(g_sd, g_rd, out=gm[0])
+    np.maximum(g_sd, g_rd, out=gm[1])
+    np.maximum(g_se, g_re, out=ge[0])
+    np.add(g_se, g_re, out=ge[1])
 
-    sop_n = np.zeros(4)
-    sop_c = np.zeros(4)
-    es = np.zeros(4)
-    es2 = np.zeros(4)
-    ec = np.zeros(4)
-    ec2 = np.zeros(4)
-    pairs = ((m_mrc, e_sc), (m_mrc, e_mrc), (m_sc, e_sc), (m_sc, e_mrc))
-    for k, (gm, ge) in enumerate(pairs):
-        outage = gm < rho * (1.0 + ge) - 1.0
-        win = gm > ge
-        sop_n[k] = np.count_nonzero(outage)
-        sop_c[k] = np.count_nonzero(outage & win)
-        cs = _HALF_LOG2E * np.log((1.0 + gm) / (1.0 + ge))
-        es[k] = cs.sum()
-        es2[k] = (cs * cs).sum()
-        cw = np.where(win, cs, 0.0)
-        ec[k] = cw.sum()
-        ec2[k] = (cw * cw).sum()
+    # Pairs (gm[i], ge[j]) in row-major (i, j) order are SCHEME_ORDER.
+    outage = (gm[:, None] < rho * (1.0 + ge) - 1.0).reshape(4, n)
+    win = (gm[:, None] > ge).reshape(4, n)
+    sop_n = np.array([np.count_nonzero(row) for row in outage], dtype=np.float64)
+    outage &= win
+    sop_c = np.array([np.count_nonzero(row) for row in outage], dtype=np.float64)
+
+    # Rate statistic log2((1 + gm) / (1 + ge)) / 2, scaled after summing.
+    np.log1p(gm, out=gm)
+    np.log1p(ge, out=ge)
+    cs = g[:4]
+    np.subtract(gm[:, None], ge, out=cs.reshape(2, 2, n))
+    es = _HALF_LOG2E * cs.sum(axis=1)
+    es2 = _HALF_LOG2E**2 * np.array([np.dot(row, row) for row in cs])
+    cs *= win
+    ec = _HALF_LOG2E * cs.sum(axis=1)
+    ec2 = _HALF_LOG2E**2 * np.array([np.dot(row, row) for row in cs])
     return sop_n, sop_c, es, es2, ec, ec2
 
 

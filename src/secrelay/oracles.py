@@ -36,6 +36,12 @@ __all__ = [
 # merged in block order.
 CHUNK_TRIALS = 1 << 19
 
+# Trials drawn and reduced at a time within a chunk, small enough for the
+# numpy kernel's temporaries to stay in a core's L2 cache.  The chunk's
+# stream is consumed in order, so every trial gets the same uniforms as
+# from one whole-chunk draw.
+SUB_BLOCK_TRIALS = 1 << 13
+
 # Integrand support is cut where the density has underflowed to noise.
 PDF_FLOOR = 1e-300
 
@@ -112,7 +118,9 @@ def monte_carlo_all(
 
     Deterministic for a fixed (seed, point, n) and independent of
     ``n_jobs``: blocks of :data:`CHUNK_TRIALS` trials are regenerated from
-    their own counter offsets and merged in block order.
+    their own counter offsets and merged in block order.  Each block is
+    drawn and reduced in sub-blocks of :data:`SUB_BLOCK_TRIALS` trials,
+    tallied in order.
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"trial count must be a positive integer, got {n!r}")
@@ -127,8 +135,12 @@ def monte_carlo_all(
     def run_block(block):
         chunk, m = block
         gen = fading.trial_stream(seed, point, chunk=chunk)
-        u = gen.random((m, fading.DRAWS_PER_TRIAL))
-        return kernels.reduce_trials(u, rates, gamma_th, rho, backend=backend)
+        tallies = None
+        for start in range(0, m, SUB_BLOCK_TRIALS):
+            u = gen.random((min(SUB_BLOCK_TRIALS, m - start), fading.DRAWS_PER_TRIAL))
+            part = kernels.reduce_trials(u, rates, gamma_th, rho, backend=backend)
+            tallies = _merge(tallies, part)
+        return tallies
 
     totals = None
     if n_jobs > 1 and len(blocks) > 1:

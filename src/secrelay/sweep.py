@@ -531,7 +531,16 @@ def run_validation(
     For every grid point and every scheme/CSI/metric combination the closed
     form must sit within ``tol_quad_abs`` of quadrature and within
     ``mc_sigmas * stderr + mc_abs_floor`` of the Monte Carlo estimate.
+    Tolerances that make the check vacuous (a negative or infinite band)
+    or unpassable (a zero band, which also divides by a zero stderr)
+    raise :class:`DomainError` before any point is evaluated.
     """
+    if not (tol_quad_abs > 0.0 and math.isfinite(tol_quad_abs)):
+        raise DomainError(f"tol_quad_abs must be positive and finite, got {tol_quad_abs!r}")
+    if not (mc_sigmas >= 0.0 and math.isfinite(mc_sigmas)):
+        raise DomainError(f"mc_sigmas must be >= 0 and finite, got {mc_sigmas!r}")
+    if not (mc_abs_floor > 0.0 and math.isfinite(mc_abs_floor)):
+        raise DomainError(f"mc_abs_floor must be positive and finite, got {mc_abs_floor!r}")
     grid = sample_grid(grid_size, seed)
     combos = [
         (scheme, csi, metric)

@@ -45,6 +45,67 @@ def test_estimates_thread_invariant(base_params):
             assert a.esr(scheme, csi) == b.esr(scheme, csi)
 
 
+def test_sub_block_draws_equal_one_chunk_draw():
+    m = 2 * oracles.SUB_BLOCK_TRIALS + 37
+    whole = trial_stream(6, 2, chunk=1).random((m, DRAWS_PER_TRIAL))
+    gen = trial_stream(6, 2, chunk=1)
+    parts = [
+        gen.random((min(oracles.SUB_BLOCK_TRIALS, m - start), DRAWS_PER_TRIAL))
+        for start in range(0, m, oracles.SUB_BLOCK_TRIALS)
+    ]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _whole_block_tallies(params, u):
+    """Tallies of one block reduced at once, per scheme pair, with the
+    elementwise formulas of the system model."""
+    g_sd = -np.log1p(-u[:, 0]) / params.beta_sd
+    g_sr = -np.log1p(-u[:, 1]) / params.beta_sr
+    g_rd = -np.log1p(-u[:, 2]) / params.beta_rd
+    g_se = -np.log1p(-u[:, 3]) / params.alpha_se
+    g_re = -np.log1p(-u[:, 4]) / params.alpha_re
+    relay = g_sr >= params.gamma_th
+    m_mrc = np.where(relay, g_sd + g_rd, g_sd)
+    m_sc = np.where(relay, np.maximum(g_sd, g_rd), g_sd)
+    e_mrc = np.where(relay, g_se + g_re, g_se)
+    e_sc = np.where(relay, np.maximum(g_se, g_re), g_se)
+    out = np.zeros((6, 4))
+    pairs = ((m_mrc, e_sc), (m_mrc, e_mrc), (m_sc, e_sc), (m_sc, e_mrc))
+    for k, (gm, ge) in enumerate(pairs):
+        outage = gm < params.rho * (1.0 + ge) - 1.0
+        win = gm > ge
+        cs = 0.5 / math.log(2.0) * np.log((1.0 + gm) / (1.0 + ge))
+        cw = np.where(win, cs, 0.0)
+        out[:, k] = (
+            np.count_nonzero(outage),
+            np.count_nonzero(outage & win),
+            cs.sum(),
+            (cs * cs).sum(),
+            cw.sum(),
+            (cw * cw).sum(),
+        )
+    return out
+
+
+def test_sub_blocked_tallies_match_whole_chunk_reference(base_params):
+    # a full chunk, then a short one of two sub-blocks and a 37-trial remainder
+    n = oracles.CHUNK_TRIALS + 2 * oracles.SUB_BLOCK_TRIALS + 37
+    ref = sum(
+        _whole_block_tallies(base_params, trial_stream(4, 1, chunk=c).random((m, DRAWS_PER_TRIAL)))
+        for c, m in enumerate((oracles.CHUNK_TRIALS, n - oracles.CHUNK_TRIALS))
+    )
+    mc = oracles.monte_carlo_all(base_params, n, seed=4, point=1)
+    for k, scheme in enumerate(SCHEME_ORDER):
+        assert mc.sop(scheme, CsiMode.NOCSI).value == ref[0, k] / n
+        assert mc.sop(scheme, CsiMode.CSI).value == ref[1, k] / n
+        for csi, row in ((CsiMode.NOCSI, 2), (CsiMode.CSI, 4)):
+            est = mc.esr(scheme, csi)
+            mean = ref[row, k] / n
+            var = (ref[row + 1, k] - n * mean * mean) / (n - 1)
+            np.testing.assert_allclose(est.value, mean, rtol=1e-12)
+            np.testing.assert_allclose(est.stderr, math.sqrt(var / n), rtol=1e-12)
+
+
 def test_batch_matches_scalar_sampling(base_params):
     # the reduction kernel must agree with the scalar single-trial path
     n = 4000

@@ -161,9 +161,27 @@ def test_validation_single_point_passes():
 
 
 def test_validation_zero_tolerance_fails():
-    rep = run_validation(grid_size=1, seed=3, mc_trials=50_000, tol_quad_abs=0.0)
+    # the tightest positive tolerance; zero itself is rejected below
+    rep = run_validation(grid_size=1, seed=3, mc_trials=50_000, tol_quad_abs=1e-300)
     assert not rep.passed
     assert "FAIL" in rep.render()
+
+
+@pytest.mark.parametrize(
+    "band",
+    [
+        {"mc_sigmas": -1.0},  # negative band: every ratio <= 1, the check is vacuous
+        {"mc_sigmas": float("nan")},
+        {"mc_abs_floor": 0.0},  # a 0/1 estimate has stderr 0: ratio divides by zero
+        {"mc_abs_floor": -1e-4},
+        {"mc_abs_floor": float("inf")},
+        {"tol_quad_abs": 0.0},
+        {"tol_quad_abs": -1e-6},
+    ],
+)
+def test_validation_rejects_degenerate_bands(band):
+    with pytest.raises(DomainError):
+        run_validation(grid_size=1, seed=3, mc_trials=1000, **band)
 
 
 def test_validation_render_deterministic():
@@ -255,10 +273,29 @@ def test_cli_validate_exit_codes(capsys):
             "--mc-trials",
             "50000",
             "--tol-quad",
-            "0",
+            "1e-300",
         ]
     )
     assert rc == 4
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--mc-trials", "0"],
+        ["--grid-size", "0"],
+        ["--quad-tol", "0"],
+        ["--seed", "-1"],
+        ["--mc-sigmas", "-1"],
+        ["--mc-floor", "0"],
+        ["--tol-quad", "0"],
+    ],
+)
+def test_cli_validate_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--grid-size", "1", "--mc-trials", "1000", *flag])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_validate_deterministic(capsys):
