@@ -19,16 +19,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import closed_form, oracles
+from . import closed_form
 from .errors import UnsupportedSchemeError
-from .expint import eiexp
-from .fading import (
-    CsiMode,
-    Scheme,
-    SystemParams,
-    decode_probability,
-    rates_degenerate,
-)
+from .expint import eiexp  # noqa: F401 - module attribute perfbench/spans.py wraps
+from .fading import CsiMode, Scheme, SystemParams, decode_probability
 
 __all__ = [
     "AsymptoteKind",
@@ -41,9 +35,6 @@ __all__ = [
     "esr_perfect_decoding",
     "esr_saturation_case2_mrc_sc",
 ]
-
-_HALF_LOG2E = 0.5 / math.log(2.0)
-_LIMIT_TOL = 1e-9
 
 _SUPPORTED = (Scheme.MRC_SC, Scheme.MRC_MRC, Scheme.SC_MRC)
 
@@ -79,17 +70,6 @@ def _check_supported(scheme: Scheme) -> None:
         )
 
 
-# Laplace transforms of the eavesdropper combiner densities.
-
-
-def _laplace_max(a1, a2, s):
-    return a1 / (a1 + s) + a2 / (a2 + s) - (a1 + a2) / (a1 + a2 + s)
-
-
-def _laplace_sum(a1, a2, s):
-    return a1 * a2 / ((a1 + s) * (a2 + s))
-
-
 def _off_bracket(params: SystemParams, csi: CsiMode) -> float:
     return closed_form.sop_conditional(params, Scheme.MRC_MRC, csi, relay_on=False)
 
@@ -100,42 +80,28 @@ def _relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float:
     a_se, a_re, b_sd = params.alpha_se, params.alpha_re, params.beta_sd
     rho = params.rho
     decay = math.exp(-b_sd * (rho - 1.0))
-    inv_means = 1.0 / a_se + 1.0 / a_re
+    lap, _ = closed_form._eaves_laplace(params, scheme, relay_on=True)
+    # Mean combined eavesdropper SNR; SC (max) loses the overlap 1/(a_se + a_re).
+    mean_e = 1.0 / a_se + 1.0 / a_re
+    if not scheme.mrc_at_eavesdropper:
+        mean_e -= 1.0 / (a_se + a_re)
 
     if csi is CsiMode.NOCSI:
-        if scheme is Scheme.MRC_SC:
-            return (
-                (rho - 1.0)
-                + rho * (inv_means - 1.0 / (a_se + a_re))
-                - 1.0 / b_sd
-                + decay * _laplace_max(a_se, a_re, rho * b_sd) / b_sd
-            )
-        if scheme is Scheme.MRC_MRC:
-            return (
-                (rho - 1.0)
-                + rho * inv_means
-                - 1.0 / b_sd
-                + decay * _laplace_sum(a_se, a_re, rho * b_sd) / b_sd
-            )
+        if scheme.mrc_at_destination:
+            return (rho - 1.0) + rho * mean_e - 1.0 / b_sd + decay * lap(rho * b_sd) / b_sd
         # SC_MRC
-        tail = decay * _laplace_sum(a_se, a_re, rho * b_sd)
-        return (rho - 1.0) + rho * inv_means - tail * (
+        tail = decay * lap(rho * b_sd)
+        return (rho - 1.0) + rho * mean_e - tail * (
             rho - 1.0 + rho / (a_se + rho * b_sd) + rho / (a_re + rho * b_sd)
         )
 
-    if scheme is Scheme.MRC_SC:
-        return (rho - 1.0) * (1.0 + inv_means - 1.0 / (a_se + a_re)) - (
-            _laplace_max(a_se, a_re, b_sd) - decay * _laplace_max(a_se, a_re, rho * b_sd)
-        ) / b_sd
-    if scheme is Scheme.MRC_MRC:
-        return (rho - 1.0) * (1.0 + inv_means) - (
-            _laplace_sum(a_se, a_re, b_sd) - decay * _laplace_sum(a_se, a_re, rho * b_sd)
-        ) / b_sd
+    if scheme.mrc_at_destination:
+        return (rho - 1.0) * (1.0 + mean_e) - (lap(b_sd) - decay * lap(rho * b_sd)) / b_sd
     # SC_MRC
-    tail = decay * _laplace_sum(a_se, a_re, rho * b_sd)
+    tail = decay * lap(rho * b_sd)
     return (
-        (rho - 1.0) * (1.0 + inv_means)
-        + _laplace_sum(a_se, a_re, b_sd) * (1.0 / (a_se + b_sd) + 1.0 / (a_re + b_sd))
+        (rho - 1.0) * (1.0 + mean_e)
+        + lap(b_sd) * (1.0 / (a_se + b_sd) + 1.0 / (a_re + b_sd))
         - tail * (rho - 1.0 + rho / (a_se + rho * b_sd) + rho / (a_re + rho * b_sd))
     )
 
@@ -186,49 +152,16 @@ def sop_wiretap(params: SystemParams) -> float:
 def sop_perfect_decoding(params: SystemParams) -> float:
     """MRC-MRC outage without CSI when the relay always decodes.
 
-    Independent of the decode-hop rate; equal destination rates take the
-    quadrature limit path.
+    Independent of the decode-hop rate.
     """
-    a_se, a_re = params.alpha_se, params.alpha_re
-    b_sd, b_rd = params.beta_sd, params.beta_rd
-    rho = params.rho
-    if rates_degenerate(b_sd, b_rd):
-        return oracles.quadrature_sop_conditional(
-            params, Scheme.MRC_MRC, CsiMode.NOCSI, relay_on=True, tol=_LIMIT_TOL
-        ).value
-    return 1.0 - (a_se * a_re / (b_sd - b_rd)) * (
-        b_sd * math.exp(-b_rd * (rho - 1.0)) / ((a_se + rho * b_rd) * (a_re + rho * b_rd))
-        - b_rd * math.exp(-b_sd * (rho - 1.0)) / ((a_se + rho * b_sd) * (a_re + rho * b_sd))
-    )
+    return closed_form.sop_conditional(params, Scheme.MRC_MRC, CsiMode.NOCSI, True)
 
 
 def esr_perfect_decoding(params: SystemParams) -> float:
     """MRC-MRC rate without CSI when the relay always decodes (bpcu)."""
-    a_se, a_re = params.alpha_se, params.alpha_re
-    b_sd, b_rd = params.beta_sd, params.beta_rd
-    if rates_degenerate(b_sd, b_rd) or rates_degenerate(a_se, a_re):
-        return oracles.quadrature_esr_conditional(
-            params, Scheme.MRC_MRC, CsiMode.NOCSI, relay_on=True, tol=_LIMIT_TOL
-        ).value
-    main = (b_rd * eiexp(b_sd) - b_sd * eiexp(b_rd)) / (b_sd - b_rd)
-    eaves = (a_re * eiexp(a_se) - a_se * eiexp(a_re)) / (a_se - a_re)
-    return _HALF_LOG2E * (main - eaves)
+    return closed_form.esr_conditional(params, Scheme.MRC_MRC, CsiMode.NOCSI, True)
 
 
 def esr_saturation_case2_mrc_sc(params: SystemParams) -> float:
     """MRC-SC rate with CSI in the case-II limit (decode hop perfect)."""
-    a_se, a_re = params.alpha_se, params.alpha_re
-    b_sd, b_rd = params.beta_sd, params.beta_rd
-    if rates_degenerate(b_sd, b_rd):
-        return oracles.quadrature_esr_conditional(
-            params, Scheme.MRC_SC, CsiMode.CSI, relay_on=True, tol=_LIMIT_TOL
-        ).value
-
-    def grouped(b):
-        return eiexp(b) - eiexp(b + a_se) - eiexp(b + a_re) + eiexp(b + a_se + a_re)
-
-    return (
-        _HALF_LOG2E
-        * (b_rd * grouped(b_sd) - b_sd * grouped(b_rd))
-        / (b_sd - b_rd)
-    )
+    return closed_form.esr_conditional(params, Scheme.MRC_SC, CsiMode.CSI, True)

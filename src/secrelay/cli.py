@@ -157,7 +157,7 @@ def _spec_from_args(parser, args) -> SweepSpec:
 def _cmd_sweep(parser, args) -> int:
     try:
         spec = _spec_from_args(parser, args)
-        rows = run_sweep(spec, n_jobs=max(1, args.jobs))
+        rows = run_sweep(spec, n_jobs=args.jobs)
     except DomainError as exc:
         parser.error(str(exc))
     except NumericError as exc:
@@ -185,7 +185,7 @@ def _cmd_validate(parser, args) -> int:
             tol_quad_abs=args.tol_quad,
             mc_sigmas=args.mc_sigmas,
             mc_abs_floor=args.mc_floor,
-            n_jobs=max(1, args.jobs),
+            n_jobs=args.jobs,
         )
     except DomainError as exc:
         parser.error(str(exc))
@@ -199,6 +199,8 @@ def _cmd_validate(parser, args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     if args.command == "sweep":
         return _cmd_sweep(parser, args)
     return _cmd_validate(parser, args)

@@ -2,16 +2,21 @@
 
 Every combination of decode branch, combining scheme and CSI mode reduces
 to the same small algebra.  A combiner's output CDF is a short exponential
-mixture ``F(z) = 1 + sum_i c_i exp(-s_i z)``; outage probabilities then
-need only the Laplace transform of the other side's density, and ergodic
-rates only the scaled exponential integral :func:`secrelay.expint.eiexp`
-at sums of mixture rates.  The per-scheme expressions are assembled from
-those shared blocks rather than written out term by term, which keeps the
-sixteen formulas short and individually testable against quadrature.
+mixture ``F(z) = 1 + sum_i c_i exp(-s_i z)``, and every metric is a mixture
+functional ``sum_i c_i phi(s_i)``: outage probabilities need only the
+Laplace transform of the other side's density, and ergodic rates only the
+scaled exponential integral :func:`secrelay.expint.eiexp` at sums of
+mixture rates.  The per-scheme expressions are assembled from those shared
+blocks rather than written out term by term, which keeps the sixteen
+formulas short and individually testable against quadrature.
 
-Rate pairs close enough to make the mixture weights singular (equal-rate
-MRC branches) are routed to the quadrature oracle and tagged as the limit
-form.
+The sum (MRC) combiner's weights ``-r2/(r2 - r1)`` and ``-r1/(r1 - r2)`` are
+singular at equal rates, so its functional is written
+``-phi(r1) + r1 * phi[r1, r2]`` with the divided difference
+``phi[r1, r2]``: the plain quotient for well-separated rates, an analytic
+form for close or equal ones (McCurdy, Ng & Parlett, "Accurate computation
+of divided differences of the exponential function", Math. Comp. 43, 1984).
+Every rate pair stays on the closed form.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import oracles
+from scipy.special import exprel
+
 from .errors import DomainError
 from .expint import eiexp
 from .fading import (
+    HALF_LOG2E,
     CsiMode,
     Scheme,
     SystemParams,
@@ -40,12 +47,11 @@ __all__ = [
     "esr_conditional",
 ]
 
-_HALF_LOG2E = 0.5 / math.log(2.0)
-_LIMIT_FORM_TOL = 1e-9
-
 
 class Method(Enum):
     CLOSED_FORM = "closed_form"
+    # No longer produced (every rate pair stays on the closed form); kept
+    # because perfbench/spans.py still splits its closed-form spans on it.
     LIMIT_FORM = "limit_form"
 
 
@@ -58,45 +64,63 @@ class SecrecyMetric:
 
 
 # ---------------------------------------------------------------------------
-# Exponential-mixture blocks.
-#
-# Terms are (coefficient, rate) pairs of the combiner output CDF written as
-# 1 + sum_i c_i exp(-s_i z).
+# Exponential-mixture functionals.
 # ---------------------------------------------------------------------------
 
 
-def _single_terms(r):
-    return ((-1.0, r),)
+class _Combiner(Enum):
+    SINGLE = "single"  # silent relay: the direct link alone
+    SUM = "mrc"
+    MAX = "sc"
 
 
-def _sum_terms(r1, r2):
-    # Distinct-rate mixture for the sum of two exponentials; the weights
-    # are singular at r1 == r2, which callers route away from.
-    return ((-r2 / (r2 - r1), r1), (-r1 / (r1 - r2), r2))
+# A sum-combiner pair closer than this, relative to the smaller rate, takes
+# the analytic divided difference.  Above it the plain quotient loses at most
+# ~eps/0.05 relative; below it the eiexp Taylor series (odd terms to ninth
+# order) is exact to ~1e-17.
+_TAYLOR_GAP = 0.05
+_ODD = (1, 3, 5, 7, 9)
 
 
-def _max_terms(r1, r2):
-    return ((-1.0, r1), (-1.0, r2), (1.0, r1 + r2))
+def _mixture(comb, r1, r2, phi, phi_dd):
+    """``sum_i c_i phi(s_i)`` for one combiner's CDF ``1 + sum_i c_i exp(-s_i z)``.
+
+    ``phi_dd(r1, r2)`` is the divided difference ``phi[r1, r2]``; it is only
+    called for close sum-combiner rates.
+    """
+    if comb is _Combiner.SINGLE:
+        return -phi(r1)
+    if comb is _Combiner.MAX:
+        return -phi(r1) - phi(r2) + phi(r1 + r2)
+    if abs(r2 - r1) > _TAYLOR_GAP * min(r1, r2):
+        return (r1 * phi(r2) - r2 * phi(r1)) / (r2 - r1)
+    return r1 * phi_dd(r1, r2) - phi(r1)
 
 
-def _dest_terms(params: SystemParams, scheme: Scheme, relay_on: bool):
+def _dest(params: SystemParams, scheme: Scheme, relay_on: bool):
+    # (kind, r1, r2) of the destination's combiner; a silent relay leaves
+    # the direct link alone.
     if not relay_on:
-        return _single_terms(params.beta_sd)
-    if scheme.mrc_at_destination:
-        return _sum_terms(params.beta_sd, params.beta_rd)
-    return _max_terms(params.beta_sd, params.beta_rd)
+        return _Combiner.SINGLE, params.beta_sd, None
+    kind = _Combiner.SUM if scheme.mrc_at_destination else _Combiner.MAX
+    return kind, params.beta_sd, params.beta_rd
 
 
-def _eaves_terms(params: SystemParams, scheme: Scheme, relay_on: bool):
+def _eaves(params: SystemParams, scheme: Scheme, relay_on: bool):
     if not relay_on:
-        return _single_terms(params.alpha_se)
-    if scheme.mrc_at_eavesdropper:
-        return _sum_terms(params.alpha_se, params.alpha_re)
-    return _max_terms(params.alpha_se, params.alpha_re)
+        return _Combiner.SINGLE, params.alpha_se, None
+    kind = _Combiner.SUM if scheme.mrc_at_eavesdropper else _Combiner.MAX
+    return kind, params.alpha_se, params.alpha_re
+
+
+def _pole_dd(a, t1, t2):
+    # Divided difference of a / (a + t) over (t1, t2).
+    return -a / ((a + t1) * (a + t2))
 
 
 def _eaves_laplace(params: SystemParams, scheme: Scheme, relay_on: bool):
-    """Laplace transform of the eavesdropper-side density.
+    """Laplace transform ``L(t)`` of the eavesdropper-side density and its
+    divided difference ``L[t1, t2]``.
 
     Written directly per combiner rather than through the CDF mixture: the
     sum-combiner transform is a plain rational function with no equal-rate
@@ -104,66 +128,123 @@ def _eaves_laplace(params: SystemParams, scheme: Scheme, relay_on: bool):
     """
     a1, a2 = params.alpha_se, params.alpha_re
     if not relay_on:
-        return lambda t: a1 / (a1 + t)
+        return (lambda t: a1 / (a1 + t)), (lambda t1, t2: _pole_dd(a1, t1, t2))
     if scheme.mrc_at_eavesdropper:
-        return lambda t: a1 * a2 / ((a1 + t) * (a2 + t))
-    return lambda t: a1 / (a1 + t) + a2 / (a2 + t) - (a1 + a2) / (a1 + a2 + t)
-
-
-def _sop_bracket(m_terms, e_laplace, rho, csi):
-    # Expectation over the eavesdropper SNR of the destination CDF at the
-    # outage boundary; the CSI variant subtracts the losing region.
-    if csi is CsiMode.NOCSI:
-        return 1.0 + sum(
-            c * math.exp(-s * (rho - 1.0)) * e_laplace(rho * s) for c, s in m_terms
+        return (
+            lambda t: a1 * a2 / ((a1 + t) * (a2 + t)),
+            lambda t1, t2: -a1 * a2 / ((a1 + t1) * (a2 + t2)) * (1.0 / (a1 + t2) + 1.0 / (a2 + t1)),
         )
+    return (
+        lambda t: a1 / (a1 + t) + a2 / (a2 + t) - (a1 + a2) / (a1 + a2 + t),
+        lambda t1, t2: _pole_dd(a1, t1, t2) + _pole_dd(a2, t1, t2) - _pole_dd(a1 + a2, t1, t2),
+    )
+
+
+def _sop_bracket(params, scheme, csi, relay_on):
+    # Expectation over the eavesdropper SNR of the destination CDF at the
+    # outage boundary: phi(s) = exp(-s (rho - 1)) L(rho s); the CSI variant
+    # subtracts the losing region, L(s).  phi[s1, s2] follows from the
+    # product rule, exprel for the exponential and L's rational divided
+    # difference, with no cancellation at any gap.
+    rho = params.rho
+    k = rho - 1.0
+    lap, lap_dd = _eaves_laplace(params, scheme, relay_on)
+    csi_on = csi is CsiMode.CSI
+
+    def phi(s):
+        v = math.exp(-s * k) * lap(rho * s)
+        return v - lap(s) if csi_on else v
+
+    def phi_dd(s1, s2):
+        decay1 = math.exp(-s1 * k)
+        decay_dd = -k * decay1 * exprel(-k * (s2 - s1))
+        v = decay_dd * lap(rho * s2) + decay1 * rho * lap_dd(rho * s1, rho * s2)
+        return v - lap_dd(s1, s2) if csi_on else v
+
+    total = _mixture(*_dest(params, scheme, relay_on), phi, phi_dd)
+    return total if csi_on else 1.0 + total
+
+
+# Above this the derivatives come from the asymptotic series, whose smallest
+# term is ~e^-x: the forward recurrence below would cancel to ~eps * x^j.
+_ASYMPTOTIC_X = 40.0
+
+
+def _scaled_derivatives(x, n):
+    """``g[j] = x^(j-1) eiexp^(j)(x)`` for j = 1..n (``g[0]`` unused).
+
+    Forward recurrence ``eiexp' = eiexp + 1/x``,
+    ``eiexp^(j) = eiexp^(j-1) + (-1)^(j-1) (j-1)!/x^j`` for moderate x (the
+    scaling keeps tiny x finite); for large x the termwise derivative of the
+    asymptotic series ``eiexp(x) ~ -sum_k (-1)^k k!/x^(k+1)``.
+    """
+    if x <= _ASYMPTOTIC_X:
+        g = [None, eiexp(x) + 1.0 / x]
+        for j in range(2, n + 1):
+            g.append(x * g[-1] + (-1) ** (j - 1) * math.factorial(j - 1) / x)
+        return g
+    g = [None]
+    for j in range(1, n + 1):
+        term = total = (-1) ** (j + 1) * math.factorial(j) / (x * x)
+        k = 0
+        while k + j + 1 < x and abs(term) > 1e-17 * abs(total):
+            k += 1
+            term *= -(k + j) / x
+            total += term
+        g.append(total)
+    return g
+
+
+def _eiexp_dd(x1, x2):
+    """``eiexp[x1, x2]`` for close arguments: the Taylor series about the
+    midpoint c, ``sum over odd i of eiexp^(i)(c) h^(i-1) / i!``, h = (x2 - x1)/2."""
+    c = 0.5 * (x1 + x2)
+    t = 0.5 * (x2 - x1) / c
+    g = _scaled_derivatives(c, _ODD[-1])
+    return sum(g[i] * t ** (i - 1) / math.factorial(i) for i in _ODD)
+
+
+def _eiexp_dd2(s1, s2, a1, a2):
+    """Mixed second divided difference of ``eiexp(s + a)``, over (s1, s2) in s
+    and (a1, a2) in a, for close pairs: the double Taylor series about the
+    centre c, ``sum over odd i, j of eiexp^(i+j)(c) h^(i-1) k^(j-1) / (i! j!)``."""
+    c = 0.5 * (s1 + s2 + a1 + a2)
+    th = 0.5 * (s2 - s1) / c
+    tk = 0.5 * (a2 - a1) / c
+    g = _scaled_derivatives(c, _ODD[-1] + 1)
     return sum(
-        c * (math.exp(-s * (rho - 1.0)) * e_laplace(rho * s) - e_laplace(s))
-        for c, s in m_terms
-    )
+        g[i + j] * th ** (i - 1) * tk ** (j - 1) / (math.factorial(i) * math.factorial(j))
+        for i in _ODD
+        for j in _ODD
+        if i + j <= _ODD[-1] + 1
+    ) / c
 
 
-def _log_moment(terms):
-    # E[ln(1 + X)] for the mixture: integrates to eiexp combinations.
-    return sum(c * eiexp(s) for c, s in terms)
-
-
-def _esr_bracket(m_terms, e_terms, csi):
+def _esr_bracket(params, scheme, csi, relay_on):
+    # E[ln(1 + X)] of a mixture is -sum_i c_i eiexp(s_i).
+    m = _dest(params, scheme, relay_on)
+    e = _eaves(params, scheme, relay_on)
     if csi is CsiMode.NOCSI:
-        return _log_moment(m_terms) - _log_moment(e_terms)
+        return _mixture(*m, eiexp, _eiexp_dd) - _mixture(*e, eiexp, _eiexp_dd)
+
     # Conditioned on the destination winning, both one-sided moments share
-    # the pattern sum_i c_i [eiexp(s_i) + sum_j eps_j eiexp(s_i + a_j)].
-    total = 0.0
-    for c, s in m_terms:
-        inner = eiexp(s) + sum(eps * eiexp(s + a) for eps, a in e_terms)
-        total += c * inner
-    return total
+    # the pattern sum_i c_i [eiexp(s_i) + sum_j eps_j eiexp(s_i + a_j)]: a
+    # destination mixture of phi(s) = eiexp(s) + (eavesdropper mixture of
+    # a -> eiexp(s + a)).  Its divided difference in s is the same pattern
+    # one order up, with the mixed second difference at close pairs.
+    def phi(s):
+        return eiexp(s) + _mixture(
+            *e, lambda a: eiexp(s + a), lambda a1, a2: _eiexp_dd(s + a1, s + a2)
+        )
 
+    def phi_dd(s1, s2):
+        return _eiexp_dd(s1, s2) + _mixture(
+            *e,
+            lambda a: _eiexp_dd(s1 + a, s2 + a),
+            lambda a1, a2: _eiexp_dd2(s1, s2, a1, a2),
+        )
 
-def _sop_degenerate(params: SystemParams, scheme: Scheme) -> bool:
-    return scheme.mrc_at_destination and rates_degenerate(params.beta_sd, params.beta_rd)
-
-
-# The rate expressions amplify round-off by 1/gap per singular weight set.
-# A single near-equal pair stays accurate down to a 1e-8 relative gap; with
-# CSI and MRC on both sides the two amplifications multiply, so the product
-# of the gaps is guarded as well.
-_ESR_RTOL = 3e-8
-_ESR_PRODUCT_GUARD = 1e-7
-
-
-def _rel_gap(r1: float, r2: float) -> float:
-    return abs(r1 - r2) / max(abs(r1), abs(r2))
-
-
-def _esr_degenerate(params: SystemParams, scheme: Scheme, csi: CsiMode) -> bool:
-    gap_b = _rel_gap(params.beta_sd, params.beta_rd) if scheme.mrc_at_destination else math.inf
-    gap_a = (
-        _rel_gap(params.alpha_se, params.alpha_re) if scheme.mrc_at_eavesdropper else math.inf
-    )
-    if gap_b <= _ESR_RTOL or gap_a <= _ESR_RTOL:
-        return True
-    return csi is CsiMode.CSI and gap_b * gap_a <= _ESR_PRODUCT_GUARD
+    return _mixture(*m, phi, phi_dd)
 
 
 def _validate(params, scheme, csi):
@@ -183,13 +264,7 @@ def sop_conditional(
 ) -> float:
     """Conditional outage probability given the relay decode outcome."""
     _validate(params, scheme, csi)
-    if relay_on and _sop_degenerate(params, scheme):
-        return oracles.quadrature_sop_conditional(
-            params, scheme, csi, relay_on, tol=_LIMIT_FORM_TOL
-        ).value
-    m = _dest_terms(params, scheme, relay_on)
-    e_laplace = _eaves_laplace(params, scheme, relay_on)
-    return min(1.0, max(0.0, _sop_bracket(m, e_laplace, params.rho, csi)))
+    return min(1.0, max(0.0, _sop_bracket(params, scheme, csi, relay_on)))
 
 
 def esr_conditional(
@@ -197,13 +272,7 @@ def esr_conditional(
 ) -> float:
     """Conditional ergodic secrecy rate (bpcu) given the decode outcome."""
     _validate(params, scheme, csi)
-    if relay_on and _esr_degenerate(params, scheme, csi):
-        return oracles.quadrature_esr_conditional(
-            params, scheme, csi, relay_on, tol=_LIMIT_FORM_TOL
-        ).value
-    m = _dest_terms(params, scheme, relay_on)
-    e = _eaves_terms(params, scheme, relay_on)
-    return _HALF_LOG2E * _esr_bracket(m, e, csi)
+    return HALF_LOG2E * _esr_bracket(params, scheme, csi, relay_on)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +284,9 @@ def sop(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
     """Secrecy outage probability.
 
     Mixes the conditional outage of the decode-success and decode-failure
-    branches with the relay decode probability.  Equal-rate destination MRC
-    parameters take the quadrature limit path and are tagged
-    ``Method.LIMIT_FORM``.
+    branches with the relay decode probability.
     """
     _validate(params, scheme, csi)
-    if _sop_degenerate(params, scheme):
-        r = oracles.quadrature_sop(params, scheme, csi, tol=_LIMIT_FORM_TOL)
-        return SecrecyMetric(min(1.0, max(0.0, r.value)), Method.LIMIT_FORM)
     p_on = decode_probability(params)
     value = p_on * sop_conditional(params, scheme, csi, True) + (1.0 - p_on) * sop_conditional(
         params, scheme, csi, False
@@ -238,9 +302,6 @@ def esr(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
     expected log-ratio and may be negative.
     """
     _validate(params, scheme, csi)
-    if _esr_degenerate(params, scheme, csi):
-        r = oracles.quadrature_esr(params, scheme, csi, tol=_LIMIT_FORM_TOL)
-        return SecrecyMetric(r.value, Method.LIMIT_FORM)
     p_on = decode_probability(params)
     value = p_on * esr_conditional(params, scheme, csi, True) + (1.0 - p_on) * esr_conditional(
         params, scheme, csi, False
@@ -264,5 +325,5 @@ def esr_mrc_sc_csi_variant(params: SystemParams) -> float:
     p_on = decode_probability(params)
     on = esr_conditional(params, Scheme.MRC_SC, CsiMode.CSI, True)
     off = esr_conditional(params, Scheme.MRC_SC, CsiMode.CSI, False)
-    on_variant = on + _HALF_LOG2E * (variant_first - shipped_first)
+    on_variant = on + HALF_LOG2E * (variant_first - shipped_first)
     return p_on * on_variant + (1.0 - p_on) * off

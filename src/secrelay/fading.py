@@ -21,6 +21,7 @@ from .errors import DomainError
 
 __all__ = [
     "DEGENERACY_RTOL",
+    "HALF_LOG2E",
     "Scheme",
     "CsiMode",
     "SCHEME_ORDER",
@@ -43,12 +44,16 @@ __all__ = [
     "DRAWS_PER_TRIAL",
 ]
 
-# Relative rate difference below which a rate pair is treated as equal and
-# the singular (r1 - r2) denominators are replaced by their limit path.
+# Converts a natural-log SNR ratio to the secrecy rate in bits per channel
+# use: C = log2(x) / 2 = ln(x) * HALF_LOG2E.
+HALF_LOG2E = 0.5 / math.log(2.0)
+
+# Relative rate difference below which :func:`rates_degenerate` calls a
+# rate pair equal, where plain (r1 - r2) denominators are singular.
 DEGENERACY_RTOL = 1e-9
 
 # The sum-distribution functions switch to the equal-rate (Erlang-2) limit
-# earlier than the routing tolerance above: the limit at the average rate
+# earlier than the tolerance above: the limit at the average rate
 # is accurate to O(gap^2) ~ 1e-14 there, while the exact two-rate branch
 # has already lost ~1e-16/gap to cancellation, enough to make adaptive
 # integrators flag round-off in the density.

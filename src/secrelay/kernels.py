@@ -25,10 +25,11 @@ sum-of-squares of the per-trial rate statistic for both CSI conventions.
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
+
+from .fading import HALF_LOG2E
 
 ENV_BACKEND = "SECRELAY_BACKEND"
 
@@ -39,8 +40,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only when numba is absent
     numba = None
     HAVE_NUMBA = False
-
-_HALF_LOG2E = 0.5 / math.log(2.0)
 
 
 def active_backend() -> str:
@@ -88,11 +87,11 @@ def _reduce_numpy(u, b_sd, b_sr, b_rd, a_se, a_re, gamma_th, rho):
     np.log1p(ge, out=ge)
     cs = g[:4]
     np.subtract(gm[:, None], ge, out=cs.reshape(2, 2, n))
-    es = _HALF_LOG2E * cs.sum(axis=1)
-    es2 = _HALF_LOG2E**2 * np.array([np.dot(row, row) for row in cs])
+    es = HALF_LOG2E * cs.sum(axis=1)
+    es2 = HALF_LOG2E**2 * np.array([np.dot(row, row) for row in cs])
     cs *= win
-    ec = _HALF_LOG2E * cs.sum(axis=1)
-    ec2 = _HALF_LOG2E**2 * np.array([np.dot(row, row) for row in cs])
+    ec = HALF_LOG2E * cs.sum(axis=1)
+    ec2 = HALF_LOG2E**2 * np.array([np.dot(row, row) for row in cs])
     return sop_n, sop_c, es, es2, ec, ec2
 
 

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 
 from . import fading, kernels
 from .errors import DomainError, NumericError
-from .fading import CsiMode, Scheme, SCHEME_ORDER, SystemParams
+from .fading import HALF_LOG2E, CsiMode, Scheme, SCHEME_ORDER, SystemParams
 
 __all__ = [
     "Estimate",
@@ -47,7 +47,6 @@ PDF_FLOOR = 1e-300
 
 DEFAULT_QUAD_TOL = 1e-9
 _QUAD_LIMIT = 200
-_HALF_LOG2E = 0.5 / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -315,8 +314,8 @@ def quadrature_esr_conditional(
     rm = _integrate_semi_infinite(f_main, part_tol, scales)
     re = _integrate_semi_infinite(f_eaves, part_tol, scales)
     return QuadratureResult(
-        _HALF_LOG2E * (rm.value - re.value),
-        _HALF_LOG2E * (rm.abs_error_bound + re.abs_error_bound),
+        HALF_LOG2E * (rm.value - re.value),
+        HALF_LOG2E * (rm.abs_error_bound + re.abs_error_bound),
         rm.evaluations + re.evaluations,
     )
 

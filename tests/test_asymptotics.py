@@ -154,11 +154,18 @@ def test_perfect_decoding_matches_monte_carlo():
     assert abs(sop_perfect_decoding(p) - est.value) <= 3.0 * est.stderr
 
 
-def test_perfect_decoding_degenerate_routes_to_quadrature(base_params):
+def test_perfect_decoding_at_equal_rates_matches_quadrature(base_params):
     p = base_params.with_(beta_rd=base_params.beta_sd, gamma_th=0.0)
     v = sop_perfect_decoding(p)
     assert 0.0 <= v <= 1.0
-    assert abs(v - sop(p, Scheme.MRC_MRC, CsiMode.NOCSI).value) < 1e-9
+    assert abs(v - sop(p, Scheme.MRC_MRC, CsiMode.NOCSI).value) < 1e-15
+    q = oracles.quadrature_sop_conditional(p, Scheme.MRC_MRC, CsiMode.NOCSI, True, tol=1e-10)
+    assert abs(v - q.value) < 1e-9
+    pe = p.with_(alpha_re=p.alpha_se)
+    q = oracles.quadrature_esr_conditional(pe, Scheme.MRC_MRC, CsiMode.NOCSI, True, tol=1e-10)
+    assert abs(esr_perfect_decoding(pe) - q.value) < 1e-9
+    q = oracles.quadrature_esr_conditional(pe, Scheme.MRC_SC, CsiMode.CSI, True, tol=1e-10)
+    assert abs(esr_saturation_case2_mrc_sc(pe) - q.value) < 1e-9
 
 
 def test_esr_perfect_decoding_cancels_when_links_match():

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrelay import oracles
 from secrelay.closed_form import (
+    _TAYLOR_GAP,
     Method,
     esr,
     esr_conditional,
@@ -169,25 +171,115 @@ def test_sop_direct_link_with_csi_regime_dependent(base_params):
     assert strong > weak  # confirmed against the oracles; band-event effect
 
 
-def test_degenerate_rates_take_limit_form(base_params):
-    p = base_params.with_(beta_rd=base_params.beta_sd)
-    for scheme in (Scheme.MRC_SC, Scheme.MRC_MRC):
-        m = sop(p, scheme, CsiMode.NOCSI)
-        assert m.method is Method.LIMIT_FORM
-        assert 0.0 <= m.value <= 1.0
-    # selection combining at the destination has no singular denominator
-    assert sop(p, Scheme.SC_SC, CsiMode.NOCSI).method is Method.CLOSED_FORM
-    pe = base_params.with_(alpha_re=base_params.alpha_se)
-    assert esr(pe, Scheme.SC_MRC, CsiMode.CSI).method is Method.LIMIT_FORM
-    assert esr(pe, Scheme.MRC_SC, CsiMode.CSI).method is Method.CLOSED_FORM
-    assert sop(pe, Scheme.SC_MRC, CsiMode.NOCSI).method is Method.CLOSED_FORM
+def test_equal_rates_stay_on_the_closed_form(base_params):
+    # equal MRC rates make the two-rate mixture weights singular; the
+    # divided-difference form keeps every cell on the closed form and in
+    # agreement with quadrature
+    b = base_params.with_(beta_rd=base_params.beta_sd)
+    a = base_params.with_(alpha_re=base_params.alpha_se)
+    ab = b.with_(alpha_re=b.alpha_se)
+    for p in (b, a, ab):
+        for scheme in SCHEME_ORDER:
+            for csi in ALL_MODES:
+                s = sop(p, scheme, csi)
+                e = esr(p, scheme, csi)
+                assert s.method is Method.CLOSED_FORM and e.method is Method.CLOSED_FORM
+                assert abs(s.value - oracles.quadrature_sop(p, scheme, csi, 1e-10).value) < 1e-9
+                assert abs(e.value - oracles.quadrature_esr(p, scheme, csi, 1e-10).value) < 1e-9
+
+
+def _mp_reference(params, scheme, csi, metric):
+    """SOP/ESR from the plain two-rate weighted mixtures at 100 digits, an
+    equal pair split by a relative 1e-30 (nested cancellation then keeps ~40
+    digits)."""
+
+    def terms(relay_on, mrc, r1, r2):
+        if not relay_on:
+            return [(-1, r1)]
+        if not mrc:
+            return [(-1, r1), (-1, r2), (1, r1 + r2)]
+        if r1 == r2:
+            r2 = r1 * (1 + mpmath.mpf("1e-30"))
+        return [(-r2 / (r2 - r1), r1), (-r1 / (r1 - r2), r2)]
+
+    def eiexp_mp(x):
+        return mpmath.exp(x) * mpmath.ei(-x)
+
+    with mpmath.workdps(100):
+        a1, a2, b1, b2, b_sr, g_th, rs = (
+            mpmath.mpf(x)
+            for x in (
+                params.alpha_se, params.alpha_re, params.beta_sd, params.beta_rd,
+                params.beta_sr, params.gamma_th, params.rate_rs,
+            )
+        )
+        rho = mpmath.mpf(2) ** (2 * rs)
+
+        def branch(on):
+            m = terms(on, scheme.mrc_at_destination, b1, b2)
+            e = terms(on, scheme.mrc_at_eavesdropper, a1, a2)
+
+            def lap(t):
+                return -sum(c * a / (a + t) for c, a in e)
+
+            if metric == "sop":
+                if csi is CsiMode.NOCSI:
+                    return 1 + sum(c * mpmath.exp(-s * (rho - 1)) * lap(rho * s) for c, s in m)
+                return sum(c * (mpmath.exp(-s * (rho - 1)) * lap(rho * s) - lap(s)) for c, s in m)
+            if csi is CsiMode.NOCSI:
+                v = sum(c * eiexp_mp(s) for c, s in m) - sum(c * eiexp_mp(a) for c, a in e)
+            else:
+                v = sum(
+                    c * (eiexp_mp(s) + sum(eps * eiexp_mp(s + a) for eps, a in e)) for c, s in m
+                )
+            return v / (2 * mpmath.log(2))
+
+        p_on = mpmath.exp(-b_sr * g_th)
+        return float(p_on * branch(True) + (1 - p_on) * branch(False))
+
+
+# -40 dB eavesdropper links, -37 dB destination links, relay always decoding:
+# combined rates in the thousands, where eiexp's derivatives come from its
+# asymptotic series.
+LOW_SNR = params_from_db(-40.0, -40.0, -37.0, 30.0, -37.0, -50.0, 0.5)
+
+
+@pytest.mark.parametrize("pair", ["beta", "alpha", "both"])
+@pytest.mark.parametrize("point", ["base", "low_snr"])
+def test_equal_and_near_equal_rates_match_mpmath(base_params, pair, point):
+    # up to just below the relative gap where the series hands over to the
+    # plain quotient
+    for gap in (0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 0.049):
+        p = base_params if point == "base" else LOW_SNR
+        if pair in ("beta", "both"):
+            p = p.with_(beta_rd=p.beta_sd * (1.0 + gap))
+        if pair in ("alpha", "both"):
+            p = p.with_(alpha_re=p.alpha_se * (1.0 + gap))
+        for scheme in SCHEME_ORDER:
+            for csi in ALL_MODES:
+                for metric, fn in (("sop", sop), ("esr", esr)):
+                    ref = _mp_reference(p, scheme, csi, metric)
+                    assert fn(p, scheme, csi).value == pytest.approx(ref, rel=1e-12, abs=0.0), (
+                        gap, pair, scheme, csi, metric
+                    )
+
+
+@pytest.mark.parametrize("db", [70.0, 80.0, 90.0, 100.0])
+def test_esr_finite_and_accurate_at_high_balanced_snr(db):
+    # equal direct/relayed destination rates and equal eavesdropper rates at
+    # high SNR: the cells the quadrature fallback used to fail on
+    p = params_from_db(0.0, 0.0, db, db, db, 3.0, 0.5)
+    for scheme in SCHEME_ORDER:
+        for csi in ALL_MODES:
+            v = esr(p, scheme, csi).value
+            assert math.isfinite(v)
+            assert v == pytest.approx(_mp_reference(p, scheme, csi, "esr"), rel=1e-10, abs=0.0)
 
 
 def test_near_degenerate_band_stays_on_the_oracle(base_params):
-    # rate gaps just above the routing thresholds are the worst case for
-    # the singular mixture weights; agreement with quadrature must survive
-    # them, including the double near-equal case whose round-off
-    # amplifications multiply
+    # small rate gaps, singly and in both pairs at once, where the plain
+    # two-rate weights would amplify round-off by 1/gap; agreement with
+    # quadrature must survive them
     for gap_b, gap_a in ((3.5e-8, 0.5), (0.5, 3.5e-8), (1e-4, 1e-4), (1e-6, 0.6)):
         p = base_params.with_(
             beta_rd=base_params.beta_sd * (1.0 + gap_b),
@@ -205,16 +297,22 @@ def test_near_degenerate_band_stays_on_the_oracle(base_params):
                 ) < 1e-6
 
 
-def test_continuity_across_degeneracy_switch(base_params):
-    for scheme in (Scheme.MRC_SC, Scheme.MRC_MRC):
-        for csi in ALL_MODES:
-            near = sop(
-                base_params.with_(beta_rd=base_params.beta_sd * (1.0 + 1e-6)), scheme, csi
-            )
-            limit = sop(base_params.with_(beta_rd=base_params.beta_sd), scheme, csi)
-            assert near.method is Method.CLOSED_FORM
-            assert limit.method is Method.LIMIT_FORM
-            assert abs(near.value - limit.value) <= 1e-5
+def test_continuity_through_equality_and_the_series_switch(base_params):
+    # the divided difference moves from the plain quotient to the series at
+    # a relative gap of _TAYLOR_GAP; values must be continuous there and
+    # through exact equality (both steps are first order in the gap)
+    steps = (
+        (0.0, 1e-6, 1e-6),
+        (_TAYLOR_GAP * (1.0 - 1e-9), _TAYLOR_GAP * (1.0 + 1e-9), 1e-10),
+    )
+    for lo, hi, tol in steps:
+        for field, base in (("beta_rd", base_params.beta_sd), ("alpha_re", base_params.alpha_se)):
+            p_lo = base_params.with_(**{field: base * (1.0 + lo)})
+            p_hi = base_params.with_(**{field: base * (1.0 + hi)})
+            for scheme in SCHEME_ORDER:
+                for csi in ALL_MODES:
+                    for fn in (sop, esr):
+                        assert abs(fn(p_lo, scheme, csi).value - fn(p_hi, scheme, csi).value) <= tol
 
 
 def test_zero_threshold_drops_direct_only_branch(base_params):

@@ -1,9 +1,11 @@
 """Tests for sweeps, presets, CSV output, validation, and the CLI."""
 
 import io
+import math
 
 import pytest
 
+from secrelay import oracles
 from secrelay.cli import main
 from secrelay.errors import DomainError
 from secrelay.fading import CsiMode, SCHEME_ORDER, Scheme, params_from_db
@@ -184,6 +186,24 @@ def test_validation_rejects_degenerate_bands(band):
         run_validation(grid_size=1, seed=3, mc_trials=1000, **band)
 
 
+def test_validation_runs_one_quadrature_per_cell(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("quadrature_sop", "quadrature_esr"):
+        monkeypatch.setattr(oracles, name, counted(getattr(oracles, name)))
+    report = run_validation(grid_size=2, seed=5, mc_trials=1000)
+    assert report.grid_size == 2
+    assert calls.count("quadrature_sop") == 2 * 8
+    assert calls.count("quadrature_esr") == 2 * 8
+
+
 def test_validation_render_deterministic():
     a = run_validation(grid_size=2, seed=5, mc_trials=50_000).render()
     b = run_validation(grid_size=2, seed=5, mc_trials=50_000, n_jobs=3).render()
@@ -289,6 +309,8 @@ def test_cli_validate_exit_codes(capsys):
         ["--mc-sigmas", "-1"],
         ["--mc-floor", "0"],
         ["--tol-quad", "0"],
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
     ],
 )
 def test_cli_validate_usage_errors(flag, capsys):
@@ -296,6 +318,30 @@ def test_cli_validate_usage_errors(flag, capsys):
         main(["validate", "--grid-size", "1", "--mc-trials", "1000", *flag])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_sweep_rejects_nonpositive_jobs(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "fig2", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_high_snr_equal_rate_esr_sweep(capsys):
+    # equal eavesdropper rates and equal destination rates at 70 dB
+    rc = main(
+        [
+            "sweep", "--axis", "balanced-snr-db", "--from-db", "70", "--to-db", "70",
+            "--alpha-se-db", "0", "--alpha-re-db", "0", "--beta-sd-db", "70",
+            "--rate-rs", "0.5", "--metric", "esr",
+        ]
+    )
+    assert rc == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 8
+    assert {r[6] for r in rows} == {"closed_form"}
+    assert all(math.isfinite(float(r[7])) for r in rows)
 
 
 def test_cli_validate_deterministic(capsys):
