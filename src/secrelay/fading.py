@@ -113,8 +113,11 @@ class SystemParams:
                 raise DomainError(f"{name} must be a positive finite rate, got {v!r}")
         if not (self.gamma_th >= 0.0):
             raise DomainError(f"gamma_th must be >= 0, got {self.gamma_th!r}")
-        if not (self.rate_rs >= 0.0 and math.isfinite(self.rate_rs)):
-            raise DomainError(f"rate_rs must be >= 0 and finite, got {self.rate_rs!r}")
+        # rho = 2^(2 rate_rs) overflows a double from rate_rs = 512 on.
+        if not (0.0 <= self.rate_rs < 512.0):
+            raise DomainError(
+                f"rate_rs must be >= 0 and below 512 (finite rho), got {self.rate_rs!r}"
+            )
 
     @property
     def rho(self) -> float:
@@ -183,22 +186,39 @@ def rates_degenerate(r1: float, r2: float) -> bool:
     return abs(r1 - r2) <= DEGENERACY_RTOL * max(abs(r1), abs(r2))
 
 
-def exp_cdf(rate: float, z: float) -> float:
+def _points(z) -> tuple[np.ndarray, np.ndarray]:
+    """``z`` as a float array, and clipped to the support's start at 0."""
+    z = np.asarray(z, dtype=float)
+    return z, np.maximum(z, 0.0)
+
+
+def _on_support(z: np.ndarray, outside: np.ndarray, v) -> np.ndarray | float:
+    """``v`` with 0 where ``outside`` holds; a float when ``z`` is a scalar."""
+    v = np.where(outside, 0.0, v)
+    return float(v) if v.ndim == 0 else v
+
+
+# The distribution functions below take a scalar or an array ``z`` and check
+# their rates once per call.  Scalar and array arguments run the same numpy
+# arithmetic, so a scalar call returns exactly the matching element of an
+# array call.  Formulas are evaluated at ``max(z, 0)``: points off the
+# support are zeroed afterwards and must not overflow on the way.
+
+
+def exp_cdf(rate: float, z):
     """CDF of an exponential with the given rate."""
     _check_rate(rate)
-    if z <= 0.0:
-        return 0.0
-    return -math.expm1(-rate * z)
+    z, zp = _points(z)
+    return _on_support(z, z <= 0.0, -np.expm1(-rate * zp))
 
 
-def exp_pdf(rate: float, z: float) -> float:
+def exp_pdf(rate: float, z):
     _check_rate(rate)
-    if z < 0.0:
-        return 0.0
-    return rate * math.exp(-rate * z)
+    z, zp = _points(z)
+    return _on_support(z, z < 0.0, rate * np.exp(-rate * zp))
 
 
-def sum_exp_cdf(r1: float, r2: float, z: float) -> float:
+def sum_exp_cdf(r1: float, r2: float, z):
     """CDF of the sum of two independent exponentials.
 
     Distinct rates use the two-term mixture; rates within
@@ -208,45 +228,41 @@ def sum_exp_cdf(r1: float, r2: float, z: float) -> float:
     """
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
-    if z <= 0.0:
-        return 0.0
+    z, zp = _points(z)
     if abs(r1 - r2) <= SUM_STABLE_RTOL * max(r1, r2):
         r = 0.5 * (r1 + r2)
-        v = -math.expm1(-r * z) - r * z * math.exp(-r * z)
+        v = -np.expm1(-r * zp) - r * zp * np.exp(-r * zp)
     else:
-        v = 1.0 - (r2 * math.exp(-r1 * z) - r1 * math.exp(-r2 * z)) / (r2 - r1)
-    return min(1.0, max(0.0, v))
+        v = 1.0 - (r2 * np.exp(-r1 * zp) - r1 * np.exp(-r2 * zp)) / (r2 - r1)
+    return _on_support(z, z <= 0.0, np.clip(v, 0.0, 1.0))
 
 
-def sum_exp_pdf(r1: float, r2: float, z: float) -> float:
+def sum_exp_pdf(r1: float, r2: float, z):
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
-    if z < 0.0:
-        return 0.0
+    z, zp = _points(z)
     if abs(r1 - r2) <= SUM_STABLE_RTOL * max(r1, r2):
         r = 0.5 * (r1 + r2)
-        return r * r * z * math.exp(-r * z)
-    v = (r1 * r2 / (r2 - r1)) * (math.exp(-r1 * z) - math.exp(-r2 * z))
-    return max(0.0, v)
+        v = r * r * zp * np.exp(-r * zp)
+    else:
+        v = np.maximum((r1 * r2 / (r2 - r1)) * (np.exp(-r1 * zp) - np.exp(-r2 * zp)), 0.0)
+    return _on_support(z, z < 0.0, v)
 
 
-def max_exp_cdf(r1: float, r2: float, z: float) -> float:
+def max_exp_cdf(r1: float, r2: float, z):
     """CDF of the maximum of two independent exponentials."""
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
-    if z <= 0.0:
-        return 0.0
-    return math.expm1(-r1 * z) * math.expm1(-r2 * z)
+    z, zp = _points(z)
+    return _on_support(z, z <= 0.0, np.expm1(-r1 * zp) * np.expm1(-r2 * zp))
 
 
-def max_exp_pdf(r1: float, r2: float, z: float) -> float:
+def max_exp_pdf(r1: float, r2: float, z):
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
-    if z < 0.0:
-        return 0.0
-    return r1 * math.exp(-r1 * z) * -math.expm1(-r2 * z) + r2 * math.exp(
-        -r2 * z
-    ) * -math.expm1(-r1 * z)
+    z, zp = _points(z)
+    v = r1 * np.exp(-r1 * zp) * -np.expm1(-r2 * zp) + r2 * np.exp(-r2 * zp) * -np.expm1(-r1 * zp)
+    return _on_support(z, z < 0.0, v)
 
 
 def decode_probability(params: SystemParams) -> float:

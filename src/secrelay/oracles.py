@@ -3,6 +3,15 @@
 Both oracles work straight from the system model - sampled trials on one
 side, the defining one-dimensional integrals on the other - and share no
 algebra with the closed forms they validate.
+
+The quadrature oracle is an adaptive Gauss-Kronrod integrator in numpy
+(QUADPACK's 10/21-point pair).  One ``quadrature_sop`` call integrates its
+two decode branches, one ``quadrature_esr`` call the destination and the
+eavesdropper integrals of both branches, and all of them advance together:
+each round evaluates every integrand once, on the nodes of all its open
+intervals.  ``QuadratureResult.abs_error_bound`` adds up the accepted
+intervals' error estimates, each at least a round-off floor, and
+``evaluations`` counts integrand points.
 """
 
 from __future__ import annotations
@@ -12,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import fading, kernels
 from .errors import DomainError, NumericError
@@ -46,7 +54,7 @@ SUB_BLOCK_TRIALS = 1 << 13
 PDF_FLOOR = 1e-300
 
 DEFAULT_QUAD_TOL = 1e-9
-_QUAD_LIMIT = 200
+_QUAD_LIMIT = 200  # intervals per integral
 
 
 @dataclass(frozen=True)
@@ -190,27 +198,149 @@ def monte_carlo_esr(
 # ---------------------------------------------------------------------------
 
 
-def _integrate_semi_infinite(fy, tol: float, scales) -> QuadratureResult:
-    # Map [0, inf) to (0, 1) via y = t / (1 - t).  Slowly decaying tails end
-    # up compressed against t = 1 where the adaptive rule can miss them, so
-    # force subdivision at multiples of the slowest decay length.
-    def g(t):
-        om = 1.0 - t
-        return fy(t / om) / (om * om)
+# QUADPACK's 21-point Kronrod rule and the 10-point Gauss rule embedded in it
+# (Piessens et al., QUADPACK, 1983, routine QK21): Kronrod abscissae on
+# [0, 1] in decreasing order (the Gauss ones at odd positions), then the
+# Kronrod and the Gauss weights.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# The 21 nodes on [-1, 1] in increasing order, their Kronrod weights, and
+# the Gauss weights (0 at the Kronrod-only nodes).
+_NODES = np.concatenate((-_XGK[:10], _XGK[::-1]))
+_WK21 = np.concatenate((_WGK[:10], _WGK[::-1]))
+_WG21 = np.zeros(21)
+_WG21[1:10:2] = _WG
+_WG21[19:10:-2] = _WG
+_WKG = np.stack((_WK21, _WG21), axis=1)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
-    decay_len = 1.0 / min(scales)
-    points = sorted({min(y / (1.0 + y), 1.0 - 1e-12) for y in
-                     (k * decay_len for k in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0))})
-    out = quad(g, 0.0, 1.0, epsabs=tol, epsrel=1e-12, limit=_QUAD_LIMIT,
-               points=points, full_output=1)
-    if len(out) > 3:
-        raise NumericError(f"quadrature failed: {out[3]}")
-    value, abserr, info = out
-    if abserr > tol:
+# The initial mesh has breakpoints at these multiples of every link's decay
+# length, so the tail of each exponential starts on an interval of its own,
+# and fills any wider gap between two links' ranges with a geometric ladder
+# of ratio _MESH_MAX_RATIO: on a longer interval the nodes can all fall on
+# one side of a slower link's mass (at 100 dB, 0.4 bpcu of a rate).
+_MESH_MULTIPLES = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+_MESH_MAX_RATIO = 4.0
+
+
+def _mesh(scales) -> np.ndarray:
+    """Initial breakpoints in t = y / (1 + y), from 0 to 1."""
+    y = np.sort(np.multiply.outer(_MESH_MULTIPLES, 1.0 / np.asarray(scales)), axis=None)
+    ratio = y[1:] / y[:-1]
+    gaps = np.flatnonzero(ratio > _MESH_MAX_RATIO)
+    if gaps.size:
+        ladders = [
+            y[i] * _MESH_MAX_RATIO ** np.arange(1.0, math.ceil(math.log(ratio[i], _MESH_MAX_RATIO)))
+            for i in gaps
+        ]
+        y = np.sort(np.concatenate([y, *ladders]))
+    t = np.concatenate(([0.0], np.minimum(y / (1.0 + y), 1.0 - 1e-12), [1.0]))
+    return t[np.concatenate(([True], t[1:] != t[:-1]))]
+
+
+def _integrate(integrands, tols, meshes):
+    """Integrate each ``fy`` over y in [0, inf) to its absolute tolerance.
+
+    ``fy(y)`` returns the integrand and its envelope at an array of points.
+    The half-line is mapped to t in [0, 1) by y = t / (1 - t); integral k
+    starts from the intervals between the breakpoints ``meshes[k]``.  All
+    integrals advance together, one round at a time: each integrand is
+    called once a round, on the 21 nodes of every open interval it has.
+    Each open interval gets the 21-point Kronrod value and QUADPACK's error
+    estimate from the 10-point Gauss value, with a round-off floor of 50 eps
+    times the integral of the envelope over it.  An interval is accepted
+    when its estimate is within its share of the tolerance (its length
+    times ``tols[k]``) or at the floor, and all of an integral's intervals
+    are once their estimates add up to within ``tols[k]``; the others are
+    halved.  Returns per-integral arrays (value, error bound, integrand
+    evaluations).  Raises :class:`NumericError` when an integral needs more
+    than ``_QUAD_LIMIT`` intervals, an interval cannot be halved, or a bound
+    exceeds its tolerance.
+    """
+    n = len(integrands)
+    tols = np.asarray(tols, dtype=float)
+    lo = np.concatenate([m[:-1] for m in meshes])
+    hi = np.concatenate([m[1:] for m in meshes])
+    owner = np.repeat(np.arange(n), [len(m) - 1 for m in meshes])  # stays sorted
+    value, bound = np.zeros(n), np.zeros(n)
+    evals, kept = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    while owner.size:
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        # Nodes in t and in 1 - t, each from its own midpoint: near t = 1,
+        # where the integrand in t peaks for slowly decaying links, 1 - t
+        # rounded from t would move the nodes by ~1e-16 / (1 - t) relative.
+        t = mid[:, None] + half[:, None] * _NODES
+        om = (0.5 * ((1.0 - hi) + (1.0 - lo)))[:, None] - half[:, None] * _NODES
+        y = t / om
+        f, env = np.empty_like(t), np.empty_like(t)
+        ends = np.searchsorted(owner, np.arange(n + 1))
+        for k in range(n):
+            a, b = ends[k], ends[k + 1]
+            if a < b:
+                f[a:b], env[a:b] = integrands[k](y[a:b])
+        jac = om * om
+        f /= jac
+        env /= jac
+
+        resk, resg = (f @ _WKG).T
+        resabs = (env @ _WK21) * half
+        resasc = (np.abs(f - 0.5 * resk[:, None]) @ _WK21) * half
+        val = resk * half
+        err = np.abs(resk - resg) * half
+        pos = resasc > 0.0
+        ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=pos)
+        err = np.where(pos, resasc * np.minimum(1.0, ratio ** 1.5), err)
+        floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+        err = np.maximum(err, floor)
+
+        open_count = np.bincount(owner, minlength=n)
+        evals += 21 * open_count
+        done = bound + np.bincount(owner, weights=err, minlength=n) <= tols
+        accept = done[owner] | (err <= np.maximum(tols[owner] * (hi - lo), floor))
+        taken = owner[accept]
+        value += np.bincount(taken, weights=val[accept], minlength=n)
+        bound += np.bincount(taken, weights=err[accept], minlength=n)
+        taken_count = np.bincount(taken, minlength=n)
+        kept += taken_count
+        if np.any(kept + 2 * (open_count - taken_count) > _QUAD_LIMIT):
+            raise NumericError(f"quadrature failed: more than {_QUAD_LIMIT} intervals needed")
+
+        split = ~accept
+        lo, mid, hi, owner = lo[split], mid[split], hi[split], owner[split]
+        if np.any((mid <= lo) | (mid >= hi)):
+            # the midpoint rounds onto an end: t cannot resolve the integrand
+            raise NumericError("quadrature failed: an interval is too short to halve")
+        halves = np.stack((lo, mid, mid, hi), axis=1)  # [lo, mid], [mid, hi] per row
+        lo, hi = halves[:, 0::2].ravel(), halves[:, 1::2].ravel()
+        owner = np.repeat(owner, 2)
+    over = np.flatnonzero(~(bound <= tols))
+    if over.size:
+        k = over[0]
         raise NumericError(
-            f"quadrature error bound {abserr:.3e} exceeds requested tolerance {tol:.3e}"
+            f"quadrature error bound {bound[k]:.3e} exceeds requested tolerance {tols[k]:.3e}"
         )
-    return QuadratureResult(value, abserr, int(info["neval"]))
+    return value, bound, evals
 
 
 def _dist_functions(params: SystemParams, scheme: Scheme, relay_on: bool):
@@ -244,6 +374,97 @@ def _branch_scales(params: SystemParams, relay_on: bool):
     return (params.alpha_se, params.beta_sd)
 
 
+def _cut(d):
+    """The density ``d``, zeroed where it has underflowed to noise."""
+    return np.where(d < PDF_FLOOR, 0.0, d)
+
+
+# Each integrand function returns the integrand and its envelope: the
+# density times a bound on the factor it multiplies (1 for a probability,
+# log(1 + SNR) for a rate).  The probabilities are computed to a few ulps
+# absolute, not relative, so the envelope, not |integrand|, scales the
+# round-off floor.
+
+
+def _sop_integrands(params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool):
+    """The outage integral of one decode branch, over the eavesdropper SNR."""
+    cdf_m, _, _, pdf_e = _dist_functions(params, scheme, relay_on)
+    rho = params.rho
+
+    if csi is CsiMode.NOCSI:
+
+        def fy(y):
+            d = _cut(pdf_e(y))
+            return cdf_m(rho * (1.0 + y) - 1.0) * d, d
+
+    else:
+
+        def fy(y):
+            d = _cut(pdf_e(y))
+            return (cdf_m(rho * (1.0 + y) - 1.0) - cdf_m(y)) * d, d
+
+    return (fy,)
+
+
+def _esr_integrands(params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool):
+    """The destination's and the eavesdropper's log-SNR integrals of one
+    decode branch, whose difference is the branch's rate in nats."""
+    cdf_m, pdf_m, cdf_e, pdf_e = _dist_functions(params, scheme, relay_on)
+
+    if csi is CsiMode.NOCSI:
+
+        def f_main(x):
+            e = np.log1p(x) * _cut(pdf_m(x))
+            return e, e
+
+        def f_eaves(y):
+            e = np.log1p(y) * _cut(pdf_e(y))
+            return e, e
+
+    else:
+
+        def f_main(x):
+            e = np.log1p(x) * _cut(pdf_m(x))
+            return cdf_e(x) * e, e
+
+        def f_eaves(y):
+            e = np.log1p(y) * _cut(pdf_e(y))
+            return (1.0 - cdf_m(y)) * e, e
+
+    return f_main, f_eaves
+
+
+def _quadrature(params, scheme, csi, tol, branches, integrands, factor) -> QuadratureResult:
+    """``factor`` times the signed sum (+, -) of each branch's ``integrands``,
+    mixed over the (weight, relay_on) ``branches``; every integral of the
+    call is integrated in one batch.  Each branch's bound is within ``tol``
+    on its own, so the mixture's is too."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    fys, tols, meshes, groups = [], [], [], []
+    for weight, relay_on in branches:
+        if weight == 0.0:
+            continue
+        fs = integrands(params, scheme, csi, relay_on)
+        mesh = _mesh(_branch_scales(params, relay_on))
+        groups.append((weight, range(len(fys), len(fys) + len(fs))))
+        fys += fs
+        tols += [tol / (factor * len(fs))] * len(fs)
+        meshes += [mesh] * len(fs)
+    values, bounds, evals = _integrate(fys, tols, meshes)
+    value = bound = 0.0
+    for weight, idx in groups:
+        v = values[idx[0]] - sum(values[j] for j in idx[1:])
+        value += weight * (factor * v)
+        bound += weight * (factor * sum(bounds[j] for j in idx))
+    return QuadratureResult(float(value), float(bound), int(evals.sum()))
+
+
+def _decode_branches(params: SystemParams):
+    p_on = fading.decode_probability(params)
+    return ((p_on, True), (1.0 - p_on, False))
+
+
 def quadrature_sop_conditional(
     params: SystemParams,
     scheme: Scheme,
@@ -252,29 +473,7 @@ def quadrature_sop_conditional(
     tol: float = DEFAULT_QUAD_TOL,
 ) -> QuadratureResult:
     """Conditional outage probability of one decode branch by quadrature."""
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    cdf_m, _, _, pdf_e = _dist_functions(params, scheme, relay_on)
-    scales = _branch_scales(params, relay_on)
-    rho = params.rho
-
-    if csi is CsiMode.NOCSI:
-
-        def fy(y):
-            d = pdf_e(y)
-            if d < PDF_FLOOR:
-                return 0.0
-            return cdf_m(rho * (1.0 + y) - 1.0) * d
-
-    else:
-
-        def fy(y):
-            d = pdf_e(y)
-            if d < PDF_FLOOR:
-                return 0.0
-            return (cdf_m(rho * (1.0 + y) - 1.0) - cdf_m(y)) * d
-
-    return _integrate_semi_infinite(fy, tol, scales)
+    return _quadrature(params, scheme, csi, tol, ((1.0, relay_on),), _sop_integrands, 1.0)
 
 
 def quadrature_esr_conditional(
@@ -285,54 +484,7 @@ def quadrature_esr_conditional(
     tol: float = DEFAULT_QUAD_TOL,
 ) -> QuadratureResult:
     """Conditional ergodic secrecy rate (bpcu) of one decode branch."""
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    cdf_m, pdf_m, cdf_e, pdf_e = _dist_functions(params, scheme, relay_on)
-    scales = _branch_scales(params, relay_on)
-    part_tol = tol * math.log(2.0)  # two integrals, then the 1/(2 ln 2) scale
-
-    if csi is CsiMode.NOCSI:
-
-        def f_main(x):
-            d = pdf_m(x)
-            return math.log1p(x) * d if d >= PDF_FLOOR else 0.0
-
-        def f_eaves(y):
-            d = pdf_e(y)
-            return math.log1p(y) * d if d >= PDF_FLOOR else 0.0
-
-    else:
-
-        def f_main(x):
-            d = pdf_m(x)
-            return math.log1p(x) * cdf_e(x) * d if d >= PDF_FLOOR else 0.0
-
-        def f_eaves(y):
-            d = pdf_e(y)
-            return math.log1p(y) * (1.0 - cdf_m(y)) * d if d >= PDF_FLOOR else 0.0
-
-    rm = _integrate_semi_infinite(f_main, part_tol, scales)
-    re = _integrate_semi_infinite(f_eaves, part_tol, scales)
-    return QuadratureResult(
-        HALF_LOG2E * (rm.value - re.value),
-        HALF_LOG2E * (rm.abs_error_bound + re.abs_error_bound),
-        rm.evaluations + re.evaluations,
-    )
-
-
-def _weighted_branches(params, scheme, csi, tol, branch_fn) -> QuadratureResult:
-    p_on = fading.decode_probability(params)
-    value = 0.0
-    bound = 0.0
-    evals = 0
-    for weight, relay_on in ((p_on, True), (1.0 - p_on, False)):
-        if weight == 0.0:
-            continue
-        r = branch_fn(params, scheme, csi, relay_on, tol)
-        value += weight * r.value
-        bound += weight * r.abs_error_bound
-        evals += r.evaluations
-    return QuadratureResult(value, bound, evals)
+    return _quadrature(params, scheme, csi, tol, ((1.0, relay_on),), _esr_integrands, HALF_LOG2E)
 
 
 def quadrature_sop(
@@ -343,11 +495,13 @@ def quadrature_sop(
     The decode-success and decode-failure branches are integrated
     separately and mixed with the decode probability.
     """
-    return _weighted_branches(params, scheme, csi, tol, quadrature_sop_conditional)
+    return _quadrature(params, scheme, csi, tol, _decode_branches(params), _sop_integrands, 1.0)
 
 
 def quadrature_esr(
     params: SystemParams, scheme: Scheme, csi: CsiMode, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
     """Ergodic secrecy rate (bpcu) by adaptive quadrature."""
-    return _weighted_branches(params, scheme, csi, tol, quadrature_esr_conditional)
+    return _quadrature(
+        params, scheme, csi, tol, _decode_branches(params), _esr_integrands, HALF_LOG2E
+    )

@@ -89,6 +89,9 @@ class SweepSpec:
     attach_gamma_floors: bool = False
 
     def axis_values(self) -> list[float]:
+        for name in ("start_db", "stop_db", "step_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.step_db > 0.0:
             raise DomainError(f"step_db must be positive, got {self.step_db!r}")
         if self.start_db > self.stop_db:

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +20,8 @@ from secrelay.errors import DomainError
 from secrelay.expint import eiexp
 from secrelay.fading import CsiMode, SCHEME_ORDER, Scheme, SystemParams, params_from_db
 from secrelay.sweep import sample_grid
+
+from mp_reference import mp_reference
 
 ALL_MODES = (CsiMode.NOCSI, CsiMode.CSI)
 
@@ -188,56 +189,6 @@ def test_equal_rates_stay_on_the_closed_form(base_params):
                 assert abs(e.value - oracles.quadrature_esr(p, scheme, csi, 1e-10).value) < 1e-9
 
 
-def _mp_reference(params, scheme, csi, metric):
-    """SOP/ESR from the plain two-rate weighted mixtures at 100 digits, an
-    equal pair split by a relative 1e-30 (nested cancellation then keeps ~40
-    digits)."""
-
-    def terms(relay_on, mrc, r1, r2):
-        if not relay_on:
-            return [(-1, r1)]
-        if not mrc:
-            return [(-1, r1), (-1, r2), (1, r1 + r2)]
-        if r1 == r2:
-            r2 = r1 * (1 + mpmath.mpf("1e-30"))
-        return [(-r2 / (r2 - r1), r1), (-r1 / (r1 - r2), r2)]
-
-    def eiexp_mp(x):
-        return mpmath.exp(x) * mpmath.ei(-x)
-
-    with mpmath.workdps(100):
-        a1, a2, b1, b2, b_sr, g_th, rs = (
-            mpmath.mpf(x)
-            for x in (
-                params.alpha_se, params.alpha_re, params.beta_sd, params.beta_rd,
-                params.beta_sr, params.gamma_th, params.rate_rs,
-            )
-        )
-        rho = mpmath.mpf(2) ** (2 * rs)
-
-        def branch(on):
-            m = terms(on, scheme.mrc_at_destination, b1, b2)
-            e = terms(on, scheme.mrc_at_eavesdropper, a1, a2)
-
-            def lap(t):
-                return -sum(c * a / (a + t) for c, a in e)
-
-            if metric == "sop":
-                if csi is CsiMode.NOCSI:
-                    return 1 + sum(c * mpmath.exp(-s * (rho - 1)) * lap(rho * s) for c, s in m)
-                return sum(c * (mpmath.exp(-s * (rho - 1)) * lap(rho * s) - lap(s)) for c, s in m)
-            if csi is CsiMode.NOCSI:
-                v = sum(c * eiexp_mp(s) for c, s in m) - sum(c * eiexp_mp(a) for c, a in e)
-            else:
-                v = sum(
-                    c * (eiexp_mp(s) + sum(eps * eiexp_mp(s + a) for eps, a in e)) for c, s in m
-                )
-            return v / (2 * mpmath.log(2))
-
-        p_on = mpmath.exp(-b_sr * g_th)
-        return float(p_on * branch(True) + (1 - p_on) * branch(False))
-
-
 # -40 dB eavesdropper links, -37 dB destination links, relay always decoding:
 # combined rates in the thousands, where eiexp's derivatives come from its
 # asymptotic series.
@@ -258,7 +209,7 @@ def test_equal_and_near_equal_rates_match_mpmath(base_params, pair, point):
         for scheme in SCHEME_ORDER:
             for csi in ALL_MODES:
                 for metric, fn in (("sop", sop), ("esr", esr)):
-                    ref = _mp_reference(p, scheme, csi, metric)
+                    ref = mp_reference(p, scheme, csi, metric)
                     assert fn(p, scheme, csi).value == pytest.approx(ref, rel=1e-12, abs=0.0), (
                         gap, pair, scheme, csi, metric
                     )
@@ -273,7 +224,7 @@ def test_esr_finite_and_accurate_at_high_balanced_snr(db):
         for csi in ALL_MODES:
             v = esr(p, scheme, csi).value
             assert math.isfinite(v)
-            assert v == pytest.approx(_mp_reference(p, scheme, csi, "esr"), rel=1e-10, abs=0.0)
+            assert v == pytest.approx(mp_reference(p, scheme, csi, "esr"), rel=1e-10, abs=0.0)
 
 
 def test_near_degenerate_band_stays_on_the_oracle(base_params):

@@ -62,6 +62,11 @@ def test_params_from_db_rejects_nonfinite(bad):
 def test_params_validation():
     with pytest.raises(DomainError):
         SystemParams(-1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    # rho = 2^(2 rate_rs) overflows from rate_rs = 512 on
+    for rate_rs in (512.0, 600.0, math.inf):
+        with pytest.raises(DomainError):
+            SystemParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, rate_rs)
+    assert math.isfinite(SystemParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 511.9).rho)
     with pytest.raises(DomainError):
         SystemParams(1.0, 1.0, 1.0, 1.0, 1.0, -0.5, 1.0)
     with pytest.raises(DomainError):
@@ -141,6 +146,36 @@ def test_cdfs_monotone_and_bounded(r1, r2, z1, z2):
         assert 0.0 <= a <= b <= 1.0
         assert cdf(-1.0) == 0.0
         assert cdf(1e9 / min(r1, r2)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "fn,rates",
+    [
+        (exp_cdf, (0.7,)),
+        (exp_pdf, (0.7,)),
+        (sum_exp_cdf, (0.7, 2.3)),
+        (sum_exp_cdf, (1.1, 1.1 * (1.0 + 1e-8))),
+        (sum_exp_pdf, (0.7, 2.3)),
+        (sum_exp_pdf, (1.1, 1.1)),
+        (max_exp_cdf, (0.7, 2.3)),
+        (max_exp_pdf, (0.7, 2.3)),
+    ],
+)
+def test_distributions_on_arrays_match_scalar_calls(fn, rates):
+    z = np.concatenate(
+        ([-1e9, -1.0, 0.0, 5e-324, 1e-300, 1e3, 1e6],
+         np.random.default_rng(3).exponential(2.0, 500))
+    ).reshape(-1, 3)
+    scalar = [[fn(*rates, float(v)) for v in row] for row in z]
+    assert all(type(v) is float for row in scalar for v in row)
+    out = fn(*rates, z)
+    assert out.shape == z.shape
+    assert np.array_equal(out, np.array(scalar))
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            fn(bad, *rates[1:], z)
+        with pytest.raises(DomainError):
+            fn(*rates[:-1], bad, z)
 
 
 @pytest.mark.parametrize("fn", [exp_cdf, exp_pdf])

@@ -21,6 +21,8 @@ from secrelay.fading import (
 )
 from secrelay.sweep import sample_grid
 
+from mp_reference import mp_reference
+
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
@@ -245,6 +247,12 @@ def test_quadrature_matches_closed_form_random_point():
 def test_quadrature_tolerance_validation(base_params):
     with pytest.raises(DomainError):
         oracles.quadrature_sop(base_params, Scheme.MRC_SC, CsiMode.CSI, tol=0.0)
+    # an infinite tolerance would accept any value
+    for tol in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            oracles.quadrature_sop(base_params, Scheme.MRC_SC, CsiMode.CSI, tol=tol)
+        with pytest.raises(DomainError):
+            oracles.quadrature_esr_conditional(base_params, Scheme.SC_SC, CsiMode.NOCSI, True, tol)
 
 
 def test_quadrature_unreachable_tolerance_raises(base_params):
@@ -252,6 +260,54 @@ def test_quadrature_unreachable_tolerance_raises(base_params):
 
     with pytest.raises(NumericError):
         oracles.quadrature_sop(base_params, Scheme.MRC_MRC, CsiMode.NOCSI, tol=1e-300)
+
+
+# fig7 case I at 50 dB on the R-D link; fig4's 40 dB direct link with the
+# threshold at both ends of its sweep; equal destination and equal
+# eavesdropper rates at 30 dB.
+_FIG7_BASE = params_from_db(0.0, 3.5, 3.0, 30.0, 50.0, 3.0, 1.0)
+_FIG4_BASE = params_from_db(0.0, 3.0, 40.0, 3.0, 3.0, 3.0, 1.0)
+HONESTY_POINTS = {
+    "fig7_50db": _FIG7_BASE,
+    "fig4_threshold_-30db": _FIG4_BASE.with_(gamma_th=1e-3),
+    "fig4_threshold_50db": _FIG4_BASE.with_(gamma_th=1e5),
+    "equal_rates_30db": params_from_db(3.0, 3.0, 30.0, 30.0, 30.0, 3.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("point", sorted(HONESTY_POINTS))
+def test_quadrature_bound_covers_mpmath_reference(point, tol):
+    params = HONESTY_POINTS[point]
+    for scheme in SCHEME_ORDER:
+        for csi in (CsiMode.NOCSI, CsiMode.CSI):
+            for metric, fn in (("sop", oracles.quadrature_sop), ("esr", oracles.quadrature_esr)):
+                q = fn(params, scheme, csi, tol)
+                ref = mp_reference(params, scheme, csi, metric)
+                assert 0.0 < q.abs_error_bound <= tol
+                assert abs(q.value - ref) <= q.abs_error_bound, (scheme, csi, metric, q, ref)
+
+
+def test_quadrature_counts_integrand_evaluations(base_params):
+    # 21 Kronrod nodes per interval; the rate integrates two functions per
+    # decode branch, the outage one
+    sop_q = oracles.quadrature_sop(base_params, Scheme.MRC_SC, CsiMode.CSI)
+    esr_q = oracles.quadrature_esr(base_params, Scheme.MRC_SC, CsiMode.CSI)
+    assert sop_q.evaluations % 21 == 0 and esr_q.evaluations % 21 == 0
+    assert esr_q.evaluations > sop_q.evaluations > 0
+    on = oracles.quadrature_sop_conditional(base_params, Scheme.MRC_SC, CsiMode.CSI, True)
+    off = oracles.quadrature_sop_conditional(base_params, Scheme.MRC_SC, CsiMode.CSI, False)
+    assert sop_q.evaluations == on.evaluations + off.evaluations
+
+
+def test_quadrature_integrates_slow_links_across_wide_gaps():
+    # 100 dB legitimate links next to 0 dB eavesdropper links: the relayed
+    # destination SNR's mass lies 10^8 decay lengths of the fast links out
+    params = params_from_db(0.0, 0.0, 100.0, 100.0, 100.0, 3.0, 0.5)
+    for scheme in (Scheme.MRC_SC, Scheme.SC_SC):
+        q = oracles.quadrature_esr(params, scheme, CsiMode.NOCSI)
+        ref = mp_reference(params, scheme, CsiMode.NOCSI, "esr")
+        assert abs(q.value - ref) <= q.abs_error_bound
 
 
 def test_three_way_agreement_spot_check():

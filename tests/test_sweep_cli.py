@@ -1,7 +1,12 @@
 """Tests for sweeps, presets, CSV output, validation, and the CLI."""
 
+import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +51,11 @@ def test_empty_range_cardinality():
 def test_spec_validation():
     with pytest.raises(DomainError):
         SweepSpec(Axis.BALANCED_SNR_DB, 0.0, 10.0, -1.0, BASE).validate()
+    # a non-finite bound or step would loop forever or give NaN axis values
+    for bounds in ((0.0, math.inf, 1.0), (math.nan, 3.0, 1.0), (-math.inf, 0.0, 1.0),
+                   (0.0, 2.0, math.inf)):
+        with pytest.raises(DomainError):
+            SweepSpec(Axis.BALANCED_SNR_DB, *bounds, BASE).validate()
     with pytest.raises(DomainError):
         SweepSpec(Axis.BALANCED_SNR_DB, 10.0, 0.0, 1.0, BASE).validate()
     with pytest.raises(DomainError):
@@ -63,6 +73,14 @@ def test_sweep_deterministic_and_thread_invariant():
     c = csv_text(run_sweep(spec, n_jobs=4))
     assert a == b == c
     assert a.splitlines()[0] == CSV_HEADER
+
+
+def test_quadrature_sweep_identical_across_jobs():
+    spec = dataclasses.replace(figure_preset("fig7"), oracle=QuadOracle(1e-9))
+    a = csv_text(run_sweep(spec, n_jobs=1))
+    b = csv_text(run_sweep(spec, n_jobs=1))
+    c = csv_text(run_sweep(spec, n_jobs=4))
+    assert a == b == c
 
 
 def test_quadrature_oracle_column():
@@ -277,6 +295,17 @@ def test_cli_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--preset", "fig2", "--mc-trials", "10", "--quad-tol", "1e-9"])
     assert exc.value.code == 2
+    adhoc = ["sweep", "--axis", "balanced-snr-db"]
+    for args in (
+        adhoc + ["--from-db", "0", "--to-db", "inf"],
+        adhoc + ["--from-db", "nan", "--to-db", "3"],
+        adhoc + ["--from-db", "0", "--to-db", "0", "--rate-rs", "600"],
+        adhoc + ["--from-db", "0", "--to-db", "0", "--quad-tol", "inf"],
+        ["sweep", "--preset", "fig3", "--quad-tol", "inf"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2, args
 
 
 def test_cli_validate_exit_codes(capsys):
@@ -305,6 +334,7 @@ def test_cli_validate_exit_codes(capsys):
         ["--mc-trials", "0"],
         ["--grid-size", "0"],
         ["--quad-tol", "0"],
+        ["--quad-tol", "inf"],
         ["--seed", "-1"],
         ["--mc-sigmas", "-1"],
         ["--mc-floor", "0"],
@@ -389,3 +419,18 @@ def test_cli_unwritable_output_path(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--preset", "fig2", "--out", str(tmp_path / "nodir" / "x.csv")])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the quadrature oracle is numpy code; importing scipy.integrate would
+    # add ~0.3 s to every command's start-up
+    import secrelay
+
+    src = str(Path(secrelay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, secrelay.cli; print(sorted(m for m in sys.modules if 'integrate' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"
