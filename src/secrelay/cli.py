@@ -99,14 +99,11 @@ def _spec_from_args(parser, args) -> SweepSpec:
     if args.mc_trials is not None and args.quad_tol is not None:
         parser.error("--mc-trials and --quad-tol are mutually exclusive")
 
+    # The oracles check their own trial count and tolerance (DomainError).
     oracle = None
     if args.mc_trials is not None:
-        if args.mc_trials < 1:
-            parser.error("--mc-trials must be >= 1")
         oracle = McOracle(args.mc_trials, args.seed)
     elif args.quad_tol is not None:
-        if not args.quad_tol > 0:
-            parser.error("--quad-tol must be > 0")
         oracle = QuadOracle(args.quad_tol)
 
     if args.preset:

@@ -52,13 +52,6 @@ HALF_LOG2E = 0.5 / math.log(2.0)
 # rate pair equal, where plain (r1 - r2) denominators are singular.
 DEGENERACY_RTOL = 1e-9
 
-# The sum-distribution functions switch to the equal-rate (Erlang-2) limit
-# earlier than the tolerance above: the limit at the average rate
-# is accurate to O(gap^2) ~ 1e-14 there, while the exact two-rate branch
-# has already lost ~1e-16/gap to cancellation, enough to make adaptive
-# integrators flag round-off in the density.
-SUM_STABLE_RTOL = 1e-7
-
 
 class Scheme(Enum):
     """Destination-combiner / eavesdropper-combiner pairing."""
@@ -218,35 +211,44 @@ def exp_pdf(rate: float, z):
     return _on_support(z, z < 0.0, rate * np.exp(-rate * zp))
 
 
-def sum_exp_cdf(r1: float, r2: float, z):
-    """CDF of the sum of two independent exponentials.
+def _sum_exp_quotient(r1: float, r2: float, zp: np.ndarray):
+    """The smaller rate a and (e^{-a z} - e^{-b z}) / (b - a) at ``zp`` >= 0,
+    where b is the larger rate.
 
-    Distinct rates use the two-term mixture; rates within
-    :data:`SUM_STABLE_RTOL` switch to the equal-rate (Erlang-2) limit at
-    the average rate, before the mixture's cancellation noise outgrows the
-    limit's O(gap^2) model error.
+    With d = b - a >= 0 the quotient is e^{-a z} (-expm1(-d z) / d), which
+    does not cancel at any gap; at d = 0 it is its limit z e^{-a z}, taken
+    as 0 where e^{-a z} is 0 (at z = inf, and beyond underflow).
     """
+    a, b = sorted((r1, r2))
+    d = b - a
+    ea = np.exp(-a * zp)
+    if d > 0.0:
+        q = np.expm1(-d * zp)
+        q /= -d
+        q *= ea
+        return a, q
+    return a, np.multiply(zp, ea, out=np.zeros_like(ea), where=ea > 0.0)
+
+
+def sum_exp_cdf(r1: float, r2: float, z):
+    """CDF of the sum of two independent exponentials:
+    ``1 - e^{-a z} - a (e^{-a z} - e^{-b z}) / (b - a)`` for rates a <= b,
+    one formula for distinct and equal rates."""
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
     z, zp = _points(z)
-    if abs(r1 - r2) <= SUM_STABLE_RTOL * max(r1, r2):
-        r = 0.5 * (r1 + r2)
-        v = -np.expm1(-r * zp) - r * zp * np.exp(-r * zp)
-    else:
-        v = 1.0 - (r2 * np.exp(-r1 * zp) - r1 * np.exp(-r2 * zp)) / (r2 - r1)
-    return _on_support(z, z <= 0.0, np.clip(v, 0.0, 1.0))
+    a, q = _sum_exp_quotient(r1, r2, zp)
+    # at most 1; rounding can take it just below 0 for small z
+    v = -np.expm1(-a * zp) - a * q
+    return _on_support(z, z <= 0.0, np.maximum(v, 0.0))
 
 
 def sum_exp_pdf(r1: float, r2: float, z):
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
     z, zp = _points(z)
-    if abs(r1 - r2) <= SUM_STABLE_RTOL * max(r1, r2):
-        r = 0.5 * (r1 + r2)
-        v = r * r * zp * np.exp(-r * zp)
-    else:
-        v = np.maximum((r1 * r2 / (r2 - r1)) * (np.exp(-r1 * zp) - np.exp(-r2 * zp)), 0.0)
-    return _on_support(z, z < 0.0, v)
+    _, q = _sum_exp_quotient(r1, r2, zp)
+    return _on_support(z, z < 0.0, (r1 * r2) * q)
 
 
 def max_exp_cdf(r1: float, r2: float, z):

@@ -133,7 +133,6 @@ def monte_carlo_all(
         raise DomainError(f"trial count must be a positive integer, got {n!r}")
     rates = (params.beta_sd, params.beta_sr, params.beta_rd, params.alpha_se, params.alpha_re)
     gamma_th, rho = params.gamma_th, params.rho
-    backend = kernels.active_backend()
     blocks = [
         (chunk, min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS))
         for chunk in range((n + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
@@ -145,7 +144,7 @@ def monte_carlo_all(
         tallies = None
         for start in range(0, m, SUB_BLOCK_TRIALS):
             u = gen.random((min(SUB_BLOCK_TRIALS, m - start), fading.DRAWS_PER_TRIAL))
-            part = kernels.reduce_trials(u, rates, gamma_th, rho, backend=backend)
+            part = kernels.reduce_trials(u, rates, gamma_th, rho)
             tallies = _merge(tallies, part)
         return tallies
 

@@ -40,6 +40,9 @@ __all__ = [
 
 UNSUPPORTED_MARKER = "unsupported"
 
+# Most points one sweep axis may have (the presets use at most 41).
+MAX_AXIS_POINTS = 100_000
+
 
 class Axis(Enum):
     BALANCED_SNR_DB = "balanced_snr_db"
@@ -96,15 +99,18 @@ class SweepSpec:
             raise DomainError(f"step_db must be positive, got {self.step_db!r}")
         if self.start_db > self.stop_db:
             raise DomainError("start_db must not exceed stop_db")
+        # Counting the steps in the loop also stops it where start_db + i *
+        # step_db rounds back to start_db and would never pass stop_db.
         values = []
-        i = 0
-        while True:
+        for i in range(MAX_AXIS_POINTS + 1):
             v = self.start_db + i * self.step_db
             if v > self.stop_db + 1e-9:
-                break
+                return values
             values.append(v)
-            i += 1
-        return values
+        raise DomainError(
+            f"the axis from {self.start_db!r} to {self.stop_db!r} dB in steps of "
+            f"{self.step_db!r} dB has more than {MAX_AXIS_POINTS} points"
+        )
 
     def validate(self) -> None:
         self.axis_values()

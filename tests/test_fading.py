@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,15 +103,42 @@ def test_sum_exp_cdf_values():
 
 
 def test_sum_exp_cdf_degeneracy_continuity():
-    # the exact two-rate branch and the Erlang limit path must agree on the
-    # same inputs as the rates close in on each other
+    # as the rates close in on each other the CDF approaches the Erlang-2
+    # CDF at their average rate, to O(gap^2)
     r = 0.8
     r2 = r * (1.0 + 1e-6)
     z = 2.3
-    exact_branch = sum_exp_cdf(r, r2, z)
+    near_equal = sum_exp_cdf(r, r2, z)
     rbar = 0.5 * (r + r2)
-    erlang_path = -math.expm1(-rbar * z) - rbar * z * math.exp(-rbar * z)
-    assert abs(exact_branch - erlang_path) < 1e-8
+    erlang = -math.expm1(-rbar * z) - rbar * z * math.exp(-rbar * z)
+    assert abs(near_equal - erlang) < 1e-8
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+@pytest.mark.parametrize("swap", [False, True])
+def test_sum_exp_near_equal_rates_match_mpmath(gap, swap):
+    # the two-term mixture cancels to ~eps/gap absolute as the rates close
+    # in; the expm1 quotient keeps a few ulps at every gap, in either order
+    r1, r2 = 1.1, 1.1 * (1.0 + gap)
+    if swap:
+        r1, r2 = r2, r1
+    z = np.geomspace(1e-3, 60.0, 40)
+    pdf, cdf = sum_exp_pdf(r1, r2, z), sum_exp_cdf(r1, r2, z)
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(r1), mpmath.mpf(r2)
+        for k, x in enumerate(z):
+            x = mpmath.mpf(x)
+            if a == b:
+                ref_pdf = a * a * x * mpmath.exp(-a * x)
+                ref_cdf = 1 - (1 + a * x) * mpmath.exp(-a * x)
+            else:
+                ref_pdf = a * b * (mpmath.exp(-a * x) - mpmath.exp(-b * x)) / (b - a)
+                ref_cdf = 1 - (b * mpmath.exp(-a * x) - a * mpmath.exp(-b * x)) / (b - a)
+            assert abs(pdf[k] - float(ref_pdf)) <= 4e-16
+            assert abs(cdf[k] - float(ref_cdf)) <= 4e-16
+    # the limits at infinity, also for equal rates
+    assert sum_exp_pdf(r1, r2, math.inf) == 0.0
+    assert sum_exp_cdf(r1, r2, math.inf) == 1.0
 
 
 def test_max_exp_cdf_values():
@@ -146,6 +174,7 @@ def test_cdfs_monotone_and_bounded(r1, r2, z1, z2):
         assert 0.0 <= a <= b <= 1.0
         assert cdf(-1.0) == 0.0
         assert cdf(1e9 / min(r1, r2)) == pytest.approx(1.0)
+        assert cdf(math.inf) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -159,11 +188,14 @@ def test_cdfs_monotone_and_bounded(r1, r2, z1, z2):
         (sum_exp_pdf, (1.1, 1.1)),
         (max_exp_cdf, (0.7, 2.3)),
         (max_exp_pdf, (0.7, 2.3)),
+        (sum_exp_cdf, (1.1 * (1.0 + 1e-5), 1.1)),
+        (sum_exp_cdf, (1.1, 1.1)),
+        (sum_exp_pdf, (2.3, 0.7)),
     ],
 )
 def test_distributions_on_arrays_match_scalar_calls(fn, rates):
     z = np.concatenate(
-        ([-1e9, -1.0, 0.0, 5e-324, 1e-300, 1e3, 1e6],
+        ([-1e9, -1.0, 0.0, 5e-324, 1e-300, 1e3, 1e6, 800.0, 1e300, math.inf],
          np.random.default_rng(3).exponential(2.0, 500))
     ).reshape(-1, 3)
     scalar = [[fn(*rates, float(v)) for v in row] for row in z]

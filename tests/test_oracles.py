@@ -177,32 +177,23 @@ def test_trial_count_validation(base_params):
         oracles.monte_carlo_sop(base_params, Scheme.MRC_SC, CsiMode.CSI, 0, seed=1)
 
 
-def test_backends_agree(base_params):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    u = trial_stream(33).random((50_000, DRAWS_PER_TRIAL))
-    rates = (
-        base_params.beta_sd,
-        base_params.beta_sr,
-        base_params.beta_rd,
-        base_params.alpha_se,
-        base_params.alpha_re,
-    )
-    out_nb = kernels.reduce_trials(u, rates, base_params.gamma_th, base_params.rho, backend="numba")
-    out_np = kernels.reduce_trials(u, rates, base_params.gamma_th, base_params.rho, backend="numpy")
-    # counts are exact; floating sums may differ in the last few ulps
-    assert np.array_equal(out_nb[0], out_np[0])
-    assert np.array_equal(out_nb[1], out_np[1])
-    for a, b in zip(out_nb[2:], out_np[2:]):
-        np.testing.assert_allclose(a, b, rtol=1e-12)
-
-
-def test_backend_env_selection(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_BACKEND, "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv(kernels.ENV_BACKEND, "nonsense")
+def test_one_kernel_whatever_the_environment(base_params, monkeypatch):
+    u = trial_stream(33).random((1000, DRAWS_PER_TRIAL))
+    rates = (base_params.beta_sd, base_params.beta_sr, base_params.beta_rd,
+             base_params.alpha_se, base_params.alpha_re)
     with pytest.raises(ValueError):
-        kernels.active_backend()
+        kernels.reduce_trials(u, rates, base_params.gamma_th, base_params.rho, backend="numba")
+    assert kernels.active_backend() == "numpy"
+    # the environment no longer selects a kernel
+    monkeypatch.delenv("SECRELAY_BACKEND", raising=False)
+    unset = oracles.monte_carlo_all(base_params, 20_000, seed=8)
+    monkeypatch.setenv("SECRELAY_BACKEND", "numba")
+    assert kernels.active_backend() == "numpy"
+    numba_set = oracles.monte_carlo_all(base_params, 20_000, seed=8)
+    for scheme in SCHEME_ORDER:
+        for csi in (CsiMode.NOCSI, CsiMode.CSI):
+            assert unset.sop(scheme, csi) == numba_set.sop(scheme, csi)
+            assert unset.esr(scheme, csi) == numba_set.esr(scheme, csi)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +255,19 @@ def test_quadrature_unreachable_tolerance_raises(base_params):
 
 # fig7 case I at 50 dB on the R-D link; fig4's 40 dB direct link with the
 # threshold at both ends of its sweep; equal destination and equal
-# eavesdropper rates at 30 dB.
+# eavesdropper rates at 30 dB; both rate pairs 1e-5 apart, where the
+# two-term sum-of-exponentials formula cancels to ~eps/gap.
 _FIG7_BASE = params_from_db(0.0, 3.5, 3.0, 30.0, 50.0, 3.0, 1.0)
 _FIG4_BASE = params_from_db(0.0, 3.0, 40.0, 3.0, 3.0, 3.0, 1.0)
+_DEFAULT = params_from_db(0.0, 3.0, 3.0, 10.0, 10.0, 3.0, 1.0)
 HONESTY_POINTS = {
     "fig7_50db": _FIG7_BASE,
     "fig4_threshold_-30db": _FIG4_BASE.with_(gamma_th=1e-3),
     "fig4_threshold_50db": _FIG4_BASE.with_(gamma_th=1e5),
     "equal_rates_30db": params_from_db(3.0, 3.0, 30.0, 30.0, 30.0, 3.0, 0.5),
+    "near_equal_rates": _DEFAULT.with_(
+        beta_rd=_DEFAULT.beta_sd * (1.0 + 1e-5), alpha_re=_DEFAULT.alpha_se * (1.0 + 1e-5)
+    ),
 }
 
 

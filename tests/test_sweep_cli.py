@@ -56,6 +56,12 @@ def test_spec_validation():
                    (0.0, 2.0, math.inf)):
         with pytest.raises(DomainError):
             SweepSpec(Axis.BALANCED_SNR_DB, *bounds, BASE).validate()
+    # one point over the cap, 1e12 points, and an axis whose steps round
+    # away at 1e300 dB
+    for bounds in ((0.0, 100_000.0, 1.0), (0.0, 1e9, 1e-3), (1e300, 1e300, 1.0)):
+        with pytest.raises(DomainError):
+            SweepSpec(Axis.BALANCED_SNR_DB, *bounds, BASE).validate()
+    assert len(SweepSpec(Axis.BALANCED_SNR_DB, 0.0, 99_999.0, 1.0, BASE).axis_values()) == 100_000
     with pytest.raises(DomainError):
         SweepSpec(Axis.BALANCED_SNR_DB, 10.0, 0.0, 1.0, BASE).validate()
     with pytest.raises(DomainError):
@@ -302,6 +308,9 @@ def test_cli_usage_errors(tmp_path):
         adhoc + ["--from-db", "0", "--to-db", "0", "--rate-rs", "600"],
         adhoc + ["--from-db", "0", "--to-db", "0", "--quad-tol", "inf"],
         ["sweep", "--preset", "fig3", "--quad-tol", "inf"],
+        ["sweep", "--preset", "fig3", "--quad-tol", "0"],
+        ["sweep", "--preset", "fig2", "--mc-trials", "0"],
+        adhoc + ["--from-db", "0", "--to-db", "1e9", "--step-db", "1e-3"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(args)
