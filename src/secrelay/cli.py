@@ -45,6 +45,16 @@ _AXIS_BY_FLAG = {
 }
 
 
+# The flags of an ad-hoc sweep (argparse dests), which a preset fixes
+# itself, with their defaults.  They parse to None when not given, so one
+# given together with --preset is caught as a usage error.
+_ADHOC_DEFAULTS = dict(
+    axis=None, from_db=None, to_db=None, step_db=2.0, alpha_se_db=0.0, alpha_re_db=3.0,
+    beta_sd_db=3.0, beta_sr_db=10.0, beta_rd_db=3.0, gamma_th_db=3.0, rate_rs=1.0,
+    scheme=None, csi="both", metric="sop", asymptote=False,
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secrelay",
@@ -54,30 +64,41 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sw = sub.add_parser("sweep", help="evaluate a sweep and write CSV")
-    sw.add_argument("--preset", choices=PRESET_NAMES, help="named figure preset")
+    sw.add_argument(
+        "--preset",
+        choices=PRESET_NAMES,
+        help="named figure preset; it fixes the axis, links, rate, schemes, CSI modes, "
+        "metrics and asymptotes, so none of those flags may be given with it",
+    )
     sw.add_argument("--axis", choices=sorted(_AXIS_BY_FLAG), help="swept quantity")
     sw.add_argument("--from-db", type=float, dest="from_db", help="axis start (dB)")
     sw.add_argument("--to-db", type=float, dest="to_db", help="axis stop (dB)")
-    sw.add_argument("--step-db", type=float, dest="step_db", default=2.0)
-    sw.add_argument("--alpha-se-db", type=float, default=0.0, help="mean S-E SNR (dB)")
-    sw.add_argument("--alpha-re-db", type=float, default=3.0, help="mean R-E SNR (dB)")
-    sw.add_argument("--beta-sd-db", type=float, default=3.0, help="mean S-D SNR (dB)")
-    sw.add_argument("--beta-sr-db", type=float, default=10.0, help="mean S-R SNR (dB)")
-    sw.add_argument("--beta-rd-db", type=float, default=3.0, help="mean R-D SNR (dB)")
-    sw.add_argument("--gamma-th-db", type=float, default=3.0, help="decode threshold (dB)")
-    sw.add_argument("--rate-rs", type=float, default=1.0, help="target secrecy rate (bpcu)")
+    for flag, what in (
+        ("step-db", "axis step (dB)"),
+        ("alpha-se-db", "mean S-E SNR (dB)"),
+        ("alpha-re-db", "mean R-E SNR (dB)"),
+        ("beta-sd-db", "mean S-D SNR (dB)"),
+        ("beta-sr-db", "mean S-R SNR (dB)"),
+        ("beta-rd-db", "mean R-D SNR (dB)"),
+        ("gamma-th-db", "decode threshold (dB)"),
+        ("rate-rs", "target secrecy rate (bpcu)"),
+    ):
+        default = _ADHOC_DEFAULTS[flag.replace("-", "_")]
+        sw.add_argument(f"--{flag}", type=float, help=f"{what}, default {default:g}")
     sw.add_argument(
         "--scheme",
         action="append",
         choices=[s.value for s in SCHEME_ORDER],
         help="combining scheme (repeatable; default all four)",
     )
-    sw.add_argument("--csi", choices=["nocsi", "csi", "both"], default="both")
-    sw.add_argument("--metric", choices=["sop", "esr", "both"], default="sop")
+    sw.add_argument("--csi", choices=["nocsi", "csi", "both"], help="default both")
+    sw.add_argument("--metric", choices=["sop", "esr", "both"], help="default sop")
+    sw.add_argument(
+        "--asymptote", action="store_true", default=None, help="attach asymptote column"
+    )
     sw.add_argument("--mc-trials", type=int, help="attach a Monte Carlo oracle column")
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--quad-tol", type=float, help="attach a quadrature oracle column")
-    sw.add_argument("--asymptote", action="store_true", help="attach asymptote column")
     sw.add_argument("--out", help="CSV path (default: standard output)")
     sw.add_argument("--jobs", type=int, default=1, help="worker threads")
 
@@ -94,8 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(parser, args) -> SweepSpec:
-    if args.preset and args.axis:
-        parser.error("--preset and --axis are mutually exclusive")
     if args.mc_trials is not None and args.quad_tol is not None:
         parser.error("--mc-trials and --quad-tol are mutually exclusive")
 
@@ -107,6 +126,13 @@ def _spec_from_args(parser, args) -> SweepSpec:
         oracle = QuadOracle(args.quad_tol)
 
     if args.preset:
+        given = [
+            "--" + dest.replace("_", "-")
+            for dest in _ADHOC_DEFAULTS
+            if getattr(args, dest) is not None
+        ]
+        if given:
+            parser.error(f"--preset fixes its own sweep; it cannot take {' '.join(given)}")
         spec = figure_preset(args.preset)
         if oracle is not None:
             spec = dataclasses.replace(spec, oracle=oracle)
@@ -114,6 +140,9 @@ def _spec_from_args(parser, args) -> SweepSpec:
 
     if not args.axis:
         parser.error("either --preset or --axis is required")
+    for dest, default in _ADHOC_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if args.from_db is None or args.to_db is None:
         parser.error("--from-db and --to-db are required with --axis")
 

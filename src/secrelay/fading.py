@@ -230,17 +230,54 @@ def _sum_exp_quotient(r1: float, r2: float, zp: np.ndarray):
     return a, np.multiply(zp, ea, out=np.zeros_like(ea), where=ea > 0.0)
 
 
+# The sum CDF takes its Taylor series where the larger rate times z is at
+# most _SERIES_MAX; terms k = 0 .. _SERIES_TERMS - 1 leave a truncation
+# error below 2e-17 relative there.
+_SERIES_MAX = 0.25
+_SERIES_TERMS = 13
+
+
+def _sum_exp_series(r: float, y: np.ndarray) -> np.ndarray:
+    """The second divided difference e[0, r y, y] of e^{-t} for 0 < r <= 1
+    and 0 <= y <= _SERIES_MAX: its Taylor series, the sum over k of
+    (-1)^k h_k(r y, y) / (k + 2)!, where the complete homogeneous
+    polynomial h_k(r y, y) = y^k (1 + r + ... + r^k).  That is a polynomial
+    in y, evaluated by Horner's rule; its first term, 1/2, dominates."""
+    coef, c, g = [], 0.5, 1.0
+    for k in range(_SERIES_TERMS):
+        coef.append(c * g)
+        c = -c / (k + 3)
+        g = 1.0 + r * g
+    s = np.full_like(y, coef[-1])
+    for ck in coef[-2::-1]:
+        s *= y
+        s += ck
+    return s
+
+
 def sum_exp_cdf(r1: float, r2: float, z):
-    """CDF of the sum of two independent exponentials:
-    ``1 - e^{-a z} - a (e^{-a z} - e^{-b z}) / (b - a)`` for rates a <= b,
-    one formula for distinct and equal rates."""
+    """CDF of the sum of two independent exponentials with rates a <= b.
+
+    It is ``x y e[0, x, y]`` with x = a z, y = b z and e[0, x, y] the second
+    divided difference of e^{-t} at (0, x, y), which is positive.  For
+    y > _SERIES_MAX that is ``1 - e^{-a z} - a (e^{-a z} - e^{-b z}) / (b - a)``
+    through the quotient of :func:`_sum_exp_quotient`, which cancels by at
+    most a factor ~16; below, where it would cancel to nothing as z -> 0,
+    e[0, x, y] comes from its Taylor series, so the CDF keeps its relative
+    accuracy down to underflow (``a b z^2 / 2`` to leading order).  One
+    formula for distinct and equal rates.
+    """
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
     z, zp = _points(z)
     a, q = _sum_exp_quotient(r1, r2, zp)
-    # at most 1; rounding can take it just below 0 for small z
-    v = -np.expm1(-a * zp) - a * q
-    return _on_support(z, z <= 0.0, np.maximum(v, 0.0))
+    v = np.asarray(-np.expm1(-a * zp) - a * q)
+    b = max(r1, r2)
+    small = b * zp <= _SERIES_MAX
+    if np.any(small):
+        x, y = a * zp[small], b * zp[small]
+        v[small] = x * y * _sum_exp_series(a / b, y)
+    return _on_support(z, z <= 0.0, v)
 
 
 def sum_exp_pdf(r1: float, r2: float, z):

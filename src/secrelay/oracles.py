@@ -5,11 +5,13 @@ side, the defining one-dimensional integrals on the other - and share no
 algebra with the closed forms they validate.
 
 The quadrature oracle is an adaptive Gauss-Kronrod integrator in numpy
-(QUADPACK's 10/21-point pair).  One ``quadrature_sop`` call integrates its
-two decode branches, one ``quadrature_esr`` call the destination and the
-eavesdropper integrals of both branches, and all of them advance together:
-each round evaluates every integrand once, on the nodes of all its open
-intervals.  ``QuadratureResult.abs_error_bound`` adds up the accepted
+(QUADPACK's 10/21-point pair).  ``quadrature_cells`` takes every cell of
+one parameter point: an outage is one integral per decode branch, a rate
+the destination's and the eavesdropper's integrals per branch, and an
+integral several cells read is integrated once.  All of them advance
+together: each round evaluates every integrand once, on the nodes of all
+its open intervals.  ``quadrature_sop``/``quadrature_esr`` are one-cell
+calls of it.  ``QuadratureResult.abs_error_bound`` adds up the accepted
 intervals' error estimates, each at least a round-off floor, and
 ``evaluations`` counts integrand points.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
     "monte_carlo_all",
     "monte_carlo_sop",
     "monte_carlo_esr",
+    "quadrature_cells",
     "quadrature_sop",
     "quadrature_esr",
     "quadrature_sop_conditional",
@@ -342,29 +346,19 @@ def _integrate(integrands, tols, meshes):
     return value, bound, evals
 
 
-def _dist_functions(params: SystemParams, scheme: Scheme, relay_on: bool):
-    """(F_M, f_M, F_E, f_E) for one decode branch of one scheme."""
-    if relay_on:
-        b1, b2 = params.beta_sd, params.beta_rd
-        a1, a2 = params.alpha_se, params.alpha_re
-        if scheme.mrc_at_destination:
-            cdf_m = lambda z: fading.sum_exp_cdf(b1, b2, z)
-            pdf_m = lambda z: fading.sum_exp_pdf(b1, b2, z)
-        else:
-            cdf_m = lambda z: fading.max_exp_cdf(b1, b2, z)
-            pdf_m = lambda z: fading.max_exp_pdf(b1, b2, z)
-        if scheme.mrc_at_eavesdropper:
-            cdf_e = lambda z: fading.sum_exp_cdf(a1, a2, z)
-            pdf_e = lambda z: fading.sum_exp_pdf(a1, a2, z)
-        else:
-            cdf_e = lambda z: fading.max_exp_cdf(a1, a2, z)
-            pdf_e = lambda z: fading.max_exp_pdf(a1, a2, z)
+def _snr_dist(direct: float, relayed: float, relay_on: bool, mrc):
+    """(CDF, PDF) of one receiver's SNR on one decode branch: its direct
+    link alone, or with the relayed link combined by MRC (``mrc`` True) or
+    SC (False).  (None, None) for ``mrc`` None, a combiner not read."""
+    if not relay_on:
+        return partial(fading.exp_cdf, direct), partial(fading.exp_pdf, direct)
+    if mrc is None:
+        return None, None
+    if mrc:
+        cdf, pdf = fading.sum_exp_cdf, fading.sum_exp_pdf
     else:
-        cdf_m = lambda z: fading.exp_cdf(params.beta_sd, z)
-        pdf_m = lambda z: fading.exp_pdf(params.beta_sd, z)
-        cdf_e = lambda z: fading.exp_cdf(params.alpha_se, z)
-        pdf_e = lambda z: fading.exp_pdf(params.alpha_se, z)
-    return cdf_m, pdf_m, cdf_e, pdf_e
+        cdf, pdf = fading.max_exp_cdf, fading.max_exp_pdf
+    return partial(cdf, direct, relayed), partial(pdf, direct, relayed)
 
 
 def _branch_scales(params: SystemParams, relay_on: bool):
@@ -378,6 +372,22 @@ def _cut(d):
     return np.where(d < PDF_FLOOR, 0.0, d)
 
 
+def _integral_keys(scheme: Scheme, csi: CsiMode, metric: str, relay_on: bool):
+    """The integrals one cell needs on one decode branch, each keyed by what
+    it reads: (metric, part, CSI mode, decode branch, destination combiner,
+    eavesdropper combiner), a combiner None where the integrand does not
+    read it (a silent relay leaves no combiner to read).  An outage is one
+    integral over the eavesdropper SNR; a rate is the destination's
+    ("main") minus the eavesdropper's log-SNR integral."""
+    m = scheme.mrc_at_destination if relay_on else None
+    e = scheme.mrc_at_eavesdropper if relay_on else None
+    if metric == "sop":
+        return (("sop", "eaves", csi, relay_on, m, e),)
+    if csi is CsiMode.NOCSI:
+        return (("esr", "main", csi, relay_on, m, None), ("esr", "eaves", csi, relay_on, None, e))
+    return (("esr", "main", csi, relay_on, m, e), ("esr", "eaves", csi, relay_on, m, e))
+
+
 # Each integrand function returns the integrand and its envelope: the
 # density times a bound on the factor it multiplies (1 for a probability,
 # log(1 + SNR) for a rate).  The probabilities are computed to a few ulps
@@ -385,83 +395,102 @@ def _cut(d):
 # round-off floor.
 
 
-def _sop_integrands(params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool):
-    """The outage integral of one decode branch, over the eavesdropper SNR."""
-    cdf_m, _, _, pdf_e = _dist_functions(params, scheme, relay_on)
+def _integrand(params: SystemParams, key):
+    """The integrand function of the integral ``key`` of :func:`_integral_keys`."""
+    metric, part, csi, relay_on, mrc_m, mrc_e = key
+    cdf_m, pdf_m = _snr_dist(params.beta_sd, params.beta_rd, relay_on, mrc_m)
+    cdf_e, pdf_e = _snr_dist(params.alpha_se, params.alpha_re, relay_on, mrc_e)
     rho = params.rho
 
-    if csi is CsiMode.NOCSI:
+    if metric == "sop":
+        if csi is CsiMode.NOCSI:
 
-        def fy(y):
-            d = _cut(pdf_e(y))
-            return cdf_m(rho * (1.0 + y) - 1.0) * d, d
+            def fy(y):
+                d = _cut(pdf_e(y))
+                return cdf_m(rho * (1.0 + y) - 1.0) * d, d
+
+        else:
+
+            def fy(y):
+                d = _cut(pdf_e(y))
+                return (cdf_m(rho * (1.0 + y) - 1.0) - cdf_m(y)) * d, d
+
+    elif part == "main":
+
+        def fy(x):
+            e = np.log1p(x) * _cut(pdf_m(x))
+            return (e if csi is CsiMode.NOCSI else cdf_e(x) * e), e
 
     else:
 
         def fy(y):
-            d = _cut(pdf_e(y))
-            return (cdf_m(rho * (1.0 + y) - 1.0) - cdf_m(y)) * d, d
-
-    return (fy,)
-
-
-def _esr_integrands(params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool):
-    """The destination's and the eavesdropper's log-SNR integrals of one
-    decode branch, whose difference is the branch's rate in nats."""
-    cdf_m, pdf_m, cdf_e, pdf_e = _dist_functions(params, scheme, relay_on)
-
-    if csi is CsiMode.NOCSI:
-
-        def f_main(x):
-            e = np.log1p(x) * _cut(pdf_m(x))
-            return e, e
-
-        def f_eaves(y):
             e = np.log1p(y) * _cut(pdf_e(y))
-            return e, e
+            return (e if csi is CsiMode.NOCSI else (1.0 - cdf_m(y)) * e), e
 
-    else:
-
-        def f_main(x):
-            e = np.log1p(x) * _cut(pdf_m(x))
-            return cdf_e(x) * e, e
-
-        def f_eaves(y):
-            e = np.log1p(y) * _cut(pdf_e(y))
-            return (1.0 - cdf_m(y)) * e, e
-
-    return f_main, f_eaves
+    return fy
 
 
-def _quadrature(params, scheme, csi, tol, branches, integrands, factor) -> QuadratureResult:
-    """``factor`` times the signed sum (+, -) of each branch's ``integrands``,
-    mixed over the (weight, relay_on) ``branches``; every integral of the
-    call is integrated in one batch.  Each branch's bound is within ``tol``
-    on its own, so the mixture's is too."""
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    fys, tols, meshes, groups = [], [], [], []
-    for weight, relay_on in branches:
-        if weight == 0.0:
-            continue
-        fs = integrands(params, scheme, csi, relay_on)
-        mesh = _mesh(_branch_scales(params, relay_on))
-        groups.append((weight, range(len(fys), len(fys) + len(fs))))
-        fys += fs
-        tols += [tol / (factor * len(fs))] * len(fs)
-        meshes += [mesh] * len(fs)
-    values, bounds, evals = _integrate(fys, tols, meshes)
-    value = bound = 0.0
-    for weight, idx in groups:
-        v = values[idx[0]] - sum(values[j] for j in idx[1:])
-        value += weight * (factor * v)
-        bound += weight * (factor * sum(bounds[j] for j in idx))
-    return QuadratureResult(float(value), float(bound), int(evals.sum()))
+# What a cell's signed sum of integrals is multiplied by: nats to bpcu for
+# a rate.
+_METRIC_FACTOR = {"sop": 1.0, "esr": HALF_LOG2E}
 
 
 def _decode_branches(params: SystemParams):
     p_on = fading.decode_probability(params)
     return ((p_on, True), (1.0 - p_on, False))
+
+
+def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL, branches=None):
+    """Quadrature of every (scheme, csi, metric) cell of one point, with
+    ``metric`` "sop" (outage probability) or "esr" (ergodic secrecy rate,
+    bpcu), in one batch.
+
+    Each cell mixes its decode branches, the (weight, relay_on) pairs of
+    ``branches`` (default: relay decodes with the decode probability, stays
+    silent otherwise); branches of weight 0 are skipped.  Each decode
+    branch's mesh is built once, an integral that several cells read (see
+    :func:`_integral_keys`) is integrated once, and all of them advance in
+    one :func:`_integrate` call.  Each branch's bound is within ``tol`` on
+    its own, so each cell's is too.  Returns one :class:`QuadratureResult`
+    per cell, in order; its ``evaluations`` count every integral the cell
+    reads, shared ones included.
+    """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    branches = [
+        (weight, relay_on)
+        for weight, relay_on in (_decode_branches(params) if branches is None else branches)
+        if weight != 0.0
+    ]
+    branch_mesh = {relay_on: _mesh(_branch_scales(params, relay_on)) for _, relay_on in branches}
+    index, fys, tols, meshes, plans = {}, [], [], [], []
+    for scheme, csi, metric in cells:
+        if metric not in _METRIC_FACTOR:
+            raise DomainError(f"metric must be 'sop' or 'esr', got {metric!r}")
+        groups = []
+        for weight, relay_on in branches:
+            keys = _integral_keys(scheme, csi, metric, relay_on)
+            for key in keys:
+                if key not in index:
+                    index[key] = len(fys)
+                    fys.append(_integrand(params, key))
+                    tols.append(tol / (_METRIC_FACTOR[metric] * len(keys)))
+                    meshes.append(branch_mesh[relay_on])
+            groups.append((weight, [index[key] for key in keys]))
+        plans.append((_METRIC_FACTOR[metric], groups))
+    values, bounds, evals = (
+        (a.tolist() for a in _integrate(fys, tols, meshes)) if fys else ([], [], [])
+    )
+    out = []
+    for factor, groups in plans:
+        value = bound = 0.0
+        for weight, idx in groups:
+            v = values[idx[0]] - sum(values[j] for j in idx[1:])
+            value += weight * (factor * v)
+            bound += weight * (factor * sum(bounds[j] for j in idx))
+        count = sum(evals[j] for _, idx in groups for j in idx)
+        out.append(QuadratureResult(value, bound, count))
+    return out
 
 
 def quadrature_sop_conditional(
@@ -472,7 +501,7 @@ def quadrature_sop_conditional(
     tol: float = DEFAULT_QUAD_TOL,
 ) -> QuadratureResult:
     """Conditional outage probability of one decode branch by quadrature."""
-    return _quadrature(params, scheme, csi, tol, ((1.0, relay_on),), _sop_integrands, 1.0)
+    return quadrature_cells(params, ((scheme, csi, "sop"),), tol, ((1.0, relay_on),))[0]
 
 
 def quadrature_esr_conditional(
@@ -483,7 +512,7 @@ def quadrature_esr_conditional(
     tol: float = DEFAULT_QUAD_TOL,
 ) -> QuadratureResult:
     """Conditional ergodic secrecy rate (bpcu) of one decode branch."""
-    return _quadrature(params, scheme, csi, tol, ((1.0, relay_on),), _esr_integrands, HALF_LOG2E)
+    return quadrature_cells(params, ((scheme, csi, "esr"),), tol, ((1.0, relay_on),))[0]
 
 
 def quadrature_sop(
@@ -494,13 +523,11 @@ def quadrature_sop(
     The decode-success and decode-failure branches are integrated
     separately and mixed with the decode probability.
     """
-    return _quadrature(params, scheme, csi, tol, _decode_branches(params), _sop_integrands, 1.0)
+    return quadrature_cells(params, ((scheme, csi, "sop"),), tol)[0]
 
 
 def quadrature_esr(
     params: SystemParams, scheme: Scheme, csi: CsiMode, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
     """Ergodic secrecy rate (bpcu) by adaptive quadrature."""
-    return _quadrature(
-        params, scheme, csi, tol, _decode_branches(params), _esr_integrands, HALF_LOG2E
-    )
+    return quadrature_cells(params, ((scheme, csi, "esr"),), tol)[0]

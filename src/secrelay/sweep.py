@@ -116,6 +116,17 @@ class SweepSpec:
         self.axis_values()
         if not (self.schemes and self.modes and self.metrics and self.variants):
             raise DomainError("schemes, modes, metrics, and variants must be non-empty")
+        # A repeat would emit every row it touches twice; variants are told
+        # apart in the CSV by their labels alone.
+        for name, items in (
+            ("schemes", self.schemes),
+            ("modes", self.modes),
+            ("metrics", self.metrics),
+            ("variant labels", [v.label for v in self.variants]),
+        ):
+            if len(set(items)) != len(items):
+                shown = [getattr(x, "value", x) for x in items]
+                raise DomainError(f"{name} must not repeat, got {shown!r}")
 
 
 @dataclass(frozen=True)
@@ -186,14 +197,21 @@ def _point_rows(spec: SweepSpec, point_index: int, variant: Variant, value_db: f
     axis = variant.axis or spec.axis
     params_pt = _apply_axis(spec.fixed.with_(**dict(variant.overrides)), axis, value_db)
 
-    mc = None
-    quad_tol = None
+    cells = [
+        (scheme, csi, metric)
+        for metric in spec.metrics
+        for csi in spec.modes
+        for scheme in spec.schemes
+    ]
+    mc = quad = None
     if isinstance(spec.oracle, McOracle):
         mc = oracles.monte_carlo_all(
             params_pt, spec.oracle.trials, spec.oracle.seed, point=point_index
         )
     elif isinstance(spec.oracle, QuadOracle):
-        quad_tol = spec.oracle.tol
+        quad = oracles.quadrature_cells(
+            params_pt, [(s, c, m.value) for s, c, m in cells], spec.oracle.tol
+        )
 
     floors = None
     if spec.attach_gamma_floors:
@@ -203,52 +221,45 @@ def _point_rows(spec: SweepSpec, point_index: int, variant: Variant, value_db: f
         )
 
     rows = []
-    for metric in spec.metrics:
-        for csi in spec.modes:
-            for scheme in spec.schemes:
-                if metric is Metric.SOP:
-                    m = closed_form.sop(params_pt, scheme, csi)
-                else:
-                    m = closed_form.esr(params_pt, scheme, csi)
-                o_val = o_err = None
-                if mc is not None:
-                    est = mc.sop(scheme, csi) if metric is Metric.SOP else mc.esr(scheme, csi)
-                    o_val, o_err = est.value, est.stderr
-                elif quad_tol is not None:
-                    q = (
-                        oracles.quadrature_sop(params_pt, scheme, csi, quad_tol)
-                        if metric is Metric.SOP
-                        else oracles.quadrature_esr(params_pt, scheme, csi, quad_tol)
-                    )
-                    o_val = q.value
-                asym = (
-                    _asymptote_cell(spec, axis, params_pt, scheme, csi, metric, value_db)
-                    if spec.asymptote
-                    else None
-                )
-                use_floors = (
-                    floors is not None
-                    and metric is Metric.SOP
-                    and scheme is Scheme.MRC_MRC
-                    and csi is CsiMode.NOCSI
-                )
-                rows.append(
-                    SweepRow(
-                        axis=axis,
-                        axis_value_db=value_db,
-                        variant=variant.label,
-                        scheme=scheme,
-                        csi=csi,
-                        metric=metric,
-                        method=m.method.value,
-                        value=m.value,
-                        oracle_value=o_val,
-                        oracle_stderr=o_err,
-                        asymptote_value=asym,
-                        floor_gamma_zero=floors[0] if use_floors else None,
-                        floor_gamma_inf=floors[1] if use_floors else None,
-                    )
-                )
+    for k, (scheme, csi, metric) in enumerate(cells):
+        if metric is Metric.SOP:
+            m = closed_form.sop(params_pt, scheme, csi)
+        else:
+            m = closed_form.esr(params_pt, scheme, csi)
+        o_val = o_err = None
+        if mc is not None:
+            est = mc.sop(scheme, csi) if metric is Metric.SOP else mc.esr(scheme, csi)
+            o_val, o_err = est.value, est.stderr
+        elif quad is not None:
+            o_val = quad[k].value
+        asym = (
+            _asymptote_cell(spec, axis, params_pt, scheme, csi, metric, value_db)
+            if spec.asymptote
+            else None
+        )
+        use_floors = (
+            floors is not None
+            and metric is Metric.SOP
+            and scheme is Scheme.MRC_MRC
+            and csi is CsiMode.NOCSI
+        )
+        rows.append(
+            SweepRow(
+                axis=axis,
+                axis_value_db=value_db,
+                variant=variant.label,
+                scheme=scheme,
+                csi=csi,
+                metric=metric,
+                method=m.method.value,
+                value=m.value,
+                oracle_value=o_val,
+                oracle_stderr=o_err,
+                asymptote_value=asym,
+                floor_gamma_zero=floors[0] if use_floors else None,
+                floor_gamma_inf=floors[1] if use_floors else None,
+            )
+        )
     return rows
 
 

@@ -141,6 +141,59 @@ def test_sum_exp_near_equal_rates_match_mpmath(gap, swap):
     assert sum_exp_cdf(r1, r2, math.inf) == 1.0
 
 
+def _mp_sum_exp_cdf(r1, r2, z):
+    """The sum CDF from its two-term mixture, with digits enough to survive
+    the cancellation of ~2 log10(1 / (max rate * z)) digits near 0."""
+    a, b = sorted((r1, r2))
+    digits = 40 + int(max(0.0, -2.0 * math.log10(b * z)))
+    with mpmath.workdps(digits):
+        a, b, z = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(z)
+        if a == b:
+            return 1 - (1 + a * z) * mpmath.exp(-a * z)
+        return 1 - (b * mpmath.exp(-a * z) - a * mpmath.exp(-b * z)) / (b - a)
+
+
+# a pair from a failing run of test_cdfs_monotone_and_bounded, equal and near-
+# equal rates, and pairs 8 decades apart in both orders
+SUM_CDF_PAIRS = [
+    (1.0625, 7.683613302559305),
+    (1.1, 1.1),
+    (1.1, 1.1 * (1.0 + 1e-9)),
+    (0.05, 20.0),
+    (20.0, 0.05),
+    (1e-4, 1e4),
+    (1e4, 1e-4),
+]
+
+
+def test_sum_exp_cdf_lower_tail_regression():
+    # the expm1 form gave 1.25e-147, 0.0 and a value 2.2e-7 off
+    a, b = 1.0625, 7.683613302559305
+    for z in (7.67e-132, 5.13e-73, 1e-10):
+        leading = a * b * z * z / 2.0 * (1.0 - (a + b) * z / 3.0)
+        for r1, r2 in ((a, b), (b, a)):
+            assert abs(sum_exp_cdf(r1, r2, z) - leading) <= 1e-13 * leading
+
+
+@pytest.mark.parametrize("r1,r2", SUM_CDF_PAIRS)
+def test_sum_exp_cdf_monotone_on_log_grid(r1, r2):
+    v = sum_exp_cdf(r1, r2, np.geomspace(1e-300, 1e2, 4000))
+    assert np.all(np.diff(v) >= 0.0)
+    assert v[0] >= 0.0 and v[-1] <= 1.0
+
+
+@pytest.mark.parametrize("r1,r2", SUM_CDF_PAIRS)
+def test_sum_exp_cdf_relative_accuracy_matches_mpmath(r1, r2):
+    # from the smallest z whose CDF is a normal double up to the upper tail,
+    # across the switch to the series at max(r1, r2) z = 0.25
+    b = max(r1, r2)
+    z = np.concatenate((np.geomspace(1e-140 / b, 1e2 / b, 60), np.array([0.2, 0.25, 0.3]) / b))
+    v = sum_exp_cdf(r1, r2, z)
+    for zk, vk in zip(z, v):
+        ref = _mp_sum_exp_cdf(r1, r2, float(zk))
+        assert abs(vk - ref) <= 1e-13 * ref, (zk, vk, ref)
+
+
 def test_max_exp_cdf_values():
     assert max_exp_cdf(1.0, 2.0, 0.0) == 0.0
     assert max_exp_cdf(1.0, 1.0, math.log(2.0)) == pytest.approx(0.25)

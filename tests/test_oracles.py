@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from secrelay import kernels, oracles
+from secrelay import fading, kernels, oracles
 from secrelay.closed_form import sop
 from secrelay.errors import DomainError
 from secrelay.fading import (
@@ -316,3 +316,68 @@ def test_three_way_agreement_spot_check():
             est = mc.sop(scheme, csi)
             assert abs(cf - q) < 1e-6
             assert abs(cf - est.value) <= 3.0 * est.stderr + 1e-4
+
+
+# ---------------------------------------------------------------------------
+# one quadrature batch per point
+# ---------------------------------------------------------------------------
+
+ALL_CELLS = [
+    (scheme, csi, metric)
+    for metric in ("sop", "esr")
+    for csi in (CsiMode.NOCSI, CsiMode.CSI)
+    for scheme in SCHEME_ORDER
+]
+_GRID = sample_grid(4, seed=13)
+BATCH_POINTS = {
+    **{f"grid_{k}": p for k, p in enumerate(_GRID)},
+    "equal_rates_80db": params_from_db(0.0, 0.0, 80.0, 80.0, 80.0, 3.0, 0.5),
+    "unequal_80db": params_from_db(0.0, 3.0, 80.0, 83.0, 78.0, 3.0, 0.5),
+    # a zero-weight decode branch: the relay never or always decodes
+    "relay_never_decodes": _GRID[0].with_(gamma_th=math.inf),
+    "relay_always_decodes": _GRID[1].with_(gamma_th=0.0),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("point", sorted(BATCH_POINTS))
+def test_batch_matches_per_cell_calls(point, tol):
+    params = BATCH_POINTS[point]
+    batch = oracles.quadrature_cells(params, ALL_CELLS, tol)
+    for (scheme, csi, metric), q in zip(ALL_CELLS, batch, strict=True):
+        fn = oracles.quadrature_sop if metric == "sop" else oracles.quadrature_esr
+        assert q == fn(params, scheme, csi, tol), (scheme, csi, metric)
+    # nor does the order of the cells matter
+    assert oracles.quadrature_cells(params, ALL_CELLS[::-1], tol)[::-1] == batch
+
+
+def test_full_point_integrates_each_distinct_integral_once(base_params, monkeypatch):
+    batches = []
+    integrate = oracles._integrate
+
+    def counted(integrands, tols, meshes):
+        batches.append(len(integrands))
+        return integrate(integrands, tols, meshes)
+
+    monkeypatch.setattr(oracles, "_integrate", counted)
+    assert 0.0 < fading.decode_probability(base_params) < 1.0
+    oracles.quadrature_cells(base_params, ALL_CELLS)
+    # per decode branch, relay on / off: 8 / 2 outages, 4 / 2 rates without
+    # CSI (one side's combiner each), 8 / 2 rates with CSI
+    assert batches == [26]
+    # one cell at a time integrates 48
+    for scheme, csi, metric in ALL_CELLS:
+        fn = oracles.quadrature_sop if metric == "sop" else oracles.quadrature_esr
+        fn(base_params, scheme, csi)
+    assert sum(batches[1:]) == 48 and len(batches) == 17
+    # a zero-weight branch is left out
+    batches.clear()
+    oracles.quadrature_cells(base_params.with_(gamma_th=math.inf), ALL_CELLS)
+    oracles.quadrature_cells(base_params.with_(gamma_th=0.0), ALL_CELLS)
+    assert batches == [6, 20]
+
+
+def test_batch_rejects_unknown_metric(base_params):
+    with pytest.raises(DomainError):
+        oracles.quadrature_cells(base_params, [(Scheme.MRC_SC, CsiMode.CSI, "mean")])
+    assert oracles.quadrature_cells(base_params, []) == []

@@ -23,6 +23,7 @@ from secrelay.sweep import (
     QuadOracle,
     SweepSpec,
     UNSUPPORTED_MARKER,
+    Variant,
     figure_preset,
     run_sweep,
     run_validation,
@@ -68,6 +69,25 @@ def test_spec_validation():
         SweepSpec(Axis.BALANCED_SNR_DB, 0.0, 10.0, 1.0, BASE, schemes=()).validate()
 
 
+def test_spec_rejects_repeats():
+    # a repeat would emit every row it touches twice
+    for repeat in (
+        dict(schemes=(Scheme.MRC_SC, Scheme.SC_SC, Scheme.MRC_SC)),
+        dict(modes=(CsiMode.CSI, CsiMode.CSI)),
+        dict(metrics=(Metric.ESR, Metric.SOP, Metric.ESR)),
+        dict(variants=(Variant("a", (("rate_rs", 0.5),)), Variant("a", (("rate_rs", 2.0),)))),
+    ):
+        spec = SweepSpec(Axis.BALANCED_SNR_DB, 0.0, 0.0, 1.0, BASE, **repeat)
+        with pytest.raises(DomainError):
+            spec.validate()
+        with pytest.raises(DomainError):
+            run_sweep(spec)
+    SweepSpec(
+        Axis.BALANCED_SNR_DB, 0.0, 0.0, 1.0, BASE,
+        variants=(Variant("a", (("rate_rs", 0.5),)), Variant("b", (("rate_rs", 0.5),))),
+    ).validate()
+
+
 def test_sweep_deterministic_and_thread_invariant():
     spec = SweepSpec(
         axis=Axis.BALANCED_SNR_DB, start_db=0.0, stop_db=10.0, step_db=5.0, fixed=BASE,
@@ -87,6 +107,32 @@ def test_quadrature_sweep_identical_across_jobs():
     b = csv_text(run_sweep(spec, n_jobs=1))
     c = csv_text(run_sweep(spec, n_jobs=4))
     assert a == b == c
+
+
+def test_quadrature_sweep_takes_one_batch_per_point(monkeypatch, capsys):
+    args = ["sweep", "--axis", "balanced-snr-db", "--from-db", "0", "--to-db", "60",
+            "--step-db", "20", "--metric", "both", "--quad-tol", "1e-9"]
+    batches = []
+    quadrature_cells = oracles.quadrature_cells
+
+    def counted(params, cells, *rest):
+        batches.append(len(cells))
+        return quadrature_cells(params, cells, *rest)
+
+    monkeypatch.setattr(oracles, "quadrature_cells", counted)
+    assert main(args) == 0
+    one_job = capsys.readouterr().out
+    assert batches == [16] * 4
+    assert main(args + ["--jobs", "4"]) == 0
+    assert capsys.readouterr().out == one_job
+    # each cell's oracle value is that of its own quadrature call
+    for line in one_job.splitlines()[1:]:
+        f = line.split(",")
+        params = BASE.with_(beta_sr=10.0 ** (-float(f[1]) / 10.0))
+        params = params.with_(beta_rd=params.beta_sr)
+        fn = oracles.quadrature_sop if f[5] == "sop" else oracles.quadrature_esr
+        q = fn(params, Scheme(f[3]), CsiMode(f[4]), 1e-9)
+        assert f[8] == "%.17g" % q.value
 
 
 def test_quadrature_oracle_column():
@@ -315,6 +361,35 @@ def test_cli_usage_errors(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2, args
+
+
+def test_cli_preset_rejects_adhoc_flags(capsys):
+    # a preset fixes its own axis, links, rate, schemes, modes, metrics and
+    # asymptotes; these flags used to be ignored, giving the preset's bytes
+    mixed = ["--scheme", "sc_sc", "--csi", "nocsi", "--metric", "esr", "--rate-rs", "3",
+             "--from-db", "5", "--to-db", "6", "--asymptote"]
+    single = [
+        ["--axis", "beta-rd-db"], ["--from-db", "0"], ["--to-db", "9"], ["--step-db", "2"],
+        ["--alpha-se-db", "0"], ["--alpha-re-db", "3"], ["--beta-sd-db", "3"],
+        ["--beta-sr-db", "10"], ["--beta-rd-db", "3"], ["--gamma-th-db", "3"],
+        ["--rate-rs", "1"], ["--scheme", "mrc_sc"], ["--csi", "both"], ["--metric", "sop"],
+        ["--asymptote"],
+    ]
+    for flags in [mixed, *single]:
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig2", *flags])
+        assert exc.value.code == 2, flags
+        assert "--preset" in capsys.readouterr().err
+    # the oracle, output and worker flags still go with a preset
+    assert main(["sweep", "--preset", "fig6", "--quad-tol", "1e-6", "--jobs", "2"]) == 0
+
+
+def test_cli_repeated_scheme_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--axis", "balanced-snr-db", "--from-db", "0", "--to-db", "0",
+              "--scheme", "mrc_sc", "--scheme", "mrc_sc"])
+    assert exc.value.code == 2
+    assert "repeat" in capsys.readouterr().err
 
 
 def test_cli_validate_exit_codes(capsys):
