@@ -11,11 +11,13 @@ Three regimes are covered for the outage probability:
 
 The perfect-decoding and pure-wiretap limits (threshold to zero or
 infinity) and the two known rate limits are also provided.
+
+Every value is a limit of :mod:`secrelay.closed_form`'s decode-branch
+brackets (the slopes its ``sop_relay_slope``); no algebra is repeated here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,38 +76,6 @@ def _off_bracket(params: SystemParams, csi: CsiMode) -> float:
     return closed_form.sop_conditional(params, Scheme.MRC_MRC, csi, relay_on=False)
 
 
-def _relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float:
-    """First-order coefficient of the decode-success outage as the relayed
-    branch rate goes to zero."""
-    a_se, a_re, b_sd = params.alpha_se, params.alpha_re, params.beta_sd
-    rho = params.rho
-    decay = math.exp(-b_sd * (rho - 1.0))
-    lap, _ = closed_form._eaves_laplace(params, scheme, relay_on=True)
-    # Mean combined eavesdropper SNR; SC (max) loses the overlap 1/(a_se + a_re).
-    mean_e = 1.0 / a_se + 1.0 / a_re
-    if not scheme.mrc_at_eavesdropper:
-        mean_e -= 1.0 / (a_se + a_re)
-
-    if csi is CsiMode.NOCSI:
-        if scheme.mrc_at_destination:
-            return (rho - 1.0) + rho * mean_e - 1.0 / b_sd + decay * lap(rho * b_sd) / b_sd
-        # SC_MRC
-        tail = decay * lap(rho * b_sd)
-        return (rho - 1.0) + rho * mean_e - tail * (
-            rho - 1.0 + rho / (a_se + rho * b_sd) + rho / (a_re + rho * b_sd)
-        )
-
-    if scheme.mrc_at_destination:
-        return (rho - 1.0) * (1.0 + mean_e) - (lap(b_sd) - decay * lap(rho * b_sd)) / b_sd
-    # SC_MRC
-    tail = decay * lap(rho * b_sd)
-    return (
-        (rho - 1.0) * (1.0 + mean_e)
-        + lap(b_sd) * (1.0 / (a_se + b_sd) + 1.0 / (a_re + b_sd))
-        - tail * (rho - 1.0 + rho / (a_se + rho * b_sd) + rho / (a_re + rho * b_sd))
-    )
-
-
 def sop_asymptote_balanced(params: SystemParams, scheme: Scheme, csi: CsiMode) -> Asymptote:
     """High-SNR slope when both relay hops grow together.
 
@@ -113,7 +83,8 @@ def sop_asymptote_balanced(params: SystemParams, scheme: Scheme, csi: CsiMode) -
     is ``coefficient * beta`` for the common hop rate ``beta``.
     """
     _check_supported(scheme)
-    coeff = params.gamma_th * _off_bracket(params, csi) + _relay_slope(params, scheme, csi)
+    off = _off_bracket(params, csi)
+    coeff = params.gamma_th * off + closed_form.sop_relay_slope(params, scheme, csi)
     return Asymptote(AsymptoteKind.BALANCED_SLOPE, 0.0, coeff)
 
 
@@ -133,7 +104,7 @@ def sop_asymptote_unbalanced(
         return Asymptote(
             AsymptoteKind.UNBALANCED_CASE_I,
             (1.0 - p_on) * off,
-            p_on * _relay_slope(params, scheme, csi),
+            p_on * closed_form.sop_relay_slope(params, scheme, csi),
         )
     on = closed_form.sop_conditional(params, scheme, csi, relay_on=True)
     return Asymptote(
@@ -145,8 +116,7 @@ def sop_asymptote_unbalanced(
 
 def sop_wiretap(params: SystemParams) -> float:
     """Outage with the relay permanently silent (threshold to infinity)."""
-    a, b, rho = params.alpha_se, params.beta_sd, params.rho
-    return 1.0 - a * math.exp(-b * (rho - 1.0)) / (a + rho * b)
+    return _off_bracket(params, CsiMode.NOCSI)
 
 
 def sop_perfect_decoding(params: SystemParams) -> float:

@@ -37,6 +37,9 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VALIDATION = 4
 
+# Most worker threads --jobs may ask for; the pools take one task per point.
+MAX_JOBS = 256
+
 _AXIS_BY_FLAG = {
     "balanced-snr-db": Axis.BALANCED_SNR_DB,
     "beta-rd-db": Axis.BETA_RD_DB,
@@ -97,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--asymptote", action="store_true", default=None, help="attach asymptote column"
     )
     sw.add_argument("--mc-trials", type=int, help="attach a Monte Carlo oracle column")
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--seed", type=int, help="Monte Carlo seed (needs --mc-trials), default 0")
     sw.add_argument("--quad-tol", type=float, help="attach a quadrature oracle column")
     sw.add_argument("--out", help="CSV path (default: standard output)")
     sw.add_argument("--jobs", type=int, default=1, help="worker threads")
@@ -117,11 +120,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(parser, args) -> SweepSpec:
     if args.mc_trials is not None and args.quad_tol is not None:
         parser.error("--mc-trials and --quad-tol are mutually exclusive")
+    if args.seed is not None and args.mc_trials is None:
+        parser.error("--seed seeds the Monte Carlo oracle; it needs --mc-trials")
 
     # The oracles check their own trial count and tolerance (DomainError).
     oracle = None
     if args.mc_trials is not None:
-        oracle = McOracle(args.mc_trials, args.seed)
+        oracle = McOracle(args.mc_trials, args.seed or 0)
     elif args.quad_tol is not None:
         oracle = QuadOracle(args.quad_tol)
 
@@ -225,8 +230,8 @@ def _cmd_validate(parser, args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    if not 1 <= args.jobs <= MAX_JOBS:
+        parser.error(f"--jobs must be in [1, {MAX_JOBS}], got {args.jobs}")
     if args.command == "sweep":
         return _cmd_sweep(parser, args)
     return _cmd_validate(parser, args)

@@ -45,6 +45,7 @@ __all__ = [
     "esr",
     "sop_conditional",
     "esr_conditional",
+    "sop_relay_slope",
 ]
 
 
@@ -118,37 +119,70 @@ def _pole_dd(a, t1, t2):
     return -a / ((a + t1) * (a + t2))
 
 
+def _pole_dd2(a, t0, t1, t2):
+    # Second divided difference of a / (a + t) over (t0, t1, t2).
+    return a / ((a + t0) * (a + t1) * (a + t2))
+
+
 def _eaves_laplace(params: SystemParams, scheme: Scheme, relay_on: bool):
     """Laplace transform ``L(t)`` of the eavesdropper-side density and its
-    divided difference ``L[t1, t2]``.
+    divided differences ``L[t1, t2]`` and ``L[t0, t1, t2]``.
 
     Written directly per combiner rather than through the CDF mixture: the
     sum-combiner transform is a plain rational function with no equal-rate
     singularity, which keeps every outage formula stable for any rate pair.
+    Its second difference is the product rule over the two poles, a sum of
+    positive terms.
     """
     a1, a2 = params.alpha_se, params.alpha_re
     if not relay_on:
-        return (lambda t: a1 / (a1 + t)), (lambda t1, t2: _pole_dd(a1, t1, t2))
+        return (
+            lambda t: a1 / (a1 + t),
+            lambda t1, t2: _pole_dd(a1, t1, t2),
+            lambda t0, t1, t2: _pole_dd2(a1, t0, t1, t2),
+        )
     if scheme.mrc_at_eavesdropper:
         return (
             lambda t: a1 * a2 / ((a1 + t) * (a2 + t)),
             lambda t1, t2: -a1 * a2 / ((a1 + t1) * (a2 + t2)) * (1.0 / (a1 + t2) + 1.0 / (a2 + t1)),
+            lambda t0, t1, t2: a1 / (a1 + t0) * _pole_dd2(a2, t0, t1, t2)
+            + _pole_dd(a1, t0, t1) * _pole_dd(a2, t1, t2)
+            + _pole_dd2(a1, t0, t1, t2) * a2 / (a2 + t2),
         )
     return (
         lambda t: a1 / (a1 + t) + a2 / (a2 + t) - (a1 + a2) / (a1 + a2 + t),
         lambda t1, t2: _pole_dd(a1, t1, t2) + _pole_dd(a2, t1, t2) - _pole_dd(a1 + a2, t1, t2),
+        lambda t0, t1, t2: _pole_dd2(a1, t0, t1, t2)
+        + _pole_dd2(a2, t0, t1, t2)
+        - _pole_dd2(a1 + a2, t0, t1, t2),
     )
 
 
-def _sop_bracket(params, scheme, csi, relay_on):
-    # Expectation over the eavesdropper SNR of the destination CDF at the
-    # outage boundary: phi(s) = exp(-s (rho - 1)) L(rho s); the CSI variant
-    # subtracts the losing region, L(s).  phi[s1, s2] follows from the
-    # product rule, exprel for the exponential and L's rational divided
-    # difference, with no cancellation at any gap.
+# (e^z - 1 - z) / z^2 = sum_n z^n / (n + 2)!, summed for |z| < 0.5 to below
+# eps relative; past that the direct quotient loses at most ~10 eps.
+_EXP_DD2_SERIES = tuple(1.0 / math.factorial(n + 2) for n in range(15))
+
+
+def _exp_dd2(k, x, y):
+    """Second divided difference of ``exp(-k s)`` over ``(x, x, y)``."""
+    z = -k * (y - x)
+    if abs(z) >= 0.5:
+        return (math.exp(-k * y) - math.exp(-k * x) * (1.0 + z)) / ((y - x) * (y - x))
+    acc = 0.0
+    for c in reversed(_EXP_DD2_SERIES):
+        acc = acc * z + c
+    return k * k * math.exp(-k * x) * acc
+
+
+def _outage_functional(params, scheme, csi, relay_on):
+    # phi(s) = exp(-s (rho - 1)) L(rho s), the expectation over the
+    # eavesdropper SNR at the outage boundary; the CSI variant subtracts the
+    # losing region, L(s).  phi[s1, s2] follows from the product rule, exprel
+    # and L's rational divided difference, with no cancellation at any gap;
+    # phi_dd2(x, y) = phi[x, x, y] from the same rule one order up.
     rho = params.rho
     k = rho - 1.0
-    lap, lap_dd = _eaves_laplace(params, scheme, relay_on)
+    lap, lap_dd, lap_dd2 = _eaves_laplace(params, scheme, relay_on)
     csi_on = csi is CsiMode.CSI
 
     def phi(s):
@@ -161,8 +195,23 @@ def _sop_bracket(params, scheme, csi, relay_on):
         v = decay_dd * lap(rho * s2) + decay1 * rho * lap_dd(rho * s1, rho * s2)
         return v - lap_dd(s1, s2) if csi_on else v
 
+    def phi_dd2(x, y):
+        decay = math.exp(-x * k)
+        tx, ty = rho * x, rho * y
+        v = (
+            decay * rho * rho * lap_dd2(tx, tx, ty)
+            - k * decay * rho * lap_dd(tx, ty)
+            + _exp_dd2(k, x, y) * lap(ty)
+        )
+        return v - lap_dd2(x, x, y) if csi_on else v
+
+    return phi, phi_dd, phi_dd2
+
+
+def _sop_bracket(params, scheme, csi, relay_on):
+    phi, phi_dd, _ = _outage_functional(params, scheme, csi, relay_on)
     total = _mixture(*_dest(params, scheme, relay_on), phi, phi_dd)
-    return total if csi_on else 1.0 + total
+    return total if csi is CsiMode.CSI else 1.0 + total
 
 
 # Above this the derivatives come from the asymptotic series, whose smallest
@@ -273,6 +322,25 @@ def esr_conditional(
     """Conditional ergodic secrecy rate (bpcu) given the decode outcome."""
     _validate(params, scheme, csi)
     return HALF_LOG2E * _esr_bracket(params, scheme, csi, relay_on)
+
+
+def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float:
+    """First-order coefficient of the decode-success outage in ``beta_rd``
+    (its value in ``params`` is ignored).
+
+    It is the destination mixture's derivative at 0, ``phi[0, b] - phi[0, 0]``
+    for MRC and ``phi[b, b] - phi[0, 0]`` for SC with b = ``beta_sd``, taken
+    as ``b phi[0, 0, b]`` and ``b (phi[0, 0, b] + phi[0, b, b])``: the
+    difference of two O(1) values would lose ~eps/b relative, 1e-6 at a
+    100 dB direct link.
+    """
+    _validate(params, scheme, csi)
+    _, _, phi_dd2 = _outage_functional(params, scheme, csi, relay_on=True)
+    b = params.beta_sd
+    dd = phi_dd2(0.0, b)
+    if not scheme.mrc_at_destination:
+        dd += phi_dd2(b, 0.0)
+    return float(b * dd)
 
 
 # ---------------------------------------------------------------------------

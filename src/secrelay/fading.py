@@ -343,15 +343,18 @@ PURPOSE_GRID = 1
 
 _POINT_BITS = 32
 _CHUNK_BITS = 24
+# Point and chunk indices a key can address; callers check sizes up front.
+POINT_LIMIT = 2**_POINT_BITS
+CHUNK_LIMIT = 2**_CHUNK_BITS
 
 
 def stream(seed: int, point: int = 0, purpose: int = PURPOSE_TRIALS, chunk: int = 0) -> Generator:
     """Independent deterministic stream for (seed, purpose, point, chunk)."""
     if not (isinstance(seed, int) and 0 <= seed < 2**64):
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not (isinstance(point, int) and 0 <= point < 2**_POINT_BITS):
+    if not (isinstance(point, int) and 0 <= point < POINT_LIMIT):
         raise DomainError(f"point must be an integer in [0, 2^{_POINT_BITS}), got {point!r}")
-    if not (isinstance(chunk, int) and 0 <= chunk < 2**_CHUNK_BITS):
+    if not (isinstance(chunk, int) and 0 <= chunk < CHUNK_LIMIT):
         raise DomainError(f"chunk must be an integer in [0, 2^{_CHUNK_BITS}), got {chunk!r}")
     word = (purpose << (_POINT_BITS + _CHUNK_BITS)) | (point << _CHUNK_BITS) | chunk
     key = np.array([seed, word], dtype=np.uint64)

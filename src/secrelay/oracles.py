@@ -135,15 +135,15 @@ def monte_carlo_all(
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"trial count must be a positive integer, got {n!r}")
+    limit = CHUNK_TRIALS * fading.CHUNK_LIMIT  # trials the stream keys can address
+    if n > limit:
+        raise DomainError(f"trial count must be at most {limit}, got {n!r}")
     rates = (params.beta_sd, params.beta_sr, params.beta_rd, params.alpha_se, params.alpha_re)
     gamma_th, rho = params.gamma_th, params.rho
-    blocks = [
-        (chunk, min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS))
-        for chunk in range((n + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
-    ]
+    chunks = range((n + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
 
-    def run_block(block):
-        chunk, m = block
+    def run_block(chunk):
+        m = min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS)
         gen = fading.trial_stream(seed, point, chunk=chunk)
         tallies = None
         for start in range(0, m, SUB_BLOCK_TRIALS):
@@ -153,13 +153,13 @@ def monte_carlo_all(
         return tallies
 
     totals = None
-    if n_jobs > 1 and len(blocks) > 1:
+    if n_jobs > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            for part in pool.map(run_block, blocks):
+            for part in pool.map(run_block, chunks):
                 totals = _merge(totals, part)
     else:
-        for block in blocks:
-            totals = _merge(totals, run_block(block))
+        for chunk in chunks:
+            totals = _merge(totals, run_block(chunk))
     return McResults(totals, n)
 
 

@@ -17,6 +17,7 @@ from .fading import (
     SystemParams,
     params_from_db,
     stream,
+    POINT_LIMIT,
     PURPOSE_GRID,
 )
 
@@ -171,7 +172,7 @@ def _unbalanced_case(axis: Axis):
     return None
 
 
-def _asymptote_cell(spec, axis, params_pt, scheme, csi, metric, value_db):
+def _asymptote_cell(axis, params_pt, scheme, csi, metric, value_db):
     beta = 10.0 ** (-value_db / 10.0)
     if metric is Metric.SOP:
         try:
@@ -190,7 +191,7 @@ def _asymptote_cell(spec, axis, params_pt, scheme, csi, metric, value_db):
         and csi is CsiMode.CSI
     ):
         return asymptotics.esr_saturation_case2_mrc_sc(params_pt)
-    return UNSUPPORTED_MARKER if spec.asymptote else None
+    return UNSUPPORTED_MARKER
 
 
 def _point_rows(spec: SweepSpec, point_index: int, variant: Variant, value_db: float):
@@ -233,7 +234,7 @@ def _point_rows(spec: SweepSpec, point_index: int, variant: Variant, value_db: f
         elif quad is not None:
             o_val = quad[k].value
         asym = (
-            _asymptote_cell(spec, axis, params_pt, scheme, csi, metric, value_db)
+            _asymptote_cell(axis, params_pt, scheme, csi, metric, value_db)
             if spec.asymptote
             else None
         )
@@ -458,9 +459,10 @@ _RS_LO, _RS_HI = 0.1, 2.0
 
 
 def sample_grid(grid_size: int, seed: int) -> list[SystemParams]:
-    """Deterministic random parameter grid for the agreement suite."""
-    if not grid_size >= 1:
-        raise DomainError(f"grid_size must be >= 1, got {grid_size!r}")
+    """Deterministic random parameter grid for the agreement suite; at most
+    ``POINT_LIMIT`` points, as each keys its own Monte Carlo stream."""
+    if not 1 <= grid_size <= POINT_LIMIT:
+        raise DomainError(f"grid_size must be in [1, {POINT_LIMIT}], got {grid_size!r}")
     gen = stream(seed, point=0, purpose=PURPOSE_GRID)
     log_span = math.log(_RATE_HI / _RATE_LO)
     grid = []

@@ -14,10 +14,12 @@ from secrelay.asymptotics import (
     sop_perfect_decoding,
     sop_wiretap,
 )
-from secrelay.closed_form import esr, sop
+from secrelay.closed_form import esr, sop, sop_relay_slope
 from secrelay.errors import UnsupportedSchemeError
 from secrelay.fading import CsiMode, Scheme, params_from_db
 from secrelay.sweep import sample_grid
+
+from mp_reference import mp_relay_slope
 
 SUPPORTED = (Scheme.MRC_SC, Scheme.MRC_MRC, Scheme.SC_MRC)
 ALL_MODES = (CsiMode.NOCSI, CsiMode.CSI)
@@ -35,7 +37,24 @@ def test_sc_sc_unsupported():
         sop_asymptote_unbalanced(FIG3_PARAMS, Scheme.SC_SC, CsiMode.CSI, UnbalancedCase.I)
 
 
+# Balanced points with direct links from 0 to 100 dB (eavesdropper 0 / 3 dB,
+# threshold 3 dB, one bpcu), then random grid points.
+SLOPE_POINTS = [
+    params_from_db(0.0, 3.0, db, db, db, 3.0, 1.0) for db in (0.0, 20.0, 40.0, 60.0, 80.0, 100.0)
+] + sample_grid(3, seed=42)
+
+
 def test_balanced_slope_matches_closed_form_at_60db():
+    # the relay slope against the 120-digit reference (the hand-derived
+    # slope it replaced was off by 1.7e-6 at 60 dB; a difference of first
+    # divided differences by ~eps/beta_sd, 3e-6 at 100 dB), then the whole
+    # coefficient against the closed form
+    for params in (FIG3_PARAMS, *SLOPE_POINTS):
+        for scheme in SUPPORTED:
+            for csi in ALL_MODES:
+                ref = mp_relay_slope(params, scheme, csi)
+                slope = sop_relay_slope(params, scheme, csi)
+                assert slope == pytest.approx(ref, rel=1e-12, abs=0.0), (params, scheme, csi)
     beta = 1e-6
     p = FIG3_PARAMS.with_(beta_sr=beta, beta_rd=beta)
     for scheme in SUPPORTED:

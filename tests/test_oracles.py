@@ -177,6 +177,18 @@ def test_trial_count_validation(base_params):
         oracles.monte_carlo_sop(base_params, Scheme.MRC_SC, CsiMode.CSI, 0, seed=1)
 
 
+def test_trial_count_beyond_the_stream_key_fails_before_drawing(base_params, monkeypatch):
+    # 2^24 chunks is all a stream key can address; a larger count used to
+    # run every addressable chunk before the first unaddressable one failed
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew trials for an invalid trial count")
+
+    monkeypatch.setattr(fading, "trial_stream", no_draws)
+    too_many = oracles.CHUNK_TRIALS * fading.CHUNK_LIMIT + 1
+    with pytest.raises(DomainError, match="at most"):
+        oracles.monte_carlo_all(base_params, too_many, seed=1)
+
+
 def test_one_kernel_whatever_the_environment(base_params, monkeypatch):
     u = trial_stream(33).random((1000, DRAWS_PER_TRIAL))
     rates = (base_params.beta_sd, base_params.beta_sr, base_params.beta_rd,

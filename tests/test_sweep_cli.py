@@ -10,10 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from secrelay import oracles
-from secrelay.cli import main
+from secrelay import oracles, sweep
+from secrelay.cli import MAX_JOBS, main
 from secrelay.errors import DomainError
-from secrelay.fading import CsiMode, SCHEME_ORDER, Scheme, params_from_db
+from secrelay.fading import (
+    CHUNK_LIMIT,
+    POINT_LIMIT,
+    CsiMode,
+    SCHEME_ORDER,
+    Scheme,
+    params_from_db,
+)
 from secrelay.sweep import (
     Axis,
     CSV_HEADER,
@@ -291,6 +298,17 @@ def test_sample_grid_properties():
         assert 0.1 <= p.rate_rs <= 2.0
 
 
+def test_grid_beyond_the_stream_key_fails_before_sampling(monkeypatch):
+    # each grid point keys its own Monte Carlo stream; a larger grid used to
+    # be built in full before its first unaddressable point failed
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled a grid of invalid size")
+
+    monkeypatch.setattr(sweep, "stream", no_draws)
+    with pytest.raises(DomainError, match="grid_size"):
+        sample_grid(POINT_LIMIT + 1, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -425,6 +443,8 @@ def test_cli_validate_exit_codes(capsys):
         ["--tol-quad", "0"],
         ["--jobs", "0"],
         ["--jobs", "-3"],
+        ["--grid-size", str(POINT_LIMIT + 1)],
+        ["--mc-trials", str(oracles.CHUNK_TRIALS * CHUNK_LIMIT + 1)],
     ],
 )
 def test_cli_validate_usage_errors(flag, capsys):
@@ -440,6 +460,38 @@ def test_cli_sweep_rejects_nonpositive_jobs(jobs, capsys):
         main(["sweep", "--preset", "fig2", "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [str(MAX_JOBS + 1), "100000"])
+def test_cli_rejects_jobs_above_max(jobs, monkeypatch, capsys):
+    # checked at argument parsing: no thread pool is ever started
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool for an invalid --jobs")
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", no_pool)
+    for cmd in (["sweep", "--preset", "fig2"], ["validate", "--grid-size", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"--jobs must be in [1, {MAX_JOBS}]" in capsys.readouterr().err
+
+
+def test_cli_seed_needs_the_monte_carlo_oracle(capsys):
+    # a seed used to be accepted and ignored without --mc-trials
+    for extra in ([], ["--quad-tol", "1e-6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig2", "--seed", "5", *extra])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+    # the Monte Carlo oracle's default seed is 0
+    point = ["sweep", "--axis", "gamma-th-db", "--from-db", "3", "--to-db", "3",
+             "--mc-trials", "2000"]
+    assert main(point) == 0
+    default = capsys.readouterr().out
+    assert main(point + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(point + ["--seed", "1"]) == 0
+    assert capsys.readouterr().out != default
 
 
 def test_cli_high_snr_equal_rate_esr_sweep(capsys):
