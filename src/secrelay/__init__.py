@@ -40,8 +40,6 @@ from .oracles import (
     Estimate,
     QuadratureResult,
     monte_carlo_all,
-    monte_carlo_esr,
-    monte_carlo_sop,
     quadrature_cells,
     quadrature_esr,
     quadrature_sop,
@@ -99,8 +97,6 @@ __all__ = [
     "max_exp_cdf",
     "max_exp_pdf",
     "monte_carlo_all",
-    "monte_carlo_esr",
-    "monte_carlo_sop",
     "params_from_db",
     "quadrature_cells",
     "quadrature_esr",

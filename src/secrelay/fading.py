@@ -27,6 +27,7 @@ __all__ = [
     "SCHEME_ORDER",
     "SystemParams",
     "TrialDraw",
+    "db_to_linear",
     "params_from_db",
     "exp_cdf",
     "exp_pdf",
@@ -133,6 +134,15 @@ class TrialDraw:
     relay_on: bool
 
 
+def db_to_linear(db: float, name: str = "value") -> float:
+    """``10^(db/10)``; a link's rate is ``db_to_linear(-dB)``.  Raises
+    :class:`DomainError` where that overflows a double."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{name} is out of range: 10^({db!r}/10) overflows a double") from None
+
+
 def params_from_db(
     alpha_se_db: float,
     alpha_re_db: float,
@@ -159,12 +169,12 @@ def params_from_db(
         if not (isinstance(v, (int, float)) and math.isfinite(v)):
             raise DomainError(f"{name} must be finite, got {v!r}")
     return SystemParams(
-        alpha_se=10.0 ** (-alpha_se_db / 10.0),
-        alpha_re=10.0 ** (-alpha_re_db / 10.0),
-        beta_sd=10.0 ** (-beta_sd_db / 10.0),
-        beta_sr=10.0 ** (-beta_sr_db / 10.0),
-        beta_rd=10.0 ** (-beta_rd_db / 10.0),
-        gamma_th=10.0 ** (gamma_th_db / 10.0),
+        alpha_se=db_to_linear(-alpha_se_db, "alpha_se_db"),
+        alpha_re=db_to_linear(-alpha_re_db, "alpha_re_db"),
+        beta_sd=db_to_linear(-beta_sd_db, "beta_sd_db"),
+        beta_sr=db_to_linear(-beta_sr_db, "beta_sr_db"),
+        beta_rd=db_to_linear(-beta_rd_db, "beta_rd_db"),
+        gamma_th=db_to_linear(gamma_th_db, "gamma_th_db"),
         rate_rs=float(rate_rs),
     )
 

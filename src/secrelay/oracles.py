@@ -11,15 +11,16 @@ the destination's and the eavesdropper's integrals per branch, and an
 integral several cells read is integrated once.  All of them advance
 together: each round evaluates every integrand once, on the nodes of all
 its open intervals.  ``quadrature_sop``/``quadrature_esr`` are one-cell
-calls of it.  ``QuadratureResult.abs_error_bound`` adds up the accepted
-intervals' error estimates, each at least a round-off floor, and
-``evaluations`` counts integrand points.
+calls of it.  One decode branch alone is the point at ``gamma_th`` = 0
+(the relay always decodes) or ``gamma_th`` = inf (it never does).
+``QuadratureResult.abs_error_bound`` adds up the accepted intervals' error
+estimates, each at least a round-off floor, and ``evaluations`` counts
+integrand points.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -34,18 +35,13 @@ __all__ = [
     "QuadratureResult",
     "McResults",
     "monte_carlo_all",
-    "monte_carlo_sop",
-    "monte_carlo_esr",
     "quadrature_cells",
     "quadrature_sop",
     "quadrature_esr",
-    "quadrature_sop_conditional",
-    "quadrature_esr_conditional",
 ]
 
-# Trials per reduction block.  Fixed so that estimates do not depend on the
-# worker count: blocks are regenerated from (seed, point, block index) and
-# merged in block order.
+# Trials per reduction block.  Each block is drawn from its own stream,
+# keyed by (seed, point, block index), and blocks are merged in order.
 CHUNK_TRIALS = 1 << 19
 
 # Trials drawn and reduced at a time within a chunk, small enough for the
@@ -122,16 +118,17 @@ def _merge(totals, part):
     return totals
 
 
-def monte_carlo_all(
-    params: SystemParams, n: int, seed: int, *, point: int = 0, n_jobs: int = 1
-) -> McResults:
+def monte_carlo_all(params: SystemParams, n: int, seed: int, *, point: int = 0) -> McResults:
     """Simulate ``n`` trials once and tally every scheme/CSI combination.
 
-    Deterministic for a fixed (seed, point, n) and independent of
-    ``n_jobs``: blocks of :data:`CHUNK_TRIALS` trials are regenerated from
-    their own counter offsets and merged in block order.  Each block is
-    drawn and reduced in sub-blocks of :data:`SUB_BLOCK_TRIALS` trials,
-    tallied in order.
+    Deterministic for a fixed (seed, point, n): blocks of
+    :data:`CHUNK_TRIALS` trials are drawn from their own counter offsets,
+    each in sub-blocks of :data:`SUB_BLOCK_TRIALS` trials merged into the
+    block's tally, and the block tallies are merged in block order.  Read
+    a cell with ``.sop(scheme, csi)`` or ``.esr(scheme, csi)``: the outage
+    frequency, or the mean per-trial secrecy-rate statistic (without CSI
+    the raw log-ratio mean, which may be negative; with CSI zeroed on
+    trials where the eavesdropper's combined SNR wins).
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"trial count must be a positive integer, got {n!r}")
@@ -140,60 +137,16 @@ def monte_carlo_all(
         raise DomainError(f"trial count must be at most {limit}, got {n!r}")
     rates = (params.beta_sd, params.beta_sr, params.beta_rd, params.alpha_se, params.alpha_re)
     gamma_th, rho = params.gamma_th, params.rho
-    chunks = range((n + CHUNK_TRIALS - 1) // CHUNK_TRIALS)
-
-    def run_block(chunk):
+    totals = None
+    for chunk in range((n + CHUNK_TRIALS - 1) // CHUNK_TRIALS):
         m = min(CHUNK_TRIALS, n - chunk * CHUNK_TRIALS)
         gen = fading.trial_stream(seed, point, chunk=chunk)
         tallies = None
         for start in range(0, m, SUB_BLOCK_TRIALS):
             u = gen.random((min(SUB_BLOCK_TRIALS, m - start), fading.DRAWS_PER_TRIAL))
-            part = kernels.reduce_trials(u, rates, gamma_th, rho)
-            tallies = _merge(tallies, part)
-        return tallies
-
-    totals = None
-    if n_jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            for part in pool.map(run_block, chunks):
-                totals = _merge(totals, part)
-    else:
-        for chunk in chunks:
-            totals = _merge(totals, run_block(chunk))
+            tallies = _merge(tallies, kernels.reduce_trials(u, rates, gamma_th, rho))
+        totals = _merge(totals, tallies)
     return McResults(totals, n)
-
-
-def monte_carlo_sop(
-    params: SystemParams,
-    scheme: Scheme,
-    csi: CsiMode,
-    n: int,
-    seed: int,
-    *,
-    point: int = 0,
-    n_jobs: int = 1,
-) -> Estimate:
-    """Outage frequency over ``n`` sampled trials."""
-    return monte_carlo_all(params, n, seed, point=point, n_jobs=n_jobs).sop(scheme, csi)
-
-
-def monte_carlo_esr(
-    params: SystemParams,
-    scheme: Scheme,
-    csi: CsiMode,
-    n: int,
-    seed: int,
-    *,
-    point: int = 0,
-    n_jobs: int = 1,
-) -> Estimate:
-    """Mean per-trial secrecy-rate statistic over ``n`` sampled trials.
-
-    Without CSI this is the raw log-ratio mean (it may be negative); with
-    CSI the statistic is zeroed on trials where the eavesdropper's combined
-    SNR wins.
-    """
-    return monte_carlo_all(params, n, seed, point=point, n_jobs=n_jobs).esr(scheme, csi)
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +388,15 @@ def _integrand(params: SystemParams, key):
 _METRIC_FACTOR = {"sop": 1.0, "esr": HALF_LOG2E}
 
 
-def _decode_branches(params: SystemParams):
-    p_on = fading.decode_probability(params)
-    return ((p_on, True), (1.0 - p_on, False))
-
-
-def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL, branches=None):
+def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL):
     """Quadrature of every (scheme, csi, metric) cell of one point, with
     ``metric`` "sop" (outage probability) or "esr" (ergodic secrecy rate,
     bpcu), in one batch.
 
-    Each cell mixes its decode branches, the (weight, relay_on) pairs of
-    ``branches`` (default: relay decodes with the decode probability, stays
-    silent otherwise); branches of weight 0 are skipped.  Each decode
-    branch's mesh is built once, an integral that several cells read (see
+    Each cell mixes two decode outcomes, relay decoding (with the decode
+    probability) and relay silent; an outcome of weight 0 is skipped, so
+    ``gamma_th`` = 0 or inf leaves one branch alone.  Each branch's mesh is
+    built once, an integral that several cells read (see
     :func:`_integral_keys`) is integrated once, and all of them advance in
     one :func:`_integrate` call.  Each branch's bound is within ``tol`` on
     its own, so each cell's is too.  Returns one :class:`QuadratureResult`
@@ -457,18 +405,15 @@ def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL,
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    branches = [
-        (weight, relay_on)
-        for weight, relay_on in (_decode_branches(params) if branches is None else branches)
-        if weight != 0.0
-    ]
-    branch_mesh = {relay_on: _mesh(_branch_scales(params, relay_on)) for _, relay_on in branches}
+    p_on = fading.decode_probability(params)
+    mix = [(w, relay_on) for w, relay_on in ((p_on, True), (1.0 - p_on, False)) if w != 0.0]
+    branch_mesh = {relay_on: _mesh(_branch_scales(params, relay_on)) for _, relay_on in mix}
     index, fys, tols, meshes, plans = {}, [], [], [], []
     for scheme, csi, metric in cells:
         if metric not in _METRIC_FACTOR:
             raise DomainError(f"metric must be 'sop' or 'esr', got {metric!r}")
         groups = []
-        for weight, relay_on in branches:
+        for weight, relay_on in mix:
             keys = _integral_keys(scheme, csi, metric, relay_on)
             for key in keys:
                 if key not in index:
@@ -493,34 +438,12 @@ def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL,
     return out
 
 
-def quadrature_sop_conditional(
-    params: SystemParams,
-    scheme: Scheme,
-    csi: CsiMode,
-    relay_on: bool,
-    tol: float = DEFAULT_QUAD_TOL,
-) -> QuadratureResult:
-    """Conditional outage probability of one decode branch by quadrature."""
-    return quadrature_cells(params, ((scheme, csi, "sop"),), tol, ((1.0, relay_on),))[0]
-
-
-def quadrature_esr_conditional(
-    params: SystemParams,
-    scheme: Scheme,
-    csi: CsiMode,
-    relay_on: bool,
-    tol: float = DEFAULT_QUAD_TOL,
-) -> QuadratureResult:
-    """Conditional ergodic secrecy rate (bpcu) of one decode branch."""
-    return quadrature_cells(params, ((scheme, csi, "esr"),), tol, ((1.0, relay_on),))[0]
-
-
 def quadrature_sop(
     params: SystemParams, scheme: Scheme, csi: CsiMode, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
     """Outage probability by adaptive quadrature of its defining integral.
 
-    The decode-success and decode-failure branches are integrated
+    The decode-success and decode-failure cases are integrated
     separately and mixed with the decode probability.
     """
     return quadrature_cells(params, ((scheme, csi, "sop"),), tol)[0]

@@ -6,6 +6,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import product
 from typing import Iterable, Optional, TextIO, Union
 
 from . import asymptotics, closed_form, oracles
@@ -15,9 +17,9 @@ from .fading import (
     SCHEME_ORDER,
     Scheme,
     SystemParams,
+    db_to_linear,
     params_from_db,
     stream,
-    POINT_LIMIT,
     PURPOSE_GRID,
 )
 
@@ -41,7 +43,8 @@ __all__ = [
 
 UNSUPPORTED_MARKER = "unsupported"
 
-# Most points one sweep axis may have (the presets use at most 41).
+# Most points one sweep axis or one validation grid may have (a preset axis
+# has at most 41).  A grid is sampled in full before its first point runs.
 MAX_AXIS_POINTS = 100_000
 
 
@@ -154,14 +157,15 @@ CSV_HEADER = (
 
 
 def _apply_axis(params: SystemParams, axis: Axis, value_db: float) -> SystemParams:
-    rate = 10.0 ** (-value_db / 10.0)
+    name = f"axis value {value_db!r} dB"
+    if axis is Axis.GAMMA_TH_DB:
+        return params.with_(gamma_th=db_to_linear(value_db, name))
+    rate = db_to_linear(-value_db, name)
     if axis is Axis.BALANCED_SNR_DB:
         return params.with_(beta_sr=rate, beta_rd=rate)
     if axis is Axis.BETA_RD_DB:
         return params.with_(beta_rd=rate)
-    if axis is Axis.BETA_SR_DB:
-        return params.with_(beta_sr=rate)
-    return params.with_(gamma_th=10.0 ** (value_db / 10.0))
+    return params.with_(beta_sr=rate)
 
 
 def _unbalanced_case(axis: Axis):
@@ -173,20 +177,20 @@ def _unbalanced_case(axis: Axis):
 
 
 def _asymptote_cell(axis, params_pt, scheme, csi, metric, value_db):
-    beta = 10.0 ** (-value_db / 10.0)
-    if metric is Metric.SOP:
+    """The cell's asymptote, or :data:`UNSUPPORTED_MARKER` where it has none."""
+    case = _unbalanced_case(axis)
+    if metric is Metric.SOP and (case is not None or axis is Axis.BALANCED_SNR_DB):
+        beta = db_to_linear(-value_db)
         try:
-            if axis is Axis.BALANCED_SNR_DB:
-                return asymptotics.sop_asymptote_balanced(params_pt, scheme, csi).predict(beta)
-            case = _unbalanced_case(axis)
             if case is None:
-                return None
+                return asymptotics.sop_asymptote_balanced(params_pt, scheme, csi).predict(beta)
             return asymptotics.sop_asymptote_unbalanced(params_pt, scheme, csi, case).predict(beta)
         except UnsupportedSchemeError:
             return UNSUPPORTED_MARKER
     # Rate asymptote exists only for MRC-SC/CSI in the case-II limit.
     if (
-        _unbalanced_case(axis) is asymptotics.UnbalancedCase.II
+        metric is Metric.ESR
+        and case is asymptotics.UnbalancedCase.II
         and scheme is Scheme.MRC_SC
         and csi is CsiMode.CSI
     ):
@@ -194,16 +198,39 @@ def _asymptote_cell(axis, params_pt, scheme, csi, metric, value_db):
     return UNSUPPORTED_MARKER
 
 
-def _point_rows(spec: SweepSpec, point_index: int, variant: Variant, value_db: float):
+def _cells(metrics, modes, schemes):
+    """(scheme, csi, metric) cells, metric slowest and scheme fastest."""
+    return [(scheme, csi, metric) for metric in metrics for csi in modes for scheme in schemes]
+
+
+# The dispatches on a cell's metric look their functions up at call time,
+# so a wrapper patched onto the module applies.
+
+
+def _closed_form(params, scheme, csi, metric):
+    fn = closed_form.sop if metric is Metric.SOP else closed_form.esr
+    return fn(params, scheme, csi)
+
+
+def _estimate(mc, scheme, csi, metric):
+    return mc.sop(scheme, csi) if metric is Metric.SOP else mc.esr(scheme, csi)
+
+
+def _map(fn, items, n_jobs):
+    """``[fn(x) for x in items]``, on ``n_jobs`` worker threads if above 1;
+    results come back in ``items`` order."""
+    if n_jobs > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def _point_rows(spec: SweepSpec, item):
+    point_index, (variant, value_db) = item
     axis = variant.axis or spec.axis
     params_pt = _apply_axis(spec.fixed.with_(**dict(variant.overrides)), axis, value_db)
 
-    cells = [
-        (scheme, csi, metric)
-        for metric in spec.metrics
-        for csi in spec.modes
-        for scheme in spec.schemes
-    ]
+    cells = _cells(spec.metrics, spec.modes, spec.schemes)
     mc = quad = None
     if isinstance(spec.oracle, McOracle):
         mc = oracles.monte_carlo_all(
@@ -223,13 +250,10 @@ def _point_rows(spec: SweepSpec, point_index: int, variant: Variant, value_db: f
 
     rows = []
     for k, (scheme, csi, metric) in enumerate(cells):
-        if metric is Metric.SOP:
-            m = closed_form.sop(params_pt, scheme, csi)
-        else:
-            m = closed_form.esr(params_pt, scheme, csi)
+        m = _closed_form(params_pt, scheme, csi, metric)
         o_val = o_err = None
         if mc is not None:
-            est = mc.sop(scheme, csi) if metric is Metric.SOP else mc.esr(scheme, csi)
+            est = _estimate(mc, scheme, csi, metric)
             o_val, o_err = est.value, est.stderr
         elif quad is not None:
             o_val = quad[k].value
@@ -269,17 +293,8 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     (variant, then axis value, then metric/mode, scheme fastest) regardless
     of the worker count."""
     spec.validate()
-    points = [
-        (idx, variant, value_db)
-        for idx, (variant, value_db) in enumerate(
-            (v, x) for v in spec.variants for x in spec.axis_values()
-        )
-    ]
-    if n_jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            chunks = list(pool.map(lambda p: _point_rows(spec, *p), points))
-    else:
-        chunks = [_point_rows(spec, *p) for p in points]
+    points = list(enumerate(product(spec.variants, spec.axis_values())))
+    chunks = _map(partial(_point_rows, spec), points, n_jobs)
     return [row for chunk in chunks for row in chunk]
 
 
@@ -328,7 +343,7 @@ _BASE = params_from_db(0.0, 3.0, 3.0, 10.0, 3.0, 3.0, 1.0)
 
 
 def _rate(db: float) -> float:
-    return 10.0 ** (-db / 10.0)
+    return db_to_linear(-db)
 
 
 def figure_preset(name: str) -> SweepSpec:
@@ -459,10 +474,10 @@ _RS_LO, _RS_HI = 0.1, 2.0
 
 
 def sample_grid(grid_size: int, seed: int) -> list[SystemParams]:
-    """Deterministic random parameter grid for the agreement suite; at most
-    ``POINT_LIMIT`` points, as each keys its own Monte Carlo stream."""
-    if not 1 <= grid_size <= POINT_LIMIT:
-        raise DomainError(f"grid_size must be in [1, {POINT_LIMIT}], got {grid_size!r}")
+    """Deterministic random parameter grid for the agreement suite, of at
+    most :data:`MAX_AXIS_POINTS` points."""
+    if not 1 <= grid_size <= MAX_AXIS_POINTS:
+        raise DomainError(f"grid_size must be in [1, {MAX_AXIS_POINTS}], got {grid_size!r}")
     gen = stream(seed, point=0, purpose=PURPOSE_GRID)
     log_span = math.log(_RATE_HI / _RATE_LO)
     grid = []
@@ -481,12 +496,6 @@ def sample_grid(grid_size: int, seed: int) -> list[SystemParams]:
             )
         )
     return grid
-
-
-@dataclass
-class _Worst:
-    quad_diff: float = 0.0
-    mc_ratio: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -564,62 +573,31 @@ def run_validation(
     if not (mc_abs_floor > 0.0 and math.isfinite(mc_abs_floor)):
         raise DomainError(f"mc_abs_floor must be positive and finite, got {mc_abs_floor!r}")
     grid = sample_grid(grid_size, seed)
-    combos = [
-        (scheme, csi, metric)
-        for metric in (Metric.SOP, Metric.ESR)
-        for csi in (CsiMode.NOCSI, CsiMode.CSI)
-        for scheme in SCHEME_ORDER
-    ]
-    worst = {c: _Worst() for c in combos}
-    worst_variant = 0.0
-    worst_shipped = 0.0
+    cells = _cells(Metric, CsiMode, SCHEME_ORDER)
 
     def evaluate_point(item):
         i, params = item
         mc = oracles.monte_carlo_all(params, mc_trials, seed, point=i)
-        out = []
-        for scheme, csi, metric in combos:
-            if metric is Metric.SOP:
-                cf = closed_form.sop(params, scheme, csi).value
-                q = oracles.quadrature_sop(params, scheme, csi, quad_tol).value
-                est = mc.sop(scheme, csi)
-            else:
-                cf = closed_form.esr(params, scheme, csi).value
-                q = oracles.quadrature_esr(params, scheme, csi, quad_tol).value
-                est = mc.esr(scheme, csi)
-                if scheme is Scheme.MRC_SC and csi is CsiMode.CSI:
-                    shipped, q_ref = cf, q
+        diffs = []
+        for scheme, csi, metric in cells:
+            cf = _closed_form(params, scheme, csi, metric).value
+            quad = oracles.quadrature_sop if metric is Metric.SOP else oracles.quadrature_esr
+            q = quad(params, scheme, csi, quad_tol).value
+            est = _estimate(mc, scheme, csi, metric)
             allowed = mc_sigmas * est.stderr + mc_abs_floor
-            out.append((scheme, csi, metric, abs(cf - q), abs(cf - est.value) / allowed))
+            diffs += (abs(cf - q), abs(cf - est.value) / allowed)
+            if metric is Metric.ESR and scheme is Scheme.MRC_SC and csi is CsiMode.CSI:
+                shipped, q_ref = cf, q
         variant = closed_form.esr_mrc_sc_csi_variant(params)
-        return out, abs(variant - q_ref), abs(shipped - q_ref)
+        return diffs + [abs(variant - q_ref), abs(shipped - q_ref)]
 
-    items = list(enumerate(grid))
-    if n_jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(evaluate_point, items))
-    else:
-        results = [evaluate_point(it) for it in items]
-
-    for out, v_diff, s_diff in results:
-        worst_variant = max(worst_variant, v_diff)
-        worst_shipped = max(worst_shipped, s_diff)
-        for scheme, csi, metric, qd, mr in out:
-            w = worst[(scheme, csi, metric)]
-            w.quad_diff = max(w.quad_diff, qd)
-            w.mc_ratio = max(w.mc_ratio, mr)
-
+    results = _map(evaluate_point, list(enumerate(grid)), n_jobs)
+    # Each column's worst over the grid: every cell's |cf - quad| and
+    # |cf - mc| / allowed, then the note's variant and shipped differences.
+    *cell_worst, worst_variant, worst_shipped = [max(0.0, *col) for col in zip(*results)]
     rows = tuple(
-        ValidationRow(
-            scheme,
-            csi,
-            metric,
-            worst[(scheme, csi, metric)].quad_diff,
-            worst[(scheme, csi, metric)].mc_ratio,
-            worst[(scheme, csi, metric)].quad_diff <= tol_quad_abs
-            and worst[(scheme, csi, metric)].mc_ratio <= 1.0,
-        )
-        for scheme, csi, metric in combos
+        ValidationRow(scheme, csi, metric, qd, mr, qd <= tol_quad_abs and mr <= 1.0)
+        for (scheme, csi, metric), qd, mr in zip(cells, cell_worst[0::2], cell_worst[1::2])
     )
     note = (
         "mrc_sc/csi esr argument-pairing check: shipped form worst "

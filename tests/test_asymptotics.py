@@ -169,7 +169,7 @@ def test_perfect_decoding_ignores_first_hop():
 def test_perfect_decoding_matches_monte_carlo():
     # strong direct link, weak relayed hop, threshold removed
     p = params_from_db(0.0, 3.0, 40.0, 10.0, 3.0, 3.0, 1.0).with_(gamma_th=0.0)
-    est = oracles.monte_carlo_sop(p, Scheme.MRC_MRC, CsiMode.NOCSI, 10**7, seed=6)
+    est = oracles.monte_carlo_all(p, 10**7, seed=6).sop(Scheme.MRC_MRC, CsiMode.NOCSI)
     assert abs(sop_perfect_decoding(p) - est.value) <= 3.0 * est.stderr
 
 
@@ -178,12 +178,13 @@ def test_perfect_decoding_at_equal_rates_matches_quadrature(base_params):
     v = sop_perfect_decoding(p)
     assert 0.0 <= v <= 1.0
     assert abs(v - sop(p, Scheme.MRC_MRC, CsiMode.NOCSI).value) < 1e-15
-    q = oracles.quadrature_sop_conditional(p, Scheme.MRC_MRC, CsiMode.NOCSI, True, tol=1e-10)
+    # gamma_th = 0: the relay always decodes, so quadrature integrates that branch alone
+    q = oracles.quadrature_sop(p, Scheme.MRC_MRC, CsiMode.NOCSI, tol=1e-10)
     assert abs(v - q.value) < 1e-9
     pe = p.with_(alpha_re=p.alpha_se)
-    q = oracles.quadrature_esr_conditional(pe, Scheme.MRC_MRC, CsiMode.NOCSI, True, tol=1e-10)
+    q = oracles.quadrature_esr(pe, Scheme.MRC_MRC, CsiMode.NOCSI, tol=1e-10)
     assert abs(esr_perfect_decoding(pe) - q.value) < 1e-9
-    q = oracles.quadrature_esr_conditional(pe, Scheme.MRC_SC, CsiMode.CSI, True, tol=1e-10)
+    q = oracles.quadrature_esr(pe, Scheme.MRC_SC, CsiMode.CSI, tol=1e-10)
     assert abs(esr_saturation_case2_mrc_sc(pe) - q.value) < 1e-9
 
 

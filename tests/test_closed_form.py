@@ -281,11 +281,13 @@ def test_conditional_brackets_match_branch_quadrature():
         for scheme in SCHEME_ORDER:
             for csi in ALL_MODES:
                 for relay_on in (True, False):
+                    # one branch alone: the relay always decodes at gamma_th 0, never at inf
+                    branch = params.with_(gamma_th=0.0 if relay_on else math.inf)
                     s = sop_conditional(params, scheme, csi, relay_on)
-                    qs = oracles.quadrature_sop_conditional(params, scheme, csi, relay_on)
+                    qs = oracles.quadrature_sop(branch, scheme, csi)
                     assert abs(s - qs.value) < 1e-8
                     e = esr_conditional(params, scheme, csi, relay_on)
-                    qe = oracles.quadrature_esr_conditional(params, scheme, csi, relay_on)
+                    qe = oracles.quadrature_esr(branch, scheme, csi)
                     assert abs(e - qe.value) < 1e-8
 
 

@@ -30,21 +30,11 @@ from mp_reference import mp_reference
 
 
 def test_estimates_reproducible(base_params):
-    a = oracles.monte_carlo_sop(base_params, Scheme.MRC_SC, CsiMode.CSI, 200_000, seed=1)
-    b = oracles.monte_carlo_sop(base_params, Scheme.MRC_SC, CsiMode.CSI, 200_000, seed=1)
+    a = oracles.monte_carlo_all(base_params, 200_000, seed=1).sop(Scheme.MRC_SC, CsiMode.CSI)
+    b = oracles.monte_carlo_all(base_params, 200_000, seed=1).sop(Scheme.MRC_SC, CsiMode.CSI)
     assert a == b
-    c = oracles.monte_carlo_sop(base_params, Scheme.MRC_SC, CsiMode.CSI, 200_000, seed=2)
+    c = oracles.monte_carlo_all(base_params, 200_000, seed=2).sop(Scheme.MRC_SC, CsiMode.CSI)
     assert a != c
-
-
-def test_estimates_thread_invariant(base_params):
-    n = 3 * oracles.CHUNK_TRIALS + 117
-    a = oracles.monte_carlo_all(base_params, n, seed=4, n_jobs=1)
-    b = oracles.monte_carlo_all(base_params, n, seed=4, n_jobs=4)
-    for scheme in SCHEME_ORDER:
-        for csi in (CsiMode.NOCSI, CsiMode.CSI):
-            assert a.sop(scheme, csi) == b.sop(scheme, csi)
-            assert a.esr(scheme, csi) == b.esr(scheme, csi)
 
 
 def test_sub_block_draws_equal_one_chunk_draw():
@@ -131,7 +121,7 @@ def test_batch_matches_scalar_sampling(base_params):
 
 
 def test_sop_estimate_stderr_formula(base_params):
-    est = oracles.monte_carlo_sop(base_params, Scheme.SC_SC, CsiMode.NOCSI, 10**5, seed=3)
+    est = oracles.monte_carlo_all(base_params, 10**5, seed=3).sop(Scheme.SC_SC, CsiMode.NOCSI)
     assert est.trials == 10**5
     assert est.stderr == pytest.approx(
         math.sqrt(est.value * (1.0 - est.value) / est.trials)
@@ -140,26 +130,22 @@ def test_sop_estimate_stderr_formula(base_params):
 
 def test_high_target_rate_saturates(base_params):
     p = base_params.with_(rate_rs=60.0)
-    est = oracles.monte_carlo_sop(p, Scheme.MRC_MRC, CsiMode.NOCSI, 10**4, seed=5)
+    est = oracles.monte_carlo_all(p, 10**4, seed=5).sop(Scheme.MRC_MRC, CsiMode.NOCSI)
     assert est.value == 1.0
 
 
 def test_wiretap_coin_flip(wiretap_params):
-    est = oracles.monte_carlo_sop(
-        wiretap_params, Scheme.MRC_SC, CsiMode.NOCSI, 10**6, seed=8
-    )
+    est = oracles.monte_carlo_all(wiretap_params, 10**6, seed=8).sop(Scheme.MRC_SC, CsiMode.NOCSI)
     assert abs(est.value - 0.5) < 0.0015
 
 
 def test_esr_estimates(wiretap_params, base_params):
     # symmetric silent-relay channel has zero expected log-ratio
-    est = oracles.monte_carlo_esr(
-        wiretap_params, Scheme.SC_SC, CsiMode.NOCSI, 10**6, seed=9
-    )
+    est = oracles.monte_carlo_all(wiretap_params, 10**6, seed=9).esr(Scheme.SC_SC, CsiMode.NOCSI)
     assert abs(est.value) <= 3.0 * est.stderr
     # the CSI statistic is non-negative by construction
     for seed in (1, 2, 3):
-        est = oracles.monte_carlo_esr(base_params, Scheme.SC_MRC, CsiMode.CSI, 10**4, seed=seed)
+        est = oracles.monte_carlo_all(base_params, 10**4, seed=seed).esr(Scheme.SC_MRC, CsiMode.CSI)
         assert est.value >= 0.0
 
 
@@ -168,13 +154,13 @@ def test_esr_estimate_matches_closed_form_reference_point():
     from secrelay.closed_form import esr
 
     p = params_from_db(3.0, 3.5, 9.5, 10.0, 10.0, 3.0, 1.0)
-    est = oracles.monte_carlo_esr(p, Scheme.SC_MRC, CsiMode.CSI, 10**7, seed=41)
+    est = oracles.monte_carlo_all(p, 10**7, seed=41).esr(Scheme.SC_MRC, CsiMode.CSI)
     assert abs(est.value - esr(p, Scheme.SC_MRC, CsiMode.CSI).value) <= 3.0 * est.stderr
 
 
 def test_trial_count_validation(base_params):
     with pytest.raises(DomainError):
-        oracles.monte_carlo_sop(base_params, Scheme.MRC_SC, CsiMode.CSI, 0, seed=1)
+        oracles.monte_carlo_all(base_params, 0, seed=1)
 
 
 def test_trial_count_beyond_the_stream_key_fails_before_drawing(base_params, monkeypatch):
@@ -255,7 +241,9 @@ def test_quadrature_tolerance_validation(base_params):
         with pytest.raises(DomainError):
             oracles.quadrature_sop(base_params, Scheme.MRC_SC, CsiMode.CSI, tol=tol)
         with pytest.raises(DomainError):
-            oracles.quadrature_esr_conditional(base_params, Scheme.SC_SC, CsiMode.NOCSI, True, tol)
+            oracles.quadrature_esr(
+                base_params.with_(gamma_th=0.0), Scheme.SC_SC, CsiMode.NOCSI, tol
+            )
 
 
 def test_quadrature_unreachable_tolerance_raises(base_params):
@@ -303,8 +291,9 @@ def test_quadrature_counts_integrand_evaluations(base_params):
     esr_q = oracles.quadrature_esr(base_params, Scheme.MRC_SC, CsiMode.CSI)
     assert sop_q.evaluations % 21 == 0 and esr_q.evaluations % 21 == 0
     assert esr_q.evaluations > sop_q.evaluations > 0
-    on = oracles.quadrature_sop_conditional(base_params, Scheme.MRC_SC, CsiMode.CSI, True)
-    off = oracles.quadrature_sop_conditional(base_params, Scheme.MRC_SC, CsiMode.CSI, False)
+    # one branch alone: the relay always decodes at gamma_th 0, never at inf
+    on = oracles.quadrature_sop(base_params.with_(gamma_th=0.0), Scheme.MRC_SC, CsiMode.CSI)
+    off = oracles.quadrature_sop(base_params.with_(gamma_th=math.inf), Scheme.MRC_SC, CsiMode.CSI)
     assert sop_q.evaluations == on.evaluations + off.evaluations
 
 

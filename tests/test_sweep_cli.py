@@ -171,6 +171,15 @@ def test_unsupported_asymptote_marker_and_continuation():
     assert markers[Scheme.SC_SC] == UNSUPPORTED_MARKER
     for s in (Scheme.MRC_SC, Scheme.MRC_MRC, Scheme.SC_MRC):
         assert isinstance(markers[s], float)
+    # the threshold axis has no asymptote in any cell; its outage rows used
+    # to leave the field empty while its rate rows carried the marker
+    gamma = dataclasses.replace(spec, axis=Axis.GAMMA_TH_DB, metrics=(Metric.SOP, Metric.ESR))
+    rows = run_sweep(gamma)
+    assert len(rows) == 16
+    assert all(r.asymptote_value == UNSUPPORTED_MARKER for r in rows)
+    # a threshold of -4000 dB is 0; no swept rate is converted (it overflowed)
+    low = run_sweep(dataclasses.replace(gamma, start_db=-4000.0, stop_db=-4000.0))
+    assert all(r.asymptote_value == UNSUPPORTED_MARKER for r in low)
 
 
 def test_axis_application():
@@ -307,6 +316,10 @@ def test_grid_beyond_the_stream_key_fails_before_sampling(monkeypatch):
     monkeypatch.setattr(sweep, "stream", no_draws)
     with pytest.raises(DomainError, match="grid_size"):
         sample_grid(POINT_LIMIT + 1, seed=1)
+    # a grid is sampled in full before its first point is evaluated, so it
+    # shares the axis cap; up to 2^32 points used to be accepted
+    with pytest.raises(DomainError, match="grid_size"):
+        sample_grid(sweep.MAX_AXIS_POINTS + 1, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +388,11 @@ def test_cli_usage_errors(tmp_path):
         ["sweep", "--preset", "fig3", "--quad-tol", "0"],
         ["sweep", "--preset", "fig2", "--mc-trials", "0"],
         adhoc + ["--from-db", "0", "--to-db", "1e9", "--step-db", "1e-3"],
+        # dB figures whose linear value overflows a double
+        ["sweep", "--axis", "gamma-th-db", "--from-db", "4000", "--to-db", "4000"],
+        adhoc + ["--from-db", "-4000", "--to-db", "-4000"],
+        adhoc + ["--from-db", "0", "--to-db", "0", "--beta-sd-db", "-4000"],
+        adhoc + ["--from-db", "0", "--to-db", "0", "--gamma-th-db", "4000"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(args)
@@ -445,6 +463,7 @@ def test_cli_validate_exit_codes(capsys):
         ["--jobs", "-3"],
         ["--grid-size", str(POINT_LIMIT + 1)],
         ["--mc-trials", str(oracles.CHUNK_TRIALS * CHUNK_LIMIT + 1)],
+        ["--grid-size", str(sweep.MAX_AXIS_POINTS + 1)],
     ],
 )
 def test_cli_validate_usage_errors(flag, capsys):
