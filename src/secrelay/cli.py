@@ -21,6 +21,7 @@ from .fading import CsiMode, SCHEME_ORDER, Scheme, params_from_db
 from .oracles import DEFAULT_QUAD_TOL
 from .sweep import (
     Axis,
+    BASE_DB,
     McOracle,
     Metric,
     PRESET_NAMES,
@@ -40,20 +41,14 @@ EXIT_VALIDATION = 4
 # Most worker threads --jobs may ask for; the pools take one task per point.
 MAX_JOBS = 256
 
-_AXIS_BY_FLAG = {
-    "balanced-snr-db": Axis.BALANCED_SNR_DB,
-    "beta-rd-db": Axis.BETA_RD_DB,
-    "beta-sr-db": Axis.BETA_SR_DB,
-    "gamma-th-db": Axis.GAMMA_TH_DB,
-}
+_AXIS_BY_FLAG = {axis.value.replace("_", "-"): axis for axis in Axis}
 
 
 # The flags of an ad-hoc sweep (argparse dests), which a preset fixes
 # itself, with their defaults.  They parse to None when not given, so one
 # given together with --preset is caught as a usage error.
 _ADHOC_DEFAULTS = dict(
-    axis=None, from_db=None, to_db=None, step_db=2.0, alpha_se_db=0.0, alpha_re_db=3.0,
-    beta_sd_db=3.0, beta_sr_db=10.0, beta_rd_db=3.0, gamma_th_db=3.0, rate_rs=1.0,
+    axis=None, from_db=None, to_db=None, step_db=2.0, **BASE_DB,
     scheme=None, csi="both", metric="sop", asymptote=False,
 )
 
@@ -94,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[s.value for s in SCHEME_ORDER],
         help="combining scheme (repeatable; default all four)",
     )
-    sw.add_argument("--csi", choices=["nocsi", "csi", "both"], help="default both")
-    sw.add_argument("--metric", choices=["sop", "esr", "both"], help="default sop")
+    sw.add_argument("--csi", choices=[m.value for m in CsiMode] + ["both"], help="default both")
+    sw.add_argument("--metric", choices=[m.value for m in Metric] + ["both"], help="default sop")
     sw.add_argument(
         "--asymptote", action="store_true", default=None, help="attach asymptote column"
     )
@@ -152,31 +147,14 @@ def _spec_from_args(parser, args) -> SweepSpec:
         parser.error("--from-db and --to-db are required with --axis")
 
     schemes = tuple(Scheme(s) for s in args.scheme) if args.scheme else SCHEME_ORDER
-    modes = {
-        "nocsi": (CsiMode.NOCSI,),
-        "csi": (CsiMode.CSI,),
-        "both": (CsiMode.NOCSI, CsiMode.CSI),
-    }[args.csi]
-    metrics = {
-        "sop": (Metric.SOP,),
-        "esr": (Metric.ESR,),
-        "both": (Metric.SOP, Metric.ESR),
-    }[args.metric]
-    fixed = params_from_db(
-        args.alpha_se_db,
-        args.alpha_re_db,
-        args.beta_sd_db,
-        args.beta_sr_db,
-        args.beta_rd_db,
-        args.gamma_th_db,
-        args.rate_rs,
-    )
+    modes = tuple(CsiMode) if args.csi == "both" else (CsiMode(args.csi),)
+    metrics = tuple(Metric) if args.metric == "both" else (Metric(args.metric),)
     return SweepSpec(
         axis=_AXIS_BY_FLAG[args.axis],
         start_db=args.from_db,
         stop_db=args.to_db,
         step_db=args.step_db,
-        fixed=fixed,
+        fixed=params_from_db(**{name: getattr(args, name) for name in BASE_DB}),
         schemes=schemes,
         modes=modes,
         metrics=metrics,

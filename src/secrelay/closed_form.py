@@ -27,7 +27,7 @@ from enum import Enum
 
 from scipy.special import exprel
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .expint import eiexp
 from .fading import (
     HALF_LOG2E,
@@ -308,20 +308,33 @@ def _validate(params, scheme, csi):
 # ---------------------------------------------------------------------------
 
 
+def _checked_bracket(bracket, params, scheme, csi, relay_on):
+    # A non-finite bracket is an overflow, never a value; clamping it would
+    # hide it.
+    _validate(params, scheme, csi)
+    value = bracket(params, scheme, csi, relay_on)
+    if not math.isfinite(value):
+        raise NumericError(
+            f"{scheme.value}/{csi.value} with the relay {'on' if relay_on else 'off'} "
+            f"evaluates to {value} at {params}"
+        )
+    return value
+
+
 def sop_conditional(
     params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool
 ) -> float:
-    """Conditional outage probability given the relay decode outcome."""
-    _validate(params, scheme, csi)
-    return min(1.0, max(0.0, _sop_bracket(params, scheme, csi, relay_on)))
+    """Conditional outage probability given the relay decode outcome;
+    :class:`NumericError` where it does not evaluate to a finite number."""
+    return min(1.0, max(0.0, _checked_bracket(_sop_bracket, params, scheme, csi, relay_on)))
 
 
 def esr_conditional(
     params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool
 ) -> float:
-    """Conditional ergodic secrecy rate (bpcu) given the decode outcome."""
-    _validate(params, scheme, csi)
-    return HALF_LOG2E * _esr_bracket(params, scheme, csi, relay_on)
+    """Conditional ergodic secrecy rate (bpcu) given the decode outcome;
+    :class:`NumericError` where it does not evaluate to a finite number."""
+    return HALF_LOG2E * _checked_bracket(_esr_bracket, params, scheme, csi, relay_on)
 
 
 def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float:
@@ -348,17 +361,26 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
 # ---------------------------------------------------------------------------
 
 
+def _decode_mixture(conditional, params, scheme, csi):
+    # The decode-success and decode-failure branches weighted by the relay
+    # decode probability.  A branch of weight 0 is skipped, so a value the
+    # result never reaches cannot fail the conditional's finiteness check.
+    _validate(params, scheme, csi)
+    p_on = decode_probability(params)
+    value = 0.0
+    for weight, relay_on in ((p_on, True), (1.0 - p_on, False)):
+        if weight != 0.0:
+            value += weight * conditional(params, scheme, csi, relay_on)
+    return value
+
+
 def sop(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
     """Secrecy outage probability.
 
     Mixes the conditional outage of the decode-success and decode-failure
     branches with the relay decode probability.
     """
-    _validate(params, scheme, csi)
-    p_on = decode_probability(params)
-    value = p_on * sop_conditional(params, scheme, csi, True) + (1.0 - p_on) * sop_conditional(
-        params, scheme, csi, False
-    )
+    value = _decode_mixture(sop_conditional, params, scheme, csi)
     return SecrecyMetric(min(1.0, max(0.0, value)), Method.CLOSED_FORM)
 
 
@@ -369,12 +391,7 @@ def esr(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
     eavesdropper and is non-negative; the no-CSI variant is the raw
     expected log-ratio and may be negative.
     """
-    _validate(params, scheme, csi)
-    p_on = decode_probability(params)
-    value = p_on * esr_conditional(params, scheme, csi, True) + (1.0 - p_on) * esr_conditional(
-        params, scheme, csi, False
-    )
-    return SecrecyMetric(value, Method.CLOSED_FORM)
+    return SecrecyMetric(_decode_mixture(esr_conditional, params, scheme, csi), Method.CLOSED_FORM)
 
 
 def esr_mrc_sc_csi_variant(params: SystemParams) -> float:

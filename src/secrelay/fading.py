@@ -166,7 +166,11 @@ def params_from_db(
         ("gamma_th_db", gamma_th_db),
         ("rate_rs", rate_rs),
     ):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+        try:
+            finite = isinstance(v, (int, float)) and math.isfinite(v)
+        except OverflowError:  # an int beyond the double range
+            finite = False
+        if not finite:
             raise DomainError(f"{name} must be finite, got {v!r}")
     return SystemParams(
         alpha_se=db_to_linear(-alpha_se_db, "alpha_se_db"),

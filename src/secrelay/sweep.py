@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, fields
+from enum import Enum, EnumMeta
 from functools import partial
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Optional, TextIO, Union
 
 from . import asymptotics, closed_form, oracles
@@ -36,6 +37,7 @@ __all__ = [
     "write_csv",
     "figure_preset",
     "PRESET_NAMES",
+    "BASE_DB",
     "sample_grid",
     "run_validation",
     "ValidationReport",
@@ -93,7 +95,6 @@ class SweepSpec:
     oracle: Union[McOracle, QuadOracle, None] = None
     asymptote: bool = False
     variants: tuple[Variant, ...] = (Variant(),)
-    attach_gamma_floors: bool = False
 
     def axis_values(self) -> list[float]:
         for name in ("start_db", "stop_db", "step_db"):
@@ -135,6 +136,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One CSV row; the fields, in order, are the CSV columns."""
+
     axis: Axis
     axis_value_db: float
     variant: str
@@ -150,10 +153,8 @@ class SweepRow:
     floor_gamma_inf: Optional[float] = None
 
 
-CSV_HEADER = (
-    "axis,axis_value_db,variant,scheme,csi,metric,method,value,"
-    "oracle_value,oracle_stderr,asymptote_value,floor_gamma_zero,floor_gamma_inf"
-)
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+_row_values = attrgetter(*CSV_HEADER.split(","))
 
 
 def _apply_axis(params: SystemParams, axis: Axis, value_db: float) -> SystemParams:
@@ -168,17 +169,15 @@ def _apply_axis(params: SystemParams, axis: Axis, value_db: float) -> SystemPara
     return params.with_(beta_sr=rate)
 
 
-def _unbalanced_case(axis: Axis):
-    if axis is Axis.BETA_RD_DB:
-        return asymptotics.UnbalancedCase.I
-    if axis is Axis.BETA_SR_DB:
-        return asymptotics.UnbalancedCase.II
-    return None
+_UNBALANCED_CASE = {
+    Axis.BETA_RD_DB: asymptotics.UnbalancedCase.I,
+    Axis.BETA_SR_DB: asymptotics.UnbalancedCase.II,
+}
 
 
 def _asymptote_cell(axis, params_pt, scheme, csi, metric, value_db):
     """The cell's asymptote, or :data:`UNSUPPORTED_MARKER` where it has none."""
-    case = _unbalanced_case(axis)
+    case = _UNBALANCED_CASE.get(axis)
     if metric is Metric.SOP and (case is not None or axis is Axis.BALANCED_SNR_DB):
         beta = db_to_linear(-value_db)
         try:
@@ -225,6 +224,9 @@ def _map(fn, items, n_jobs):
     return [fn(x) for x in items]
 
 
+_FLOOR_CELL = (Scheme.MRC_MRC, CsiMode.NOCSI, Metric.SOP)
+
+
 def _point_rows(spec: SweepSpec, item):
     point_index, (variant, value_db) = item
     axis = variant.axis or spec.axis
@@ -241,13 +243,6 @@ def _point_rows(spec: SweepSpec, item):
             params_pt, [(s, c, m.value) for s, c, m in cells], spec.oracle.tol
         )
 
-    floors = None
-    if spec.attach_gamma_floors:
-        floors = (
-            asymptotics.sop_perfect_decoding(params_pt),
-            asymptotics.sop_wiretap(params_pt),
-        )
-
     rows = []
     for k, (scheme, csi, metric) in enumerate(cells):
         m = _closed_form(params_pt, scheme, csi, metric)
@@ -262,27 +257,18 @@ def _point_rows(spec: SweepSpec, item):
             if spec.asymptote
             else None
         )
-        use_floors = (
-            floors is not None
-            and metric is Metric.SOP
-            and scheme is Scheme.MRC_MRC
-            and csi is CsiMode.NOCSI
-        )
+        # A threshold sweep's MRC-MRC no-CSI outage carries its gamma -> 0
+        # and gamma -> infinity floors.
+        floors = (None, None)
+        if axis is Axis.GAMMA_TH_DB and (scheme, csi, metric) == _FLOOR_CELL:
+            floors = (
+                asymptotics.sop_perfect_decoding(params_pt),
+                asymptotics.sop_wiretap(params_pt),
+            )
         rows.append(
             SweepRow(
-                axis=axis,
-                axis_value_db=value_db,
-                variant=variant.label,
-                scheme=scheme,
-                csi=csi,
-                metric=metric,
-                method=m.method.value,
-                value=m.value,
-                oracle_value=o_val,
-                oracle_stderr=o_err,
-                asymptote_value=asym,
-                floor_gamma_zero=floors[0] if use_floors else None,
-                floor_gamma_inf=floors[1] if use_floors else None,
+                axis, value_db, variant.label, scheme, csi, metric, m.method.value, m.value,
+                o_val, o_err, asym, *floors,
             )
         )
     return rows
@@ -303,165 +289,97 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
+    # An Enum member, tested through its class (isinstance(value, Enum) and
+    # the ``value`` property each cost a slow path per field).
+    if isinstance(type(value), EnumMeta):
+        return value._value_
     return "%.17g" % value
 
 
 def write_csv(rows: Iterable[SweepRow], out: TextIO) -> None:
     out.write(CSV_HEADER + "\n")
     for r in rows:
-        out.write(
-            ",".join(
-                (
-                    r.axis.value,
-                    _fmt(r.axis_value_db),
-                    r.variant,
-                    r.scheme.value,
-                    r.csi.value,
-                    r.metric.value,
-                    r.method,
-                    _fmt(r.value),
-                    _fmt(r.oracle_value),
-                    _fmt(r.oracle_stderr),
-                    _fmt(r.asymptote_value),
-                    _fmt(r.floor_gamma_zero),
-                    _fmt(r.floor_gamma_inf),
-                )
-            )
-            + "\n"
-        )
+        out.write(",".join(map(_fmt, _row_values(r))) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Figure presets.
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
-
-# Shared defaults: threshold 3 dB, eavesdropper links 0 / 3 dB, direct link
-# 3 dB, one bit per channel use.
-_BASE = params_from_db(0.0, 3.0, 3.0, 10.0, 3.0, 3.0, 1.0)
+# The default operating point: eavesdropper links 0 / 3 dB, direct link
+# 3 dB, relay hops 10 / 3 dB, threshold 3 dB, one bit per channel use.
+BASE_DB = dict(
+    alpha_se_db=0.0, alpha_re_db=3.0, beta_sd_db=3.0, beta_sr_db=10.0, beta_rd_db=3.0,
+    gamma_th_db=3.0, rate_rs=1.0,
+)
+_BASE = params_from_db(**BASE_DB)
 
 
 def _rate(db: float) -> float:
     return db_to_linear(-db)
 
 
+def _ase_bsd(bsd_dbs):
+    """The 2x2 curve family of S-E links 0 / 6 dB against two direct links."""
+    return tuple(
+        Variant(f"ase{a:g}db_bsd{b:g}db", (("alpha_se", _rate(a)), ("beta_sd", _rate(b))))
+        for a in (0.0, 6.0)
+        for b in bsd_dbs
+    )
+
+
+# Case I sweeps the R-D hop past a 30 dB S-R hop; case II the reverse.
+_UNBALANCED_VARIANTS = (
+    Variant("case_I", (("beta_sr", _rate(30.0)),), Axis.BETA_RD_DB),
+    Variant("case_II", (("beta_rd", _rate(30.0)),), Axis.BETA_SR_DB),
+)
+
+_ESR_BASE = _BASE.with_(alpha_re=_rate(3.5))
+
+# Each preset's SweepSpec fields; step_db=2.0 and fixed=_BASE unless given.
+_PRESETS = {
+    "fig2": dict(
+        axis=Axis.BALANCED_SNR_DB, start_db=0.0, stop_db=30.0,
+        variants=(Variant("rs0.1", (("rate_rs", 0.1),)), Variant("rs1", (("rate_rs", 1.0),))),
+    ),
+    "fig3": dict(
+        axis=Axis.BALANCED_SNR_DB, start_db=0.0, stop_db=40.0, schemes=(Scheme.MRC_MRC,),
+        modes=(CsiMode.CSI,), asymptote=True, variants=_ase_bsd((9.0, 3.0)),
+    ),
+    "fig4": dict(
+        axis=Axis.GAMMA_TH_DB, start_db=-30.0, stop_db=50.0, schemes=(Scheme.MRC_MRC,),
+        variants=tuple(
+            Variant(
+                f"bsd{sd:g}_brd{hop:g}",
+                (("beta_sd", _rate(sd)), ("beta_rd", _rate(hop)), ("beta_sr", _rate(hop))),
+            )
+            for sd, hop in ((40.0, 3.0), (3.0, 40.0))
+        ),
+    ),
+    "fig5": dict(
+        axis=Axis.BETA_RD_DB, start_db=0.0, stop_db=50.0, schemes=(Scheme.MRC_MRC,),
+        asymptote=True, variants=_UNBALANCED_VARIANTS,
+    ),
+    "fig6": dict(
+        axis=Axis.BALANCED_SNR_DB, start_db=0.0, stop_db=30.0, fixed=_ESR_BASE,
+        schemes=(Scheme.MRC_SC, Scheme.SC_MRC), modes=(CsiMode.CSI,), metrics=(Metric.ESR,),
+        variants=_ase_bsd((9.5, 3.5)),
+    ),
+    "fig7": dict(
+        axis=Axis.BETA_RD_DB, start_db=0.0, stop_db=50.0, fixed=_ESR_BASE,
+        schemes=(Scheme.MRC_SC, Scheme.SC_MRC), metrics=(Metric.ESR,), asymptote=True,
+        variants=_UNBALANCED_VARIANTS,
+    ),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def figure_preset(name: str) -> SweepSpec:
     """Named sweep description reproducing one of the reference curves."""
-    if name == "fig2":
-        return SweepSpec(
-            axis=Axis.BALANCED_SNR_DB,
-            start_db=0.0,
-            stop_db=30.0,
-            step_db=2.0,
-            fixed=_BASE,
-            metrics=(Metric.SOP,),
-            variants=(
-                Variant("rs0.1", (("rate_rs", 0.1),)),
-                Variant("rs1", (("rate_rs", 1.0),)),
-            ),
-        )
-    if name == "fig3":
-        return SweepSpec(
-            axis=Axis.BALANCED_SNR_DB,
-            start_db=0.0,
-            stop_db=40.0,
-            step_db=2.0,
-            fixed=_BASE,
-            schemes=(Scheme.MRC_MRC,),
-            modes=(CsiMode.CSI,),
-            metrics=(Metric.SOP,),
-            asymptote=True,
-            variants=tuple(
-                Variant(
-                    f"ase{a:g}db_bsd{b:g}db",
-                    (("alpha_se", _rate(a)), ("beta_sd", _rate(b))),
-                )
-                for a in (0.0, 6.0)
-                for b in (9.0, 3.0)
-            ),
-        )
-    if name == "fig4":
-        return SweepSpec(
-            axis=Axis.GAMMA_TH_DB,
-            start_db=-30.0,
-            stop_db=50.0,
-            step_db=2.0,
-            fixed=_BASE,
-            schemes=(Scheme.MRC_MRC,),
-            metrics=(Metric.SOP,),
-            attach_gamma_floors=True,
-            variants=(
-                Variant(
-                    "bsd40_brd3",
-                    (
-                        ("beta_sd", _rate(40.0)),
-                        ("beta_rd", _rate(3.0)),
-                        ("beta_sr", _rate(3.0)),
-                    ),
-                ),
-                Variant(
-                    "bsd3_brd40",
-                    (
-                        ("beta_sd", _rate(3.0)),
-                        ("beta_rd", _rate(40.0)),
-                        ("beta_sr", _rate(40.0)),
-                    ),
-                ),
-            ),
-        )
-    if name == "fig5":
-        return SweepSpec(
-            axis=Axis.BETA_RD_DB,
-            start_db=0.0,
-            stop_db=50.0,
-            step_db=2.0,
-            fixed=_BASE,
-            schemes=(Scheme.MRC_MRC,),
-            metrics=(Metric.SOP,),
-            asymptote=True,
-            variants=(
-                Variant("case_I", (("beta_sr", _rate(30.0)),), Axis.BETA_RD_DB),
-                Variant("case_II", (("beta_rd", _rate(30.0)),), Axis.BETA_SR_DB),
-            ),
-        )
-    if name == "fig6":
-        fixed = _BASE.with_(alpha_re=_rate(3.5))
-        return SweepSpec(
-            axis=Axis.BALANCED_SNR_DB,
-            start_db=0.0,
-            stop_db=30.0,
-            step_db=2.0,
-            fixed=fixed,
-            schemes=(Scheme.MRC_SC, Scheme.SC_MRC),
-            modes=(CsiMode.CSI,),
-            metrics=(Metric.ESR,),
-            variants=tuple(
-                Variant(
-                    f"ase{a:g}db_bsd{b:g}db",
-                    (("alpha_se", _rate(a)), ("beta_sd", _rate(b))),
-                )
-                for a in (0.0, 6.0)
-                for b in (9.5, 3.5)
-            ),
-        )
-    if name == "fig7":
-        fixed = _BASE.with_(alpha_re=_rate(3.5))
-        return SweepSpec(
-            axis=Axis.BETA_RD_DB,
-            start_db=0.0,
-            stop_db=50.0,
-            step_db=2.0,
-            fixed=fixed,
-            schemes=(Scheme.MRC_SC, Scheme.SC_MRC),
-            metrics=(Metric.ESR,),
-            asymptote=True,
-            variants=(
-                Variant("case_I", (("beta_sr", _rate(30.0)),), Axis.BETA_RD_DB),
-                Variant("case_II", (("beta_rd", _rate(30.0)),), Axis.BETA_SR_DB),
-            ),
-        )
-    raise DomainError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise DomainError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    return SweepSpec(**{"step_db": 2.0, "fixed": _BASE, **_PRESETS[name]})
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +512,11 @@ def run_validation(
     results = _map(evaluate_point, list(enumerate(grid)), n_jobs)
     # Each column's worst over the grid: every cell's |cf - quad| and
     # |cf - mc| / allowed, then the note's variant and shipped differences.
-    *cell_worst, worst_variant, worst_shipped = [max(0.0, *col) for col in zip(*results)]
+    # A NaN anywhere makes its column's worst NaN, which fails the row (a
+    # plain max would drop it).
+    *cell_worst, worst_variant, worst_shipped = [
+        math.nan if any(map(math.isnan, col)) else max(0.0, *col) for col in zip(*results)
+    ]
     rows = tuple(
         ValidationRow(scheme, csi, metric, qd, mr, qd <= tol_quad_abs and mr <= 1.0)
         for (scheme, csi, metric), qd, mr in zip(cells, cell_worst[0::2], cell_worst[1::2])

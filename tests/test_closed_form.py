@@ -16,7 +16,7 @@ from secrelay.closed_form import (
     sop,
     sop_conditional,
 )
-from secrelay.errors import DomainError
+from secrelay.errors import DomainError, NumericError
 from secrelay.expint import eiexp
 from secrelay.fading import CsiMode, SCHEME_ORDER, Scheme, SystemParams, params_from_db
 from secrelay.sweep import sample_grid
@@ -314,6 +314,13 @@ def test_infinite_threshold_is_exact_wiretap(base_params):
         for csi in ALL_MODES:
             assert sop(p, scheme, csi).value == sop_conditional(p, scheme, csi, False)
             assert esr(p, scheme, csi).value == esr_conditional(p, scheme, csi, False)
+    # The relay-on branch has weight 0 and is skipped, even where it does not
+    # evaluate (the MRC eavesdropper transform overflows to NaN).
+    loud = p.with_(alpha_se=1e300, alpha_re=1e300)
+    with pytest.raises(NumericError):
+        sop_conditional(loud, Scheme.MRC_MRC, CsiMode.NOCSI, True)
+    off = sop_conditional(loud, Scheme.MRC_MRC, CsiMode.NOCSI, False)
+    assert sop(loud, Scheme.MRC_MRC, CsiMode.NOCSI).value == off
 
 
 @settings(max_examples=25, deadline=None)

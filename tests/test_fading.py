@@ -52,7 +52,9 @@ def test_params_rho_exact():
     assert params_from_db(0, 0, 0, 0, 0, 0, 0.0).rho == 1.0
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int_past_double")]
+)
 def test_params_from_db_rejects_nonfinite(bad):
     with pytest.raises(DomainError):
         params_from_db(bad, 3.0, 3.0, 10.0, 10.0, 3.0, 1.0)

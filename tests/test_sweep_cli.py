@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from secrelay import oracles, sweep
+from secrelay import asymptotics, closed_form, oracles, sweep
 from secrelay.cli import MAX_JOBS, main
 from secrelay.errors import DomainError
 from secrelay.fading import (
@@ -213,12 +213,40 @@ def test_preset_shapes():
     assert len(fig2.schemes) == 4 and len(fig2.modes) == 2
     fig4 = figure_preset("fig4")
     assert fig4.axis is Axis.GAMMA_TH_DB
-    assert fig4.attach_gamma_floors
     fig5 = figure_preset("fig5")
     assert {v.axis for v in fig5.variants} == {Axis.BETA_RD_DB, Axis.BETA_SR_DB}
     fig6 = figure_preset("fig6")
     assert fig6.metrics == (Metric.ESR,)
     assert len(fig6.variants) == 4
+
+
+def test_gamma_floors_follow_the_axis():
+    # Any threshold sweep fills the gamma -> 0 / infinity floors on its
+    # MRC-MRC no-CSI outage rows, and only there; other axes leave them empty.
+    for axis in Axis:
+        spec = SweepSpec(
+            axis=axis, start_db=-10.0, stop_db=10.0, step_db=10.0, fixed=BASE,
+            metrics=(Metric.SOP, Metric.ESR),
+        )
+        for r in run_sweep(spec):
+            floor_cell = (r.scheme, r.csi, r.metric) == (Scheme.MRC_MRC, CsiMode.NOCSI, Metric.SOP)
+            if axis is Axis.GAMMA_TH_DB and floor_cell:
+                point = BASE.with_(gamma_th=10.0 ** (r.axis_value_db / 10.0))
+                assert r.floor_gamma_zero == asymptotics.sop_perfect_decoding(point)
+                assert r.floor_gamma_inf == asymptotics.sop_wiretap(point)
+            else:
+                assert r.floor_gamma_zero is None and r.floor_gamma_inf is None
+
+
+def test_csv_columns_are_the_row_fields():
+    row = run_sweep(figure_preset("fig4"))[0]
+    header, line = csv_text([row]).splitlines()
+    assert header.split(",") == [f.name for f in dataclasses.fields(row)]
+    assert line.split(",") == [
+        "gamma_th_db", "-30", "bsd40_brd3", "mrc_mrc", "nocsi", "sop", "closed_form",
+        "%.17g" % row.value, "", "", "",
+        "%.17g" % row.floor_gamma_zero, "%.17g" % row.floor_gamma_inf,
+    ]
 
 
 def test_fig7_esr_saturation_column():
@@ -270,6 +298,21 @@ def test_validation_zero_tolerance_fails():
 def test_validation_rejects_degenerate_bands(band):
     with pytest.raises(DomainError):
         run_validation(grid_size=1, seed=3, mc_trials=1000, **band)
+
+
+def test_validation_fails_on_a_nan_closed_form(monkeypatch):
+    shipped = closed_form.sop
+
+    def nan_for_sc_sc(params, scheme, csi):
+        m = shipped(params, scheme, csi)
+        return dataclasses.replace(m, value=math.nan) if scheme is Scheme.SC_SC else m
+
+    monkeypatch.setattr(closed_form, "sop", nan_for_sc_sc)
+    report = run_validation(grid_size=2, seed=5, mc_trials=1000)
+    assert report.passed is False
+    failed = {(r.scheme, r.metric) for r in report.rows if not r.passed}
+    assert failed == {(Scheme.SC_SC, Metric.SOP)}
+    assert "overall: FAIL" in report.render()
 
 
 def test_validation_runs_one_quadrature_per_cell(monkeypatch):
@@ -556,6 +599,31 @@ def test_cli_numeric_failure_exit_code(capsys):
     )
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the MRC eavesdropper transform overflows to inf/inf = NaN
+        [
+            "--axis", "balanced-snr-db", "--from-db", "10", "--to-db", "10",
+            "--alpha-se-db", "-3000", "--alpha-re-db", "-3000", "--beta-sd-db", "10",
+            "--rate-rs", "3", "--csi", "nocsi", "--mc-trials", "100000",
+        ],
+        # the CSI rate evaluates to -inf
+        [
+            "--axis", "beta-rd-db", "--from-db", "100", "--to-db", "100",
+            "--alpha-se-db", "300", "--alpha-re-db", "-3000", "--beta-sd-db", "100",
+            "--beta-sr-db", "30", "--gamma-th-db", "0", "--rate-rs", "3",
+            "--scheme", "mrc_mrc", "--csi", "csi", "--metric", "esr",
+        ],
+    ],
+)
+def test_cli_nonfinite_closed_form_exit_code(argv, capsys):
+    assert main(["sweep", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric failure" in captured.err
 
 
 def test_cli_preset_with_mc_oracle(tmp_path):
