@@ -28,7 +28,7 @@ from enum import Enum
 from scipy.special import exprel
 
 from .errors import DomainError, NumericError
-from .expint import eiexp
+from .expint import ASYMPTOTIC_X, eiexp, eiexp_asymptotic
 from .fading import (
     HALF_LOG2E,
     CsiMode,
@@ -214,33 +214,18 @@ def _sop_bracket(params, scheme, csi, relay_on):
     return total if csi is CsiMode.CSI else 1.0 + total
 
 
-# Above this the derivatives come from the asymptotic series, whose smallest
-# term is ~e^-x: the forward recurrence below would cancel to ~eps * x^j.
-_ASYMPTOTIC_X = 40.0
-
-
 def _scaled_derivatives(x, n):
     """``g[j] = x^(j-1) eiexp^(j)(x)`` for j = 1..n (``g[0]`` unused).
 
-    Forward recurrence ``eiexp' = eiexp + 1/x``,
-    ``eiexp^(j) = eiexp^(j-1) + (-1)^(j-1) (j-1)!/x^j`` for moderate x (the
-    scaling keeps tiny x finite); for large x the termwise derivative of the
-    asymptotic series ``eiexp(x) ~ -sum_k (-1)^k k!/x^(k+1)``.
+    Forward recurrence ``eiexp^(j) = eiexp^(j-1) + (-1)^(j-1) (j-1)!/x^j``
+    for moderate x (the scaling keeps tiny x finite); above ``ASYMPTOTIC_X``,
+    where it would cancel to ~eps * x^j, the asymptotic series.
     """
-    if x <= _ASYMPTOTIC_X:
-        g = [None, eiexp(x) + 1.0 / x]
-        for j in range(2, n + 1):
-            g.append(x * g[-1] + (-1) ** (j - 1) * math.factorial(j - 1) / x)
-        return g
-    g = [None]
-    for j in range(1, n + 1):
-        term = total = (-1) ** (j + 1) * math.factorial(j) / (x * x)
-        k = 0
-        while k + j + 1 < x and abs(term) > 1e-17 * abs(total):
-            k += 1
-            term *= -(k + j) / x
-            total += term
-        g.append(total)
+    if x > ASYMPTOTIC_X:
+        return [None] + [eiexp_asymptotic(x, j) / x for j in range(1, n + 1)]
+    g = [None, eiexp(x) + 1.0 / x]
+    for j in range(2, n + 1):
+        g.append(x * g[-1] + (-1) ** (j - 1) * math.factorial(j - 1) / x)
     return g
 
 
@@ -308,17 +293,23 @@ def _validate(params, scheme, csi):
 # ---------------------------------------------------------------------------
 
 
-def _checked_bracket(bracket, params, scheme, csi, relay_on):
-    # A non-finite bracket is an overflow, never a value; clamping it would
-    # hide it.
-    _validate(params, scheme, csi)
-    value = bracket(params, scheme, csi, relay_on)
+def _checked(what, params, evaluate):
+    # A non-finite value is an overflow, never a value, and so is an
+    # arithmetic fault (a product underflowing to a zero divisor, a rate sum
+    # overflowing out of eiexp's domain); clamping either would hide it.
+    try:
+        value = evaluate()
+    except (ArithmeticError, DomainError) as exc:
+        raise NumericError(f"{what} fails at {params}: {exc!r}") from exc
     if not math.isfinite(value):
-        raise NumericError(
-            f"{scheme.value}/{csi.value} with the relay {'on' if relay_on else 'off'} "
-            f"evaluates to {value} at {params}"
-        )
+        raise NumericError(f"{what} evaluates to {value} at {params}")
     return value
+
+
+def _checked_bracket(bracket, params, scheme, csi, relay_on):
+    _validate(params, scheme, csi)
+    what = f"{scheme.value}/{csi.value} with the relay {'on' if relay_on else 'off'}"
+    return _checked(what, params, lambda: bracket(params, scheme, csi, relay_on))
 
 
 def sop_conditional(
@@ -350,10 +341,14 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
     _validate(params, scheme, csi)
     _, _, phi_dd2 = _outage_functional(params, scheme, csi, relay_on=True)
     b = params.beta_sd
-    dd = phi_dd2(0.0, b)
-    if not scheme.mrc_at_destination:
-        dd += phi_dd2(b, 0.0)
-    return float(b * dd)
+
+    def slope():
+        dd = phi_dd2(0.0, b)
+        if not scheme.mrc_at_destination:
+            dd += phi_dd2(b, 0.0)
+        return float(b * dd)
+
+    return _checked(f"{scheme.value}/{csi.value} relay slope", params, slope)
 
 
 # ---------------------------------------------------------------------------

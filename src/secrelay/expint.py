@@ -3,65 +3,40 @@
 Every closed-form rate in this package reduces to linear combinations of
 ``e^x * Ei(-x)`` evaluated at sums of link rate parameters.  Computing the
 two factors separately overflows ``e^x`` long before the product leaves the
-normal double range, so :func:`eiexp` evaluates the product directly: a
-power series below ``x = 5`` and a modified-Lentz continued fraction above.
-Both regimes overlap around the cutoff and are cross-checked in the tests.
+normal double range, so :func:`eiexp` is SciPy's ``E1`` times ``e^x`` only
+up to :data:`ASYMPTOTIC_X`; above it the asymptotic series, whose smallest
+term is ~e^-x there, is exact to double precision and never overflows.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError, NumericError
+from scipy.special import exp1, expi
+
+from .errors import DomainError
 
 __all__ = ["EULER_GAMMA", "exp_integral_ei", "eiexp", "log_expectation_shifted_exp"]
 
 # Euler-Mascheroni constant, 20 significant digits.
 EULER_GAMMA = 0.57721566490153286061
 
-_SERIES_CUTOFF = 5.0
-_SERIES_MAX_TERMS = 200
-# |Ei(-x)| >= 1.14e-3 on (0, 5], so an absolute term cutoff of 1e-21 keeps
-# the truncation below 1e-17 relative.
-_SERIES_TERM_FLOOR = 1e-21
-_CF_MAX_ITER = 400
-_CF_EPS = 1e-16
-_CF_TINY = 1e-300
-# Beyond this the three-term asymptotic tail is exact to double precision
-# and the continued fraction would run into subnormal round-off.
-_ASYMPTOTIC_CUTOFF = 1e8
+# Above this the asymptotic series replaces e^x E1(x) and its derivatives.
+ASYMPTOTIC_X = 40.0
 
 
-def _ei_neg_series(x: float) -> float:
-    # Ei(-x) = gamma + ln x + sum_k (-x)^k / (k * k!),  0 < x <= cutoff
-    total = EULER_GAMMA + math.log(x)
-    term = 1.0
-    for k in range(1, _SERIES_MAX_TERMS):
-        term *= -x / k
-        add = term / k
-        total += add
-        if abs(add) < _SERIES_TERM_FLOOR:
-            return total
-    raise NumericError(f"Ei series did not converge at x={x!r}")
-
-
-def _eiexp_cf(x: float) -> float:
-    # Modified Lentz on the even contraction of the continued fraction for
-    # e^x E1(x); eiexp(x) = -e^x E1(x).
-    b = x + 1.0
-    c = 1.0 / _CF_TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAX_ITER):
-        a = -float(i) * float(i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return -h
-    raise NumericError(f"continued fraction did not converge at x={x!r}")
+def eiexp_asymptotic(x: float, j: int = 0) -> float:
+    """``x^j eiexp^(j)(x)`` for ``x > ASYMPTOTIC_X``: the termwise derivative
+    ``sum_k (-1)^(k+j+1) (k+j)!/x^(k+1)`` of ``eiexp(x) ~ -sum_k (-1)^k k!/x^(k+1)``,
+    summed up to its smallest term.  Its first term, ``(-1)^(j+1) j!/x``,
+    keeps the sum finite and nonzero up to the largest double."""
+    term = total = (-1) ** (j + 1) * math.factorial(j) / x
+    k = 0
+    while k + j + 1 < x and abs(term) > 1e-17 * abs(total):
+        k += 1
+        term *= -(k + j) / x
+        total += term
+    return total
 
 
 def eiexp(x: float) -> float:
@@ -72,12 +47,9 @@ def eiexp(x: float) -> float:
     """
     if not (x > 0.0) or math.isinf(x):
         raise DomainError(f"eiexp requires a positive finite argument, got {x!r}")
-    if x <= _SERIES_CUTOFF:
-        return math.exp(x) * _ei_neg_series(x)
-    if x > _ASYMPTOTIC_CUTOFF:
-        inv = 1.0 / x
-        return -inv * (1.0 - inv * (1.0 - 2.0 * inv))
-    return _eiexp_cf(x)
+    if x <= ASYMPTOTIC_X:
+        return -math.exp(x) * float(exp1(x))
+    return eiexp_asymptotic(x)
 
 
 def exp_integral_ei(x: float) -> float:
@@ -88,11 +60,7 @@ def exp_integral_ei(x: float) -> float:
     """
     if not (x < 0.0) or math.isinf(x):
         raise DomainError(f"exp_integral_ei requires a negative finite argument, got {x!r}")
-    if -x <= _SERIES_CUTOFF:
-        return _ei_neg_series(-x)
-    # Ei(x) = e^x * (e^{-x} Ei(x)); the scaled factor is O(1/|x|), so the
-    # product underflows gracefully instead of overflowing.
-    return math.exp(x) * _eiexp_cf(-x)
+    return float(expi(x))
 
 
 def log_expectation_shifted_exp(p: float, a: float, b: float) -> float:

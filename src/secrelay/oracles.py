@@ -348,9 +348,19 @@ def _integral_keys(scheme: Scheme, csi: CsiMode, metric: str, relay_on: bool):
 # round-off floor.
 
 
+# A density's mass sits at y ~ 1/rate, where 1 - t ~ rate: below this rate
+# (a mean SNR above ~150 dB) the map cannot place nodes on it, and the
+# integral would miss it silently.
+_MIN_RATE = 2.0 ** -50
+
+
 def _integrand(params: SystemParams, key):
-    """The integrand function of the integral ``key`` of :func:`_integral_keys`."""
+    """The integrand function of the integral ``key`` of :func:`_integral_keys`
+    (:class:`NumericError` where a link of its density is below ``_MIN_RATE``)."""
     metric, part, csi, relay_on, mrc_m, mrc_e = key
+    side = (params.beta_sd, params.beta_rd) if part == "main" else (params.alpha_se, params.alpha_re)
+    if min(side[: 2 if relay_on else 1]) < _MIN_RATE:
+        raise NumericError(f"quadrature cannot resolve a link rate below 2^-50 at {params}")
     cdf_m, pdf_m = _snr_dist(params.beta_sd, params.beta_rd, relay_on, mrc_m)
     cdf_e, pdf_e = _snr_dist(params.alpha_se, params.alpha_re, relay_on, mrc_e)
     rho = params.rho

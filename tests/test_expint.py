@@ -6,6 +6,7 @@ computed term by term in extended precision.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -98,13 +99,19 @@ def test_eiexp_domain(bad):
 
 
 def test_eiexp_matches_reference_grid():
-    xs = np.logspace(math.log10(1e-8), math.log10(700.0), 2000)
-    worst = 0.0
+    # across the switch to the asymptotic series at x = 40; Ei(-x) wherever
+    # it is a normal double
+    xs = np.logspace(math.log10(1e-8), math.log10(1e6), 2000)
+    worst = worst_ei = 0.0
     for x in xs:
         x = float(x)
         ref = eiexp_reference(x)
         worst = max(worst, abs(eiexp(x) - ref) / abs(ref))
-    assert worst < 1e-12
+        ref_ei = float(mp.ei(-x))
+        if abs(ref_ei) >= sys.float_info.min:
+            worst_ei = max(worst_ei, abs(exp_integral_ei(-x) - ref_ei) / abs(ref_ei))
+    assert worst < 4e-15
+    assert worst_ei < 4e-15
 
 
 def test_eiexp_consistent_with_unscaled_product():

@@ -307,6 +307,19 @@ def test_quadrature_integrates_slow_links_across_wide_gaps():
         assert abs(q.value - ref) <= q.abs_error_bound
 
 
+@pytest.mark.parametrize("db", [250.0, 300.0, 600.0])
+@pytest.mark.parametrize("metric", ["sop", "esr"])
+def test_quadrature_refuses_links_too_slow_for_the_map(db, metric):
+    # an eavesdropper link's mass at y ~ 10^(db/10) lies closer to t = 1 than
+    # the map resolves; the integral used to miss it (an outage of 2.5e-16
+    # against a true ~1 at 300 dB) instead of failing
+    from secrelay.errors import NumericError
+
+    params = params_from_db(db, db, 10.0, 10.0, 10.0, 3.0, 0.5)
+    with pytest.raises(NumericError):
+        oracles.quadrature_cells(params, ((Scheme.MRC_SC, CsiMode.NOCSI, metric),), 1e-9)
+
+
 def test_three_way_agreement_spot_check():
     params = sample_grid(2, seed=55)[1]
     mc = oracles.monte_carlo_all(params, 10**6, seed=55)

@@ -617,6 +617,24 @@ def test_cli_numeric_failure_exit_code(capsys):
             "--beta-sr-db", "30", "--gamma-th-db", "0", "--rate-rs", "3",
             "--scheme", "mrc_mrc", "--csi", "csi", "--metric", "esr",
         ],
+        # _pole_dd's product underflows to a zero divisor in the bracket
+        [
+            "--axis", "beta-rd-db", "--from-db", "3000", "--to-db", "3000",
+            "--alpha-se-db", "2000", "--alpha-re-db", "3000", "--beta-sd-db", "3000",
+            "--gamma-th-db", "0", "--rate-rs", "0.5", "--scheme", "mrc_sc", "--csi", "nocsi",
+        ],
+        # ... and in the relay slope alone, the cell's value being finite
+        [
+            "--axis", "balanced-snr-db", "--from-db", "10", "--to-db", "10",
+            "--alpha-se-db", "2000", "--alpha-re-db", "2000", "--beta-sd-db", "3",
+            "--rate-rs", "0.5", "--scheme", "mrc_sc", "--csi", "nocsi", "--asymptote",
+        ],
+        # the eavesdropper rate sum overflows to inf, outside eiexp's domain
+        [
+            "--axis", "balanced-snr-db", "--from-db", "10", "--to-db", "10",
+            "--alpha-se-db", "-3080", "--alpha-re-db", "-3080", "--metric", "esr",
+            "--scheme", "mrc_sc", "--csi", "nocsi",
+        ],
     ],
 )
 def test_cli_nonfinite_closed_form_exit_code(argv, capsys):
