@@ -7,7 +7,6 @@ Monte Carlo and quadrature oracles, high-SNR asymptotes, and a sweep CLI.
 
 from .asymptotics import (
     Asymptote,
-    AsymptoteKind,
     UnbalancedCase,
     esr_perfect_decoding,
     esr_saturation_case2_mrc_sc,
@@ -17,7 +16,7 @@ from .asymptotics import (
     sop_wiretap,
 )
 from .closed_form import Method, SecrecyMetric, esr, esr_conditional, sop, sop_conditional
-from .errors import DomainError, NumericError, UnsupportedSchemeError
+from .errors import DomainError, NumericError
 from .expint import eiexp, exp_integral_ei, log_expectation_shifted_exp
 from .fading import (
     CsiMode,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Asymptote",
-    "AsymptoteKind",
     "Axis",
     "CsiMode",
     "DomainError",
@@ -81,7 +79,6 @@ __all__ = [
     "SystemParams",
     "TrialDraw",
     "UnbalancedCase",
-    "UnsupportedSchemeError",
     "Variant",
     "combine",
     "decode_probability",

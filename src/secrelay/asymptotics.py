@@ -18,16 +18,16 @@ brackets (the slopes its ``sop_relay_slope``); no algebra is repeated here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from . import closed_form
-from .errors import UnsupportedSchemeError
+from .errors import NumericError
 from .expint import eiexp  # noqa: F401 - module attribute perfbench/spans.py wraps
 from .fading import CsiMode, Scheme, SystemParams, decode_probability
 
 __all__ = [
-    "AsymptoteKind",
     "UnbalancedCase",
     "Asymptote",
     "sop_asymptote_balanced",
@@ -37,15 +37,6 @@ __all__ = [
     "esr_perfect_decoding",
     "esr_saturation_case2_mrc_sc",
 ]
-
-_SUPPORTED = (Scheme.MRC_SC, Scheme.MRC_MRC, Scheme.SC_MRC)
-
-
-class AsymptoteKind(Enum):
-    BALANCED_SLOPE = "balanced_slope"
-    UNBALANCED_CASE_I = "unbalanced_case_1"
-    UNBALANCED_CASE_II = "unbalanced_case_2"
-
 
 class UnbalancedCase(Enum):
     I = "case_1"
@@ -57,19 +48,16 @@ class Asymptote:
     """Straight-line model ``constant_term + coefficient * rate`` where the
     rate is the reciprocal of the growing link's mean SNR."""
 
-    kind: AsymptoteKind
     constant_term: float
     coefficient: float
 
     def predict(self, beta: float) -> float:
-        return self.constant_term + self.coefficient * beta
-
-
-def _check_supported(scheme: Scheme) -> None:
-    if scheme not in _SUPPORTED:
-        raise UnsupportedSchemeError(
-            f"no asymptote for {scheme.value}; its curves sit between mrc_sc and sc_mrc"
-        )
+        """The line at rate ``beta``; :class:`NumericError` where it does not
+        evaluate to a finite number (an overflow, never a value)."""
+        value = self.constant_term + self.coefficient * beta
+        if not math.isfinite(value):
+            raise NumericError(f"{self} evaluates to {value} at rate {beta!r}")
+        return value
 
 
 def _off_bracket(params: SystemParams, csi: CsiMode) -> float:
@@ -82,10 +70,9 @@ def sop_asymptote_balanced(params: SystemParams, scheme: Scheme, csi: CsiMode) -
     ``beta_sr``/``beta_rd`` in ``params`` are ignored; the predicted outage
     is ``coefficient * beta`` for the common hop rate ``beta``.
     """
-    _check_supported(scheme)
     off = _off_bracket(params, csi)
     coeff = params.gamma_th * off + closed_form.sop_relay_slope(params, scheme, csi)
-    return Asymptote(AsymptoteKind.BALANCED_SLOPE, 0.0, coeff)
+    return Asymptote(0.0, coeff)
 
 
 def sop_asymptote_unbalanced(
@@ -97,21 +84,13 @@ def sop_asymptote_unbalanced(
     (the floor keeps the decode-failure weight); case II grows the decode
     hop with the other fixed (the floor is the decode-success outage).
     """
-    _check_supported(scheme)
     off = _off_bracket(params, csi)
     if case is UnbalancedCase.I:
         p_on = decode_probability(params)
-        return Asymptote(
-            AsymptoteKind.UNBALANCED_CASE_I,
-            (1.0 - p_on) * off,
-            p_on * closed_form.sop_relay_slope(params, scheme, csi),
-        )
+        slope = closed_form.sop_relay_slope(params, scheme, csi)
+        return Asymptote((1.0 - p_on) * off, p_on * slope)
     on = closed_form.sop_conditional(params, scheme, csi, relay_on=True)
-    return Asymptote(
-        AsymptoteKind.UNBALANCED_CASE_II,
-        on,
-        params.gamma_th * (off - on),
-    )
+    return Asymptote(on, params.gamma_th * (off - on))
 
 
 def sop_wiretap(params: SystemParams) -> float:
@@ -133,5 +112,7 @@ def esr_perfect_decoding(params: SystemParams) -> float:
 
 
 def esr_saturation_case2_mrc_sc(params: SystemParams) -> float:
-    """MRC-SC rate with CSI in the case-II limit (decode hop perfect)."""
+    """MRC-SC rate with CSI in the case-II limit (decode hop perfect): one
+    cell of the case-II rate floor, ``closed_form.esr_conditional(params,
+    scheme, csi, relay_on=True)``."""
     return closed_form.esr_conditional(params, Scheme.MRC_SC, CsiMode.CSI, True)

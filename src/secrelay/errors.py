@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class NumericError(ArithmeticError):
     """A numerical routine failed to reach its requested accuracy."""
-
-
-class UnsupportedSchemeError(ValueError):
-    """The requested combining scheme has no formula for this operation."""

@@ -12,7 +12,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, TextIO, Union
 
 from . import asymptotics, closed_form, oracles
-from .errors import DomainError, UnsupportedSchemeError
+from .errors import DomainError
 from .fading import (
     CsiMode,
     SCHEME_ORDER,
@@ -175,25 +175,18 @@ _UNBALANCED_CASE = {
 }
 
 
-def _asymptote_cell(axis, params_pt, scheme, csi, metric, value_db):
-    """The cell's asymptote, or :data:`UNSUPPORTED_MARKER` where it has none."""
+def _asymptote(axis, params, scheme, csi, metric):
+    """The cell's asymptote on a curve: a line in the swept rate, a floor,
+    or :data:`UNSUPPORTED_MARKER` where it has none."""
     case = _UNBALANCED_CASE.get(axis)
-    if metric is Metric.SOP and (case is not None or axis is Axis.BALANCED_SNR_DB):
-        beta = db_to_linear(-value_db)
-        try:
-            if case is None:
-                return asymptotics.sop_asymptote_balanced(params_pt, scheme, csi).predict(beta)
-            return asymptotics.sop_asymptote_unbalanced(params_pt, scheme, csi, case).predict(beta)
-        except UnsupportedSchemeError:
-            return UNSUPPORTED_MARKER
-    # Rate asymptote exists only for MRC-SC/CSI in the case-II limit.
-    if (
-        metric is Metric.ESR
-        and case is asymptotics.UnbalancedCase.II
-        and scheme is Scheme.MRC_SC
-        and csi is CsiMode.CSI
-    ):
-        return asymptotics.esr_saturation_case2_mrc_sc(params_pt)
+    if metric is Metric.SOP and axis is Axis.BALANCED_SNR_DB:
+        return asymptotics.sop_asymptote_balanced(params, scheme, csi)
+    if metric is Metric.SOP and case is not None:
+        return asymptotics.sop_asymptote_unbalanced(params, scheme, csi, case)
+    # The case-II rate floor is the decode-success rate; the balanced and
+    # case-I rate lines are not derived yet.
+    if case is asymptotics.UnbalancedCase.II:
+        return closed_form.esr_conditional(params, scheme, csi, relay_on=True)
     return UNSUPPORTED_MARKER
 
 
@@ -227,12 +220,29 @@ def _map(fn, items, n_jobs):
 _FLOOR_CELL = (Scheme.MRC_MRC, CsiMode.NOCSI, Metric.SOP)
 
 
-def _point_rows(spec: SweepSpec, item):
-    point_index, (variant, value_db) = item
+def _curve(spec: SweepSpec, cells, variant: Variant):
+    """One variant's curve: its axis, its fixed parameters, and per cell the
+    columns every point of it shares (the asymptote and the two threshold
+    floors).  None of them reads the swept field, so each is computed once
+    per curve rather than once per point."""
     axis = variant.axis or spec.axis
-    params_pt = _apply_axis(spec.fixed.with_(**dict(variant.overrides)), axis, value_db)
+    params = spec.fixed.with_(**dict(variant.overrides))
+    shared = []
+    for scheme, csi, metric in cells:
+        asym = _asymptote(axis, params, scheme, csi, metric) if spec.asymptote else None
+        # A threshold sweep's MRC-MRC no-CSI outage carries its gamma -> 0
+        # and gamma -> infinity floors.
+        floors = (None, None)
+        if axis is Axis.GAMMA_TH_DB and (scheme, csi, metric) == _FLOOR_CELL:
+            floors = (asymptotics.sop_perfect_decoding(params), asymptotics.sop_wiretap(params))
+        shared.append((asym, *floors))
+    return variant, axis, params, shared
 
-    cells = _cells(spec.metrics, spec.modes, spec.schemes)
+
+def _point_rows(spec: SweepSpec, cells, item):
+    point_index, ((variant, axis, params, shared), value_db) = item
+    params_pt = _apply_axis(params, axis, value_db)
+
     mc = quad = None
     if isinstance(spec.oracle, McOracle):
         mc = oracles.monte_carlo_all(
@@ -244,7 +254,7 @@ def _point_rows(spec: SweepSpec, item):
         )
 
     rows = []
-    for k, (scheme, csi, metric) in enumerate(cells):
+    for k, ((scheme, csi, metric), (asym, *floors)) in enumerate(zip(cells, shared)):
         m = _closed_form(params_pt, scheme, csi, metric)
         o_val = o_err = None
         if mc is not None:
@@ -252,19 +262,9 @@ def _point_rows(spec: SweepSpec, item):
             o_val, o_err = est.value, est.stderr
         elif quad is not None:
             o_val = quad[k].value
-        asym = (
-            _asymptote_cell(axis, params_pt, scheme, csi, metric, value_db)
-            if spec.asymptote
-            else None
-        )
-        # A threshold sweep's MRC-MRC no-CSI outage carries its gamma -> 0
-        # and gamma -> infinity floors.
-        floors = (None, None)
-        if axis is Axis.GAMMA_TH_DB and (scheme, csi, metric) == _FLOOR_CELL:
-            floors = (
-                asymptotics.sop_perfect_decoding(params_pt),
-                asymptotics.sop_wiretap(params_pt),
-            )
+        # Only a line reads the swept rate, so no other cell converts it.
+        if isinstance(asym, asymptotics.Asymptote):
+            asym = asym.predict(db_to_linear(-value_db))
         rows.append(
             SweepRow(
                 axis, value_db, variant.label, scheme, csi, metric, m.method.value, m.value,
@@ -279,8 +279,10 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     (variant, then axis value, then metric/mode, scheme fastest) regardless
     of the worker count."""
     spec.validate()
-    points = list(enumerate(product(spec.variants, spec.axis_values())))
-    chunks = _map(partial(_point_rows, spec), points, n_jobs)
+    cells = _cells(spec.metrics, spec.modes, spec.schemes)
+    curves = [_curve(spec, cells, variant) for variant in spec.variants]
+    points = list(enumerate(product(curves, spec.axis_values())))
+    chunks = _map(partial(_point_rows, spec, cells), points, n_jobs)
     return [row for chunk in chunks for row in chunk]
 
 

@@ -5,7 +5,6 @@ import pytest
 from secrelay import oracles
 from secrelay.asymptotics import (
     Asymptote,
-    AsymptoteKind,
     UnbalancedCase,
     esr_perfect_decoding,
     esr_saturation_case2_mrc_sc,
@@ -15,26 +14,18 @@ from secrelay.asymptotics import (
     sop_wiretap,
 )
 from secrelay.closed_form import esr, sop, sop_relay_slope
-from secrelay.errors import UnsupportedSchemeError
-from secrelay.fading import CsiMode, Scheme, params_from_db
+from secrelay.errors import NumericError
+from secrelay.fading import CsiMode, SCHEME_ORDER, Scheme, params_from_db
 from secrelay.sweep import sample_grid
 
 from mp_reference import mp_relay_slope
 
-SUPPORTED = (Scheme.MRC_SC, Scheme.MRC_MRC, Scheme.SC_MRC)
 ALL_MODES = (CsiMode.NOCSI, CsiMode.CSI)
 
 # eavesdropper 0 / 3 dB, direct link 9 dB, threshold 3 dB, one bpcu
 FIG3_PARAMS = params_from_db(0.0, 3.0, 9.0, 10.0, 10.0, 3.0, 1.0)
 # eavesdropper 0 / 3 dB, direct link 3 dB, fixed hop 30 dB
 FIG5_PARAMS = params_from_db(0.0, 3.0, 3.0, 30.0, 30.0, 3.0, 1.0)
-
-
-def test_sc_sc_unsupported():
-    with pytest.raises(UnsupportedSchemeError):
-        sop_asymptote_balanced(FIG3_PARAMS, Scheme.SC_SC, CsiMode.NOCSI)
-    with pytest.raises(UnsupportedSchemeError):
-        sop_asymptote_unbalanced(FIG3_PARAMS, Scheme.SC_SC, CsiMode.CSI, UnbalancedCase.I)
 
 
 # Balanced points with direct links from 0 to 100 dB (eavesdropper 0 / 3 dB,
@@ -50,17 +41,16 @@ def test_balanced_slope_matches_closed_form_at_60db():
     # divided differences by ~eps/beta_sd, 3e-6 at 100 dB), then the whole
     # coefficient against the closed form
     for params in (FIG3_PARAMS, *SLOPE_POINTS):
-        for scheme in SUPPORTED:
+        for scheme in SCHEME_ORDER:
             for csi in ALL_MODES:
                 ref = mp_relay_slope(params, scheme, csi)
                 slope = sop_relay_slope(params, scheme, csi)
                 assert slope == pytest.approx(ref, rel=1e-12, abs=0.0), (params, scheme, csi)
     beta = 1e-6
     p = FIG3_PARAMS.with_(beta_sr=beta, beta_rd=beta)
-    for scheme in SUPPORTED:
+    for scheme in SCHEME_ORDER:
         for csi in ALL_MODES:
             a = sop_asymptote_balanced(FIG3_PARAMS, scheme, csi)
-            assert a.kind is AsymptoteKind.BALANCED_SLOPE
             assert a.constant_term == 0.0
             ratio = sop(p, scheme, csi).value / beta
             assert abs(ratio - a.coefficient) <= 0.02 * a.coefficient
@@ -68,7 +58,7 @@ def test_balanced_slope_matches_closed_form_at_60db():
 
 def test_balanced_slope_positive_on_random_grid():
     for params in sample_grid(20, seed=42):
-        for scheme in SUPPORTED:
+        for scheme in SCHEME_ORDER:
             for csi in ALL_MODES:
                 assert sop_asymptote_balanced(params, scheme, csi).coefficient > 0.0
 
@@ -77,7 +67,7 @@ def test_balanced_slope_zero_target_rate_csi():
     # with a zero target rate the CSI outage event is empty, so the whole
     # first-order coefficient collapses to zero
     p = FIG3_PARAMS.with_(rate_rs=0.0)
-    for scheme in SUPPORTED:
+    for scheme in SCHEME_ORDER:
         a = sop_asymptote_balanced(p, scheme, CsiMode.CSI)
         assert a.coefficient == pytest.approx(0.0, abs=1e-14)
 
@@ -86,9 +76,9 @@ def test_case1_constant_shared_across_schemes():
     for csi in ALL_MODES:
         consts = [
             sop_asymptote_unbalanced(FIG5_PARAMS, s, csi, UnbalancedCase.I).constant_term
-            for s in SUPPORTED
+            for s in SCHEME_ORDER
         ]
-        assert consts[0] == consts[1] == consts[2]
+        assert len(set(consts)) == 1
         assert 0.0 <= consts[0] <= 1.0
     nocsi = sop_asymptote_unbalanced(
         FIG5_PARAMS, Scheme.MRC_MRC, CsiMode.NOCSI, UnbalancedCase.I
@@ -105,15 +95,15 @@ def test_case2_constants_differ_across_schemes():
         for csi in ALL_MODES:
             consts = [
                 sop_asymptote_unbalanced(params, s, csi, UnbalancedCase.II).constant_term
-                for s in SUPPORTED
+                for s in SCHEME_ORDER
             ]
-            assert len({round(c, 12) for c in consts}) == 3
+            assert len({round(c, 12) for c in consts}) == 4
 
 
 @pytest.mark.parametrize("case,field", [(UnbalancedCase.I, "beta_rd"), (UnbalancedCase.II, "beta_sr")])
 def test_unbalanced_floor_law(case, field):
     beta_80db = 1e-8
-    for scheme in SUPPORTED:
+    for scheme in SCHEME_ORDER:
         for csi in ALL_MODES:
             a = sop_asymptote_unbalanced(FIG5_PARAMS, scheme, csi, case)
             assert 0.0 <= a.constant_term <= 1.0
@@ -125,7 +115,7 @@ def test_unbalanced_floor_law(case, field):
 def test_unbalanced_slope_law(case, field):
     # the first-order term is the residual slope above the floor
     beta = 1e-6
-    for scheme in SUPPORTED:
+    for scheme in SCHEME_ORDER:
         for csi in ALL_MODES:
             a = sop_asymptote_unbalanced(FIG5_PARAMS, scheme, csi, case)
             residual = sop(FIG5_PARAMS.with_(**{field: beta}), scheme, csi).value - a.constant_term
@@ -133,8 +123,11 @@ def test_unbalanced_slope_law(case, field):
 
 
 def test_asymptote_predict():
-    a = Asymptote(AsymptoteKind.UNBALANCED_CASE_I, 0.25, 3.0)
+    a = Asymptote(0.25, 3.0)
     assert a.predict(0.01) == pytest.approx(0.28)
+    # an overflow is a numeric failure, never a value
+    with pytest.raises(NumericError):
+        Asymptote(0.0, 1e308).predict(10.0)
 
 
 def test_wiretap_values(wiretap_params):

@@ -162,24 +162,90 @@ def test_mc_oracle_column_tracks_closed_form():
 
 
 def test_unsupported_asymptote_marker_and_continuation():
-    spec = SweepSpec(
-        axis=Axis.BALANCED_SNR_DB, start_db=10.0, stop_db=10.0, step_db=1.0, fixed=BASE,
-        schemes=SCHEME_ORDER, asymptote=True,
-    )
-    rows = run_sweep(spec)
-    markers = {r.scheme: r.asymptote_value for r in rows if r.csi is CsiMode.NOCSI}
-    assert markers[Scheme.SC_SC] == UNSUPPORTED_MARKER
-    for s in (Scheme.MRC_SC, Scheme.MRC_MRC, Scheme.SC_MRC):
-        assert isinstance(markers[s], float)
+    # every scheme has an outage line on the balanced axis, sc_sc included;
+    # the balanced and case-I rate cells have no line yet
+    for axis in (Axis.BALANCED_SNR_DB, Axis.BETA_RD_DB):
+        spec = SweepSpec(
+            axis=axis, start_db=10.0, stop_db=10.0, step_db=1.0, fixed=BASE,
+            schemes=SCHEME_ORDER, metrics=(Metric.SOP, Metric.ESR), asymptote=True,
+        )
+        rows = run_sweep(spec)
+        assert len(rows) == 16
+        for r in rows:
+            if r.metric is Metric.SOP:
+                assert isinstance(r.asymptote_value, float)
+            else:
+                assert r.asymptote_value == UNSUPPORTED_MARKER
     # the threshold axis has no asymptote in any cell; its outage rows used
     # to leave the field empty while its rate rows carried the marker
-    gamma = dataclasses.replace(spec, axis=Axis.GAMMA_TH_DB, metrics=(Metric.SOP, Metric.ESR))
+    gamma = dataclasses.replace(spec, axis=Axis.GAMMA_TH_DB)
     rows = run_sweep(gamma)
     assert len(rows) == 16
     assert all(r.asymptote_value == UNSUPPORTED_MARKER for r in rows)
     # a threshold of -4000 dB is 0; no swept rate is converted (it overflowed)
     low = run_sweep(dataclasses.replace(gamma, start_db=-4000.0, stop_db=-4000.0))
     assert all(r.asymptote_value == UNSUPPORTED_MARKER for r in low)
+
+
+def _point(params, axis, value_db):
+    # the parameters of one axis point, written out independently of sweep
+    if axis is Axis.GAMMA_TH_DB:
+        return params.with_(gamma_th=10.0 ** (value_db / 10.0))
+    rate = 10.0 ** (-value_db / 10.0)
+    return params.with_(**{
+        Axis.BALANCED_SNR_DB: dict(beta_sr=rate, beta_rd=rate),
+        Axis.BETA_RD_DB: dict(beta_rd=rate),
+        Axis.BETA_SR_DB: dict(beta_sr=rate),
+    }[axis])
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+def test_asymptotes_and_floors_match_fresh_calls_at_each_point(axis):
+    # a curve's lines and floors are computed once, at the curve's fixed
+    # parameters; each field must equal a call at its row's own point
+    case = {Axis.BETA_RD_DB: asymptotics.UnbalancedCase.I,
+            Axis.BETA_SR_DB: asymptotics.UnbalancedCase.II}.get(axis)
+    for params in sample_grid(3, seed=23):
+        spec = SweepSpec(
+            axis=axis, start_db=-5.0, stop_db=25.0, step_db=15.0, fixed=params,
+            metrics=(Metric.SOP, Metric.ESR), asymptote=True,
+        )
+        rows = run_sweep(spec)
+        assert len(rows) == 3 * 16
+        for r in rows:
+            point = _point(params, axis, r.axis_value_db)
+            beta = 10.0 ** (-r.axis_value_db / 10.0)
+            expected = UNSUPPORTED_MARKER
+            if r.metric is Metric.SOP and axis is Axis.BALANCED_SNR_DB:
+                line = asymptotics.sop_asymptote_balanced(point, r.scheme, r.csi)
+                expected = line.predict(beta)
+            elif r.metric is Metric.SOP and case is not None:
+                line = asymptotics.sop_asymptote_unbalanced(point, r.scheme, r.csi, case)
+                expected = line.predict(beta)
+            elif case is asymptotics.UnbalancedCase.II:
+                expected = closed_form.esr_conditional(point, r.scheme, r.csi, relay_on=True)
+            assert r.asymptote_value == expected, r
+            floors = (None, None)
+            if axis is Axis.GAMMA_TH_DB and (r.scheme, r.csi, r.metric) == (
+                Scheme.MRC_MRC, CsiMode.NOCSI, Metric.SOP
+            ):
+                floors = (asymptotics.sop_perfect_decoding(point), asymptotics.sop_wiretap(point))
+            assert (r.floor_gamma_zero, r.floor_gamma_inf) == floors, r
+
+
+def test_asymptotes_computed_once_per_curve(monkeypatch):
+    # fig3: 4 curves of one cell over 21 points
+    calls = []
+    balanced = asymptotics.sop_asymptote_balanced
+
+    def counted(*args):
+        calls.append(args)
+        return balanced(*args)
+
+    monkeypatch.setattr(asymptotics, "sop_asymptote_balanced", counted)
+    rows = run_sweep(figure_preset("fig3"))
+    assert len(rows) == 84
+    assert len(calls) == 4
 
 
 def test_axis_application():
@@ -247,6 +313,26 @@ def test_csv_columns_are_the_row_fields():
         "%.17g" % row.value, "", "", "",
         "%.17g" % row.floor_gamma_zero, "%.17g" % row.floor_gamma_inf,
     ]
+
+
+def test_case2_rate_floor_every_cell():
+    # the case-II rate floor is the decode-success rate; the rate differs
+    # from it by the decode-failure weight 1 - exp(-gamma_th beta_sr) times
+    # the gap between the two branches, at most gamma_th |on - off| beta_sr
+    fig7 = figure_preset("fig7")
+    params = fig7.fixed.with_(beta_rd=10.0 ** -3.0)
+    spec = SweepSpec(
+        axis=Axis.BETA_SR_DB, start_db=40.0, stop_db=80.0, step_db=20.0, fixed=params,
+        metrics=(Metric.ESR,), asymptote=True,
+    )
+    rows = run_sweep(spec)
+    assert len(rows) == 3 * 8
+    for r in rows:
+        beta = 10.0 ** (-r.axis_value_db / 10.0)
+        off = closed_form.esr_conditional(params, r.scheme, r.csi, relay_on=False)
+        gap = params.gamma_th * abs(r.asymptote_value - off)
+        assert abs(r.value - r.asymptote_value) <= gap * beta * (1.0 + 1e-6), r
+        assert gap < 10.0
 
 
 def test_fig7_esr_saturation_column():
@@ -634,6 +720,11 @@ def test_cli_numeric_failure_exit_code(capsys):
             "--axis", "balanced-snr-db", "--from-db", "10", "--to-db", "10",
             "--alpha-se-db", "-3080", "--alpha-re-db", "-3080", "--metric", "esr",
             "--scheme", "mrc_sc", "--csi", "nocsi",
+        ],
+        # the balanced asymptote overflows to inf at a 3080 dB threshold
+        [
+            "--axis", "balanced-snr-db", "--from-db", "-10", "--to-db", "-10",
+            "--gamma-th-db", "3080", "--asymptote", "--scheme", "mrc_mrc",
         ],
     ],
 )
