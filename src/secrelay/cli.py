@@ -6,14 +6,16 @@ Two subcommands:
 * ``validate`` - run the closed-form / quadrature / Monte Carlo agreement
   suite and exit nonzero on disagreement.
 
-Exit codes: 0 success, 2 usage error, 3 numeric/oracle failure,
-4 validation failure.
+Exit codes: 0 success, 1 standard output closed early (``secrelay ... |
+head``; the command stops quietly), 2 usage error, 3 numeric/oracle
+failure, 4 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .errors import DomainError, NumericError
@@ -34,6 +36,7 @@ from .sweep import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VALIDATION = 4
@@ -210,9 +213,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not 1 <= args.jobs <= MAX_JOBS:
         parser.error(f"--jobs must be in [1, {MAX_JOBS}], got {args.jobs}")
-    if args.command == "sweep":
-        return _cmd_sweep(parser, args)
-    return _cmd_validate(parser, args)
+    command = _cmd_sweep if args.command == "sweep" else _cmd_validate
+    try:
+        code = command(parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output.  Point it at devnull so the
+        # interpreter's own flush at exit does not fail again, as the SIGPIPE
+        # note of the signal module's documentation does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

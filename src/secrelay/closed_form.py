@@ -17,15 +17,19 @@ singular at equal rates, so its functional is written
 form for close or equal ones (McCurdy, Ng & Parlett, "Accurate computation
 of divided differences of the exponential function", Math. Comp. 43, 1984).
 Every rate pair stays on the closed form.
+
+The module needs no special-function library: ``eiexp`` comes from
+:mod:`secrelay.expint` and ``exprel(z) = (e^z - 1)/z`` is ``expm1(z)/z``,
+bit-identical to SciPy's; above z ~ 709.78 it raises OverflowError where
+SciPy returned inf, and either way the value is a :class:`NumericError`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-
-from scipy.special import exprel
 
 from .errors import DomainError, NumericError
 from .expint import ASYMPTOTIC_X, eiexp, eiexp_asymptotic
@@ -163,6 +167,13 @@ def _eaves_laplace(params: SystemParams, scheme: Scheme, relay_on: bool):
 _EXP_DD2_SERIES = tuple(1.0 / math.factorial(n + 2) for n in range(15))
 
 
+def _exprel(z):
+    """``(e^z - 1)/z``, 1 at ``|z| < eps``; OverflowError above ~709.78."""
+    if abs(z) < sys.float_info.epsilon:
+        return 1.0
+    return math.expm1(z) / z
+
+
 def _exp_dd2(k, x, y):
     """Second divided difference of ``exp(-k s)`` over ``(x, x, y)``."""
     z = -k * (y - x)
@@ -191,7 +202,7 @@ def _outage_functional(params, scheme, csi, relay_on):
 
     def phi_dd(s1, s2):
         decay1 = math.exp(-s1 * k)
-        decay_dd = -k * decay1 * exprel(-k * (s2 - s1))
+        decay_dd = -k * decay1 * _exprel(-k * (s2 - s1))
         v = decay_dd * lap(rho * s2) + decay1 * rho * lap_dd(rho * s1, rho * s2)
         return v - lap_dd(s1, s2) if csi_on else v
 

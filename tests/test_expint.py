@@ -1,24 +1,58 @@
 """Tests for the scaled exponential-integral kernel.
 
 The reference oracle is an independent high-precision evaluation (mpmath,
-30 digits), cross-checked at a few points against the textbook series
-computed term by term in extended precision.
+40 digits), cross-checked at a few points against the textbook series
+computed term by term in extended precision, and SciPy's ``exp1``/``expi``
+as a second, double-precision reference.
 """
 
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
-from secrelay.errors import DomainError
-from secrelay.expint import EULER_GAMMA, eiexp, exp_integral_ei, log_expectation_shifted_exp
+from secrelay import closed_form
+from secrelay.errors import DomainError, NumericError
+from secrelay.expint import (
+    ASYMPTOTIC_X,
+    EULER_GAMMA,
+    SERIES_X,
+    eiexp,
+    exp_integral_ei,
+    log_expectation_shifted_exp,
+)
+from secrelay.fading import CsiMode, Scheme, SystemParams
 
-mp.mp.dps = 30
+mp.mp.dps = 40
+
+# Relative error bound of eiexp and Ei against mpmath: the worst measured on
+# the reference grid and around every edge is 9.0e-16.
+REL_TOL = 1e-15
+
+# Where eiexp changes formula: the series, the half-octave polynomial pieces
+# (frexp mantissa 1/2 and sqrt(1/2)) and the asymptotic series.
+EDGES = sorted(
+    [SERIES_X, ASYMPTOTIC_X]
+    + [2.0**e for e in range(-1, 6)]
+    + [math.sqrt(0.5) * 2.0**e for e in range(-1, 6)]
+)
+
+
+def around(x, n=4):
+    """The 2n + 1 consecutive doubles centred on x."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
 
 
 def eiexp_reference(x: float) -> float:
@@ -99,9 +133,8 @@ def test_eiexp_domain(bad):
 
 
 def test_eiexp_matches_reference_grid():
-    # across the switch to the asymptotic series at x = 40; Ei(-x) wherever
-    # it is a normal double
-    xs = np.logspace(math.log10(1e-8), math.log10(1e6), 2000)
+    # across every change of formula; Ei(-x) wherever it is a normal double
+    xs = np.logspace(math.log10(1e-8), math.log10(1e6), 20000)
     worst = worst_ei = 0.0
     for x in xs:
         x = float(x)
@@ -110,8 +143,52 @@ def test_eiexp_matches_reference_grid():
         ref_ei = float(mp.ei(-x))
         if abs(ref_ei) >= sys.float_info.min:
             worst_ei = max(worst_ei, abs(exp_integral_ei(-x) - ref_ei) / abs(ref_ei))
-    assert worst < 4e-15
-    assert worst_ei < 4e-15
+    assert worst < REL_TOL
+    assert worst_ei < REL_TOL
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_eiexp_piece_edges(edge):
+    xs = around(edge)
+    vals = [eiexp(x) for x in xs]
+    for x, v in zip(xs, vals):
+        ref = eiexp_reference(x)
+        assert abs(v - ref) <= REL_TOL * abs(ref), x
+        ref_ei = float(mp.ei(-x))
+        assert abs(exp_integral_ei(-x) - ref_ei) <= REL_TOL * abs(ref_ei), x
+    # eiexp rises by under an ulp per ulp of x, so neighbours may tie or
+    # swap by rounding; no value below the edge exceeds one above it, and
+    # over the eight ulps it rises strictly
+    assert max(vals[:4]) <= min(vals[5:])
+    assert vals[0] < vals[-1]
+
+
+def test_eiexp_matches_scipy():
+    xs = np.logspace(math.log10(1e-8), math.log10(ASYMPTOTIC_X), 2000)
+    for x in map(float, xs):
+        ref = -math.exp(x) * float(special.exp1(x))
+        assert abs(eiexp(x) - ref) <= 2.5e-15 * abs(ref), x
+        ref_ei = float(special.expi(-x))
+        assert abs(exp_integral_ei(-x) - ref_ei) <= 2.5e-15 * abs(ref_ei), x
+
+
+def test_exprel_bit_identical_to_scipy():
+    mags = np.logspace(-20, math.log10(700.0), 4000)
+    for z in [0.0] + [float(s * m) for m in mags for s in (1.0, -1.0)]:
+        assert closed_form._exprel(z) == float(special.exprel(z)), z
+
+
+def test_exprel_overflow_in_close_rate_mrc_outage_is_numeric_error():
+    # close destination rates take phi's divided difference, whose exprel
+    # argument (rho - 1)(beta_sd - beta_rd) ~ 2e3 overflows
+    params = SystemParams(
+        alpha_se=1.0, alpha_re=1.0, beta_sd=20.0, beta_sr=1.0, beta_rd=19.5,
+        gamma_th=1.0, rate_rs=6.0,
+    )
+    with pytest.raises(OverflowError):
+        closed_form._exprel((params.rho - 1.0) * (params.beta_sd - params.beta_rd))
+    with pytest.raises(NumericError):
+        closed_form.sop_conditional(params, Scheme.MRC_MRC, CsiMode.NOCSI, relay_on=True)
 
 
 def test_eiexp_consistent_with_unscaled_product():
@@ -177,6 +254,16 @@ def test_log_expectation_identity_random_grid():
 def test_log_expectation_domain(args):
     with pytest.raises(DomainError):
         log_expectation_shifted_exp(*args)
+
+
+def test_coefficient_literal_matches_generator():
+    # the polynomial pieces are regenerated at 40 digits and diffed against
+    # the tuple literal in expint.py
+    tool = Path(__file__).resolve().parent.parent / "tools" / "expint_coefficients.py"
+    out = subprocess.run(
+        [sys.executable, str(tool), "--check"], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_euler_gamma_constant():

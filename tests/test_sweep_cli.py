@@ -753,16 +753,59 @@ def test_cli_unwritable_output_path(tmp_path):
     assert exc.value.code == 2
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # the quadrature oracle is numpy code; importing scipy.integrate would
-    # add ~0.3 s to every command's start-up
+def _cli_env():
     import secrelay
 
     src = str(Path(secrelay.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, secrelay.cli; print(sorted(m for m in sys.modules if 'integrate' in m))"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the package computes its special functions itself and the quadrature
+    # oracle is numpy code; importing scipy.special alone would add ~0.3 s
+    # to every command's start-up
+    code = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import secrelay\n"
+        "print(scipy_modules())\n"
+        "import secrelay.cli\n"
+        "print(scipy_modules())\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+        env=_cli_env(), capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_cli_sweep_stops_quietly_when_stdout_closes():
+    # 2576 rows, ~190 kB: more than the pipe and stdout buffers hold, so the
+    # command is still writing when the reader goes away after one line
+    cmd = [sys.executable, "-m", "secrelay.cli", "sweep", "--axis", "balanced-snr-db",
+           "--from-db", "0", "--to-db", "40", "--step-db", "0.25", "--metric", "both"]
+    proc = subprocess.Popen(
+        cmd, env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    try:
+        assert proc.stdout.readline().rstrip("\n") == CSV_HEADER
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, "")
+
+
+def test_cli_validate_stops_quietly_when_stdout_is_closed():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "secrelay.cli", "validate", "--grid-size", "1",
+             "--mc-trials", "1000"],
+            env=_cli_env(), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")
