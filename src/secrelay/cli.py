@@ -20,7 +20,6 @@ import sys
 
 from .errors import DomainError, NumericError
 from .fading import CsiMode, SCHEME_ORDER, Scheme, params_from_db
-from .oracles import DEFAULT_QUAD_TOL
 from .sweep import (
     Axis,
     BASE_DB,
@@ -107,10 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     va.add_argument("--grid-size", type=int, default=200)
     va.add_argument("--seed", type=int, default=7)
     va.add_argument("--mc-trials", type=int, default=10**6)
-    va.add_argument("--quad-tol", type=float, default=DEFAULT_QUAD_TOL)
-    va.add_argument("--tol-quad", type=float, default=1e-6, help="closed form vs quadrature (abs)")
-    va.add_argument("--mc-sigmas", type=float, default=3.0)
-    va.add_argument("--mc-floor", type=float, default=1e-4)
     va.add_argument("--jobs", type=int, default=1)
     return parser
 
@@ -193,10 +188,6 @@ def _cmd_validate(parser, args) -> int:
             grid_size=args.grid_size,
             seed=args.seed,
             mc_trials=args.mc_trials,
-            quad_tol=args.quad_tol,
-            tol_quad_abs=args.tol_quad,
-            mc_sigmas=args.mc_sigmas,
-            mc_abs_floor=args.mc_floor,
             n_jobs=args.jobs,
         )
     except DomainError as exc:

@@ -202,7 +202,8 @@ def _outage_functional(params, scheme, csi, relay_on):
 
     def phi_dd(s1, s2):
         decay1 = math.exp(-s1 * k)
-        decay_dd = -k * decay1 * _exprel(-k * (s2 - s1))
+        # exp(-k s)[s1, s2], exponential at the smaller rate: no overflow
+        decay_dd = -k * math.exp(-k * min(s1, s2)) * _exprel(-k * abs(s2 - s1))
         v = decay_dd * lap(rho * s2) + decay1 * rho * lap_dd(rho * s1, rho * s2)
         return v - lap_dd(s1, s2) if csi_on else v
 

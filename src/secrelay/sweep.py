@@ -389,6 +389,8 @@ def figure_preset(name: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 
 _RATE_LO, _RATE_HI = 0.05, 20.0
+# The Monte Carlo band's absolute part: a 0/1 estimate has stderr 0.
+MC_ABS_FLOOR = 1e-4
 _GAMMA_TH_HI = 6.0
 _RS_LO, _RS_HI = 0.1, 2.0
 
@@ -474,24 +476,21 @@ def run_validation(
     quad_tol: float = oracles.DEFAULT_QUAD_TOL,
     tol_quad_abs: float = 1e-6,
     mc_sigmas: float = 3.0,
-    mc_abs_floor: float = 1e-4,
     n_jobs: int = 1,
 ) -> ValidationReport:
     """Run the closed-form / quadrature / Monte Carlo agreement suite.
 
     For every grid point and every scheme/CSI/metric combination the closed
     form must sit within ``tol_quad_abs`` of quadrature and within
-    ``mc_sigmas * stderr + mc_abs_floor`` of the Monte Carlo estimate.
+    ``mc_sigmas * stderr + MC_ABS_FLOOR`` of the Monte Carlo estimate.
     Tolerances that make the check vacuous (a negative or infinite band)
-    or unpassable (a zero band, which also divides by a zero stderr)
-    raise :class:`DomainError` before any point is evaluated.
+    or unpassable (a zero band) raise :class:`DomainError` before any point
+    is evaluated.
     """
     if not (tol_quad_abs > 0.0 and math.isfinite(tol_quad_abs)):
         raise DomainError(f"tol_quad_abs must be positive and finite, got {tol_quad_abs!r}")
     if not (mc_sigmas >= 0.0 and math.isfinite(mc_sigmas)):
         raise DomainError(f"mc_sigmas must be >= 0 and finite, got {mc_sigmas!r}")
-    if not (mc_abs_floor > 0.0 and math.isfinite(mc_abs_floor)):
-        raise DomainError(f"mc_abs_floor must be positive and finite, got {mc_abs_floor!r}")
     grid = sample_grid(grid_size, seed)
     cells = _cells(Metric, CsiMode, SCHEME_ORDER)
 
@@ -504,7 +503,7 @@ def run_validation(
             quad = oracles.quadrature_sop if metric is Metric.SOP else oracles.quadrature_esr
             q = quad(params, scheme, csi, quad_tol).value
             est = _estimate(mc, scheme, csi, metric)
-            allowed = mc_sigmas * est.stderr + mc_abs_floor
+            allowed = mc_sigmas * est.stderr + MC_ABS_FLOOR
             diffs += (abs(cf - q), abs(cf - est.value) / allowed)
             if metric is Metric.ESR and scheme is Scheme.MRC_SC and csi is CsiMode.CSI:
                 shipped, q_ref = cf, q
@@ -536,6 +535,6 @@ def run_validation(
         quad_tol=quad_tol,
         tol_quad_abs=tol_quad_abs,
         mc_sigmas=mc_sigmas,
-        mc_abs_floor=mc_abs_floor,
+        mc_abs_floor=MC_ABS_FLOOR,
         variant_note=note,
     )

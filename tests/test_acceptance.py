@@ -75,9 +75,9 @@ def test_criterion_1_three_way_agreement():
         quad_tol=1e-9,
         tol_quad_abs=1e-6,
         mc_sigmas=3.0,
-        mc_abs_floor=1e-4,
         n_jobs=2,
     )
+    assert rep.mc_abs_floor == 1e-4
     worst_q = max(r.worst_quad_diff for r in rep.rows)
     worst_m = max(r.worst_mc_ratio for r in rep.rows)
     report(

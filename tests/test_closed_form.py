@@ -19,7 +19,7 @@ from secrelay.closed_form import (
 from secrelay.errors import DomainError, NumericError
 from secrelay.expint import eiexp
 from secrelay.fading import CsiMode, SCHEME_ORDER, Scheme, SystemParams, params_from_db
-from secrelay.sweep import sample_grid
+from secrelay.sweep import BASE_DB, sample_grid
 
 from mp_reference import mp_reference
 
@@ -213,6 +213,23 @@ def test_equal_and_near_equal_rates_match_mpmath(base_params, pair, point):
                     assert fn(p, scheme, csi).value == pytest.approx(ref, rel=1e-12, abs=0.0), (
                         gap, pair, scheme, csi, metric
                     )
+
+
+@pytest.mark.parametrize("rate_rs", [0.5, 3.0, 6.0, 8.0])
+@pytest.mark.parametrize("beta_sd_db", [-13.0, 0.0, 10.0])
+def test_close_mrc_destination_rates_match_mpmath(beta_sd_db, rate_rs):
+    # beta_rd slightly stronger than beta_sd: the relayed rate is the smaller
+    # of a close pair, at k = rho - 1 up to ~6.6e4
+    for gap_db in (0.01, 0.02, 0.05, 0.1, 0.2):
+        p = params_from_db(
+            **dict(BASE_DB, beta_sd_db=beta_sd_db, beta_rd_db=beta_sd_db + gap_db, rate_rs=rate_rs)
+        )
+        for scheme in (Scheme.MRC_MRC, Scheme.MRC_SC):
+            for csi in ALL_MODES:
+                ref = mp_reference(p, scheme, csi, "sop")
+                assert sop(p, scheme, csi).value == pytest.approx(ref, rel=1e-14, abs=0.0), (
+                    gap_db, scheme, csi
+                )
 
 
 @pytest.mark.parametrize("db", [70.0, 80.0, 90.0, 100.0])

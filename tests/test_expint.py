@@ -20,7 +20,7 @@ from scipy import special
 from scipy.integrate import quad
 
 from secrelay import closed_form
-from secrelay.errors import DomainError, NumericError
+from secrelay.errors import DomainError
 from secrelay.expint import (
     ASYMPTOTIC_X,
     EULER_GAMMA,
@@ -30,6 +30,8 @@ from secrelay.expint import (
     log_expectation_shifted_exp,
 )
 from secrelay.fading import CsiMode, Scheme, SystemParams
+
+from mp_reference import mp_reference
 
 mp.mp.dps = 40
 
@@ -178,17 +180,20 @@ def test_exprel_bit_identical_to_scipy():
         assert closed_form._exprel(z) == float(special.exprel(z)), z
 
 
-def test_exprel_overflow_in_close_rate_mrc_outage_is_numeric_error():
-    # close destination rates take phi's divided difference, whose exprel
-    # argument (rho - 1)(beta_sd - beta_rd) ~ 2e3 overflows
+def test_close_rate_mrc_outage_keeps_exprel_in_range():
+    # close destination rates take phi's divided difference; exprel at
+    # (rho - 1)(beta_sd - beta_rd) ~ 2e3 overflows, so the difference takes
+    # its exponential at the smaller rate, where exprel's argument is negative
     params = SystemParams(
         alpha_se=1.0, alpha_re=1.0, beta_sd=20.0, beta_sr=1.0, beta_rd=19.5,
         gamma_th=1.0, rate_rs=6.0,
     )
     with pytest.raises(OverflowError):
         closed_form._exprel((params.rho - 1.0) * (params.beta_sd - params.beta_rd))
-    with pytest.raises(NumericError):
-        closed_form.sop_conditional(params, Scheme.MRC_MRC, CsiMode.NOCSI, relay_on=True)
+    on = closed_form.sop_conditional(params, Scheme.MRC_MRC, CsiMode.NOCSI, relay_on=True)
+    # at gamma_th = 0 the relay always decodes: the reference is that branch
+    ref = mp_reference(params.with_(gamma_th=0.0), Scheme.MRC_MRC, CsiMode.NOCSI, "sop")
+    assert on == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_eiexp_consistent_with_unscaled_product():

@@ -374,9 +374,9 @@ def test_validation_zero_tolerance_fails():
     [
         {"mc_sigmas": -1.0},  # negative band: every ratio <= 1, the check is vacuous
         {"mc_sigmas": float("nan")},
-        {"mc_abs_floor": 0.0},  # a 0/1 estimate has stderr 0: ratio divides by zero
-        {"mc_abs_floor": -1e-4},
-        {"mc_abs_floor": float("inf")},
+        {"mc_sigmas": float("inf")},
+        {"tol_quad_abs": float("inf")},
+        {"tol_quad_abs": float("nan")},
         {"tol_quad_abs": 0.0},
         {"tol_quad_abs": -1e-6},
     ],
@@ -557,24 +557,42 @@ def test_cli_repeated_scheme_is_a_usage_error(capsys):
     assert "repeat" in capsys.readouterr().err
 
 
-def test_cli_validate_exit_codes(capsys):
-    assert main(["validate", "--grid-size", "1", "--seed", "3", "--mc-trials", "50000"]) == 0
+def test_cli_validate_exit_codes(monkeypatch, capsys):
+    argv = ["validate", "--grid-size", "1", "--seed", "3", "--mc-trials", "50000"]
+    assert main(argv) == 0
+    assert "overall: pass" in capsys.readouterr().out
+    shipped = closed_form.sop
+
+    def nan_sop(params, scheme, csi):
+        return dataclasses.replace(shipped(params, scheme, csi), value=math.nan)
+
+    monkeypatch.setattr(closed_form, "sop", nan_sop)
+    assert main(argv) == 4
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_validate_prints_the_gate(capsys):
+    # the bands are fixed in run_validation, so the header always reads them
+    assert main(["validate", "--grid-size", "1", "--mc-trials", "1000"]) == 0
     out = capsys.readouterr().out
-    assert "overall: pass" in out
-    rc = main(
-        [
-            "validate",
-            "--grid-size",
-            "1",
-            "--seed",
-            "3",
-            "--mc-trials",
-            "50000",
-            "--tol-quad",
-            "1e-300",
-        ]
-    )
-    assert rc == 4
+    assert "quad_tol=1e-09 tol_quad_abs=1e-06 mc_tol=3*stderr+0.0001" in out
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--quad-tol", "0"],
+        ["--quad-tol", "inf"],
+        ["--mc-sigmas", "-1"],
+        ["--mc-floor", "0"],
+        ["--tol-quad", "0"],
+    ],
+)
+def test_cli_validate_has_no_band_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--grid-size", "1", "--mc-trials", "1000", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -582,12 +600,12 @@ def test_cli_validate_exit_codes(capsys):
     [
         ["--mc-trials", "0"],
         ["--grid-size", "0"],
-        ["--quad-tol", "0"],
-        ["--quad-tol", "inf"],
+        ["--mc-trials", "-5"],
+        ["--grid-size", "1.5"],
         ["--seed", "-1"],
-        ["--mc-sigmas", "-1"],
-        ["--mc-floor", "0"],
-        ["--tol-quad", "0"],
+        ["--seed", "x"],
+        ["--jobs", str(MAX_JOBS + 1)],
+        ["--grid-size", "-1"],
         ["--jobs", "0"],
         ["--jobs", "-3"],
         ["--grid-size", str(POINT_LIMIT + 1)],
@@ -733,6 +751,16 @@ def test_cli_nonfinite_closed_form_exit_code(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numeric failure" in captured.err
+
+
+def test_cli_close_mrc_destination_rates_at_a_high_target_rate(capsys):
+    # beta_rd 0.1 dB stronger than beta_sd at rho - 1 ~ 4096: the
+    # divided difference of exp(-k s) must not under- and overflow
+    argv = ["sweep", "--axis", "beta-rd-db", "--from-db", "-12.9", "--to-db", "-12.9",
+            "--beta-sd-db", "-13", "--rate-rs", "6", "--scheme", "mrc_mrc", "--csi", "nocsi"]
+    assert main(argv) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[7]) == 1.0
 
 
 def test_cli_preset_with_mc_oracle(tmp_path):
