@@ -162,14 +162,7 @@ def _spec_from_args(parser, args) -> SweepSpec:
 
 
 def _cmd_sweep(parser, args) -> int:
-    try:
-        spec = _spec_from_args(parser, args)
-        rows = run_sweep(spec, n_jobs=args.jobs)
-    except DomainError as exc:
-        parser.error(str(exc))
-    except NumericError as exc:
-        print(f"secrelay: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    rows = run_sweep(_spec_from_args(parser, args), n_jobs=args.jobs)
     if args.out:
         try:
             with open(args.out, "w", newline="") as fh:
@@ -183,18 +176,9 @@ def _cmd_sweep(parser, args) -> int:
 
 
 def _cmd_validate(parser, args) -> int:
-    try:
-        report = run_validation(
-            grid_size=args.grid_size,
-            seed=args.seed,
-            mc_trials=args.mc_trials,
-            n_jobs=args.jobs,
-        )
-    except DomainError as exc:
-        parser.error(str(exc))
-    except NumericError as exc:
-        print(f"secrelay: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    report = run_validation(
+        grid_size=args.grid_size, seed=args.seed, mc_trials=args.mc_trials, n_jobs=args.jobs
+    )
     sys.stdout.write(report.render())
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
@@ -208,6 +192,11 @@ def main(argv=None) -> int:
     try:
         code = command(parser, args)
         sys.stdout.flush()
+    except DomainError as exc:
+        parser.error(str(exc))
+    except NumericError as exc:
+        print(f"secrelay: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except BrokenPipeError:
         # The reader closed standard output.  Point it at devnull so the
         # interpreter's own flush at exit does not fail again, as the SIGPIPE

@@ -39,7 +39,6 @@ from .fading import (
     Scheme,
     SystemParams,
     decode_probability,
-    rates_degenerate,
 )
 
 __all__ = [
@@ -102,20 +101,14 @@ def _mixture(comb, r1, r2, phi, phi_dd):
     return r1 * phi_dd(r1, r2) - phi(r1)
 
 
-def _dest(params: SystemParams, scheme: Scheme, relay_on: bool):
-    # (kind, r1, r2) of the destination's combiner; a silent relay leaves
-    # the direct link alone.
+def _receivers(params: SystemParams, scheme: Scheme, relay_on: bool):
+    # (kind, r1, r2) of the destination's and the eavesdropper's combiners;
+    # a silent relay leaves each its direct link alone.
     if not relay_on:
-        return _Combiner.SINGLE, params.beta_sd, None
-    kind = _Combiner.SUM if scheme.mrc_at_destination else _Combiner.MAX
-    return kind, params.beta_sd, params.beta_rd
-
-
-def _eaves(params: SystemParams, scheme: Scheme, relay_on: bool):
-    if not relay_on:
-        return _Combiner.SINGLE, params.alpha_se, None
-    kind = _Combiner.SUM if scheme.mrc_at_eavesdropper else _Combiner.MAX
-    return kind, params.alpha_se, params.alpha_re
+        return (_Combiner.SINGLE, params.beta_sd, None), (_Combiner.SINGLE, params.alpha_se, None)
+    m = _Combiner.SUM if scheme.mrc_at_destination else _Combiner.MAX
+    e = _Combiner.SUM if scheme.mrc_at_eavesdropper else _Combiner.MAX
+    return (m, params.beta_sd, params.beta_rd), (e, params.alpha_se, params.alpha_re)
 
 
 def _pole_dd(a, t1, t2):
@@ -222,7 +215,7 @@ def _outage_functional(params, scheme, csi, relay_on):
 
 def _sop_bracket(params, scheme, csi, relay_on):
     phi, phi_dd, _ = _outage_functional(params, scheme, csi, relay_on)
-    total = _mixture(*_dest(params, scheme, relay_on), phi, phi_dd)
+    total = _mixture(*_receivers(params, scheme, relay_on)[0], phi, phi_dd)
     return total if csi is CsiMode.CSI else 1.0 + total
 
 
@@ -268,8 +261,7 @@ def _eiexp_dd2(s1, s2, a1, a2):
 
 def _esr_bracket(params, scheme, csi, relay_on):
     # E[ln(1 + X)] of a mixture is -sum_i c_i eiexp(s_i).
-    m = _dest(params, scheme, relay_on)
-    e = _eaves(params, scheme, relay_on)
+    m, e = _receivers(params, scheme, relay_on)
     if csi is CsiMode.NOCSI:
         return _mixture(*m, eiexp, _eiexp_dd) - _mixture(*e, eiexp, _eiexp_dd)
 
@@ -305,23 +297,22 @@ def _validate(params, scheme, csi):
 # ---------------------------------------------------------------------------
 
 
-def _checked(what, params, evaluate):
+def _checked(what, params, evaluate, *args):
     # A non-finite value is an overflow, never a value, and so is an
     # arithmetic fault (a product underflowing to a zero divisor, a rate sum
     # overflowing out of eiexp's domain); clamping either would hide it.
+    # ``what(*args)`` names the failing evaluation, formatted only on a fault.
     try:
-        value = evaluate()
+        value = evaluate(*args)
     except (ArithmeticError, DomainError) as exc:
-        raise NumericError(f"{what} fails at {params}: {exc!r}") from exc
+        raise NumericError(f"{what(*args)} fails at {params}: {exc!r}") from exc
     if not math.isfinite(value):
-        raise NumericError(f"{what} evaluates to {value} at {params}")
+        raise NumericError(f"{what(*args)} evaluates to {value} at {params}")
     return value
 
 
-def _checked_bracket(bracket, params, scheme, csi, relay_on):
-    _validate(params, scheme, csi)
-    what = f"{scheme.value}/{csi.value} with the relay {'on' if relay_on else 'off'}"
-    return _checked(what, params, lambda: bracket(params, scheme, csi, relay_on))
+def _branch_name(params, scheme, csi, relay_on):
+    return f"{scheme.value}/{csi.value} with the relay {'on' if relay_on else 'off'}"
 
 
 def sop_conditional(
@@ -329,7 +320,9 @@ def sop_conditional(
 ) -> float:
     """Conditional outage probability given the relay decode outcome;
     :class:`NumericError` where it does not evaluate to a finite number."""
-    return min(1.0, max(0.0, _checked_bracket(_sop_bracket, params, scheme, csi, relay_on)))
+    _validate(params, scheme, csi)
+    value = _checked(_branch_name, params, _sop_bracket, params, scheme, csi, relay_on)
+    return min(1.0, max(0.0, value))
 
 
 def esr_conditional(
@@ -337,7 +330,8 @@ def esr_conditional(
 ) -> float:
     """Conditional ergodic secrecy rate (bpcu) given the decode outcome;
     :class:`NumericError` where it does not evaluate to a finite number."""
-    return HALF_LOG2E * _checked_bracket(_esr_bracket, params, scheme, csi, relay_on)
+    _validate(params, scheme, csi)
+    return HALF_LOG2E * _checked(_branch_name, params, _esr_bracket, params, scheme, csi, relay_on)
 
 
 def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float:
@@ -360,7 +354,7 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
             dd += phi_dd2(b, 0.0)
         return float(b * dd)
 
-    return _checked(f"{scheme.value}/{csi.value} relay slope", params, slope)
+    return _checked(lambda: f"{scheme.value}/{csi.value} relay slope", params, slope)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +404,7 @@ def esr_mrc_sc_csi_variant(params: SystemParams) -> float:
     the variant failing against quadrature; not part of the public API.
     """
     b_sd, b_rd = params.beta_sd, params.beta_rd
-    if rates_degenerate(b_sd, b_rd):
+    if abs(b_sd - b_rd) <= 1e-9 * max(b_sd, b_rd):
         raise DomainError("variant is undefined at equal destination rates")
     shipped_first = b_rd * eiexp(b_sd) / (b_sd - b_rd)
     variant_first = b_rd * math.exp(b_sd) * math.exp(-b_rd) * eiexp(b_rd) / (b_sd - b_rd)

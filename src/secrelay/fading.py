@@ -20,7 +20,6 @@ from numpy.random import Generator, Philox
 from .errors import DomainError
 
 __all__ = [
-    "DEGENERACY_RTOL",
     "HALF_LOG2E",
     "Scheme",
     "CsiMode",
@@ -35,7 +34,6 @@ __all__ = [
     "sum_exp_pdf",
     "max_exp_cdf",
     "max_exp_pdf",
-    "rates_degenerate",
     "decode_probability",
     "combine",
     "secrecy_rate",
@@ -48,10 +46,6 @@ __all__ = [
 # Converts a natural-log SNR ratio to the secrecy rate in bits per channel
 # use: C = log2(x) / 2 = ln(x) * HALF_LOG2E.
 HALF_LOG2E = 0.5 / math.log(2.0)
-
-# Relative rate difference below which :func:`rates_degenerate` calls a
-# rate pair equal, where plain (r1 - r2) denominators are singular.
-DEGENERACY_RTOL = 1e-9
 
 
 class Scheme(Enum):
@@ -186,11 +180,6 @@ def params_from_db(
 def _check_rate(rate: float, name: str = "rate") -> None:
     if not (rate > 0.0 and math.isfinite(rate)):
         raise DomainError(f"{name} must be positive and finite, got {rate!r}")
-
-
-def rates_degenerate(r1: float, r2: float) -> bool:
-    """True when two rates are close enough to need the equal-rate limit."""
-    return abs(r1 - r2) <= DEGENERACY_RTOL * max(abs(r1), abs(r2))
 
 
 def _points(z) -> tuple[np.ndarray, np.ndarray]:

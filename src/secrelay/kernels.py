@@ -9,9 +9,11 @@ Philox stream through it in sub-blocks of ``oracles.SUB_BLOCK_TRIALS``
 needs about that much per worker thread whatever its trial count.  The
 tallies of a block are bit-reproducible.
 
-Tally layout (all shape (4,), indexed in ``fading.SCHEME_ORDER``):
-outage counts without/with the transmitter-side CSI condition, and sum /
-sum-of-squares of the per-trial rate statistic for both CSI conventions.
+Tally layout: one (6, 4) float array, its columns in
+``fading.SCHEME_ORDER``.  Rows 0 and 1 count outages without/with the
+transmitter-side CSI condition; rows 2 and 3 are the sum and the sum of
+squares of the per-trial rate statistic without CSI, rows 4 and 5 the same
+with CSI.  Tallies of consecutive blocks add up elementwise.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ def active_backend() -> str:
 
 
 def reduce_trials(u, rates, gamma_th, rho, backend=None):
-    """Reduce an (n, 5) block of uniforms to the six (4,) tally arrays.
+    """Reduce an (n, 5) block of uniforms to the (6, 4) tally array of the
+    module docstring: rows outage counts, rate sums and sums of squares,
+    columns in ``SCHEME_ORDER``.
 
     ``rates`` holds (beta_sd, beta_sr, beta_rd, alpha_se, alpha_re); the
     uniform columns follow the same link order.  ``backend`` may only be
@@ -57,18 +61,21 @@ def reduce_trials(u, rates, gamma_th, rho, backend=None):
     # Pairs (gm[i], ge[j]) in row-major (i, j) order are SCHEME_ORDER.
     outage = (gm[:, None] < float(rho) * (1.0 + ge) - 1.0).reshape(4, n)
     win = (gm[:, None] > ge).reshape(4, n)
-    sop_n = np.array([np.count_nonzero(row) for row in outage], dtype=np.float64)
+    t = np.empty((6, 4))
+    t[0] = [np.count_nonzero(row) for row in outage]
     outage &= win
-    sop_c = np.array([np.count_nonzero(row) for row in outage], dtype=np.float64)
+    t[1] = [np.count_nonzero(row) for row in outage]
 
     # Rate statistic log2((1 + gm) / (1 + ge)) / 2, scaled after summing.
     np.log1p(gm, out=gm)
     np.log1p(ge, out=ge)
     cs = g[:4]
     np.subtract(gm[:, None], ge, out=cs.reshape(2, 2, n))
-    es = HALF_LOG2E * cs.sum(axis=1)
-    es2 = HALF_LOG2E**2 * np.array([np.dot(row, row) for row in cs])
+    t[2] = cs.sum(axis=1)
+    t[3] = [np.dot(row, row) for row in cs]
     cs *= win
-    ec = HALF_LOG2E * cs.sum(axis=1)
-    ec2 = HALF_LOG2E**2 * np.array([np.dot(row, row) for row in cs])
-    return sop_n, sop_c, es, es2, ec, ec2
+    t[4] = cs.sum(axis=1)
+    t[5] = [np.dot(row, row) for row in cs]
+    t[2::2] *= HALF_LOG2E
+    t[3::2] *= HALF_LOG2E**2
+    return t

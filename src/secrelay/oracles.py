@@ -110,14 +110,6 @@ class McResults:
         return Estimate(mean, math.sqrt(var / n), n)
 
 
-def _merge(totals, part):
-    if totals is None:
-        return [np.array(a) for a in part]
-    for acc, a in zip(totals, part):
-        acc += a
-    return totals
-
-
 def monte_carlo_all(params: SystemParams, n: int, seed: int, *, point: int = 0) -> McResults:
     """Simulate ``n`` trials once and tally every scheme/CSI combination.
 
@@ -144,8 +136,9 @@ def monte_carlo_all(params: SystemParams, n: int, seed: int, *, point: int = 0) 
         tallies = None
         for start in range(0, m, SUB_BLOCK_TRIALS):
             u = gen.random((min(SUB_BLOCK_TRIALS, m - start), fading.DRAWS_PER_TRIAL))
-            tallies = _merge(tallies, kernels.reduce_trials(u, rates, gamma_th, rho))
-        totals = _merge(totals, tallies)
+            part = kernels.reduce_trials(u, rates, gamma_th, rho)
+            tallies = part if tallies is None else tallies + part
+        totals = tallies if totals is None else totals + tallies
     return McResults(totals, n)
 
 

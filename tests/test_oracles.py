@@ -253,6 +253,15 @@ def test_quadrature_unreachable_tolerance_raises(base_params):
         oracles.quadrature_sop(base_params, Scheme.MRC_MRC, CsiMode.NOCSI, tol=1e-300)
 
 
+def test_quadrature_bound_over_tolerance_raises(base_params):
+    # intervals at their round-off floor are accepted whatever their share
+    # of the tolerance; here they add up to a bound of ~1.1e-14
+    from secrelay.errors import NumericError
+
+    with pytest.raises(NumericError, match="exceeds requested tolerance"):
+        oracles.quadrature_sop(base_params, Scheme.MRC_SC, CsiMode.NOCSI, tol=1e-15)
+
+
 # fig7 case I at 50 dB on the R-D link; fig4's 40 dB direct link with the
 # threshold at both ends of its sweep; equal destination and equal
 # eavesdropper rates at 30 dB; both rate pairs 1e-5 apart, where the

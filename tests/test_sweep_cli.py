@@ -12,7 +12,7 @@ import pytest
 
 from secrelay import asymptotics, closed_form, oracles, sweep
 from secrelay.cli import MAX_JOBS, main
-from secrelay.errors import DomainError
+from secrelay.errors import DomainError, NumericError
 from secrelay.fading import (
     CHUNK_LIMIT,
     POINT_LIMIT,
@@ -528,6 +528,14 @@ def test_cli_usage_errors(tmp_path):
         assert exc.value.code == 2, args
 
 
+def test_cli_axis_needs_a_range(capsys):
+    for bounds in ([], ["--from-db", "0"], ["--to-db", "30"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "beta-rd-db", *bounds])
+        assert exc.value.code == 2, bounds
+        assert "--from-db and --to-db are required" in capsys.readouterr().err
+
+
 def test_cli_preset_rejects_adhoc_flags(capsys):
     # a preset fixes its own axis, links, rate, schemes, modes, metrics and
     # asymptotes; these flags used to be ignored, giving the preset's bytes
@@ -706,51 +714,90 @@ def test_cli_numeric_failure_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, fragment",
     [
         # the MRC eavesdropper transform overflows to inf/inf = NaN
-        [
-            "--axis", "balanced-snr-db", "--from-db", "10", "--to-db", "10",
-            "--alpha-se-db", "-3000", "--alpha-re-db", "-3000", "--beta-sd-db", "10",
-            "--rate-rs", "3", "--csi", "nocsi", "--mc-trials", "100000",
-        ],
+        (
+            [
+                "--axis", "balanced-snr-db", "--from-db", "10", "--to-db", "10",
+                "--alpha-se-db", "-3000", "--alpha-re-db", "-3000", "--beta-sd-db", "10",
+                "--rate-rs", "3", "--csi", "nocsi", "--mc-trials", "100000",
+            ],
+            "mrc_mrc/nocsi with the relay on evaluates to nan",
+        ),
         # the CSI rate evaluates to -inf
-        [
-            "--axis", "beta-rd-db", "--from-db", "100", "--to-db", "100",
-            "--alpha-se-db", "300", "--alpha-re-db", "-3000", "--beta-sd-db", "100",
-            "--beta-sr-db", "30", "--gamma-th-db", "0", "--rate-rs", "3",
-            "--scheme", "mrc_mrc", "--csi", "csi", "--metric", "esr",
-        ],
+        (
+            [
+                "--axis", "beta-rd-db", "--from-db", "100", "--to-db", "100",
+                "--alpha-se-db", "300", "--alpha-re-db", "-3000", "--beta-sd-db", "100",
+                "--beta-sr-db", "30", "--gamma-th-db", "0", "--rate-rs", "3",
+                "--scheme", "mrc_mrc", "--csi", "csi", "--metric", "esr",
+            ],
+            "mrc_mrc/csi with the relay on evaluates to -inf",
+        ),
         # _pole_dd's product underflows to a zero divisor in the bracket
-        [
-            "--axis", "beta-rd-db", "--from-db", "3000", "--to-db", "3000",
-            "--alpha-se-db", "2000", "--alpha-re-db", "3000", "--beta-sd-db", "3000",
-            "--gamma-th-db", "0", "--rate-rs", "0.5", "--scheme", "mrc_sc", "--csi", "nocsi",
-        ],
+        (
+            [
+                "--axis", "beta-rd-db", "--from-db", "3000", "--to-db", "3000",
+                "--alpha-se-db", "2000", "--alpha-re-db", "3000", "--beta-sd-db", "3000",
+                "--gamma-th-db", "0", "--rate-rs", "0.5", "--scheme", "mrc_sc", "--csi", "nocsi",
+            ],
+            "mrc_sc/nocsi with the relay on fails at",
+        ),
         # ... and in the relay slope alone, the cell's value being finite
-        [
-            "--axis", "balanced-snr-db", "--from-db", "10", "--to-db", "10",
-            "--alpha-se-db", "2000", "--alpha-re-db", "2000", "--beta-sd-db", "3",
-            "--rate-rs", "0.5", "--scheme", "mrc_sc", "--csi", "nocsi", "--asymptote",
-        ],
+        (
+            [
+                "--axis", "balanced-snr-db", "--from-db", "10", "--to-db", "10",
+                "--alpha-se-db", "2000", "--alpha-re-db", "2000", "--beta-sd-db", "3",
+                "--rate-rs", "0.5", "--scheme", "mrc_sc", "--csi", "nocsi", "--asymptote",
+            ],
+            "mrc_sc/nocsi relay slope fails at",
+        ),
         # the eavesdropper rate sum overflows to inf, outside eiexp's domain
-        [
-            "--axis", "balanced-snr-db", "--from-db", "10", "--to-db", "10",
-            "--alpha-se-db", "-3080", "--alpha-re-db", "-3080", "--metric", "esr",
-            "--scheme", "mrc_sc", "--csi", "nocsi",
-        ],
+        (
+            [
+                "--axis", "balanced-snr-db", "--from-db", "10", "--to-db", "10",
+                "--alpha-se-db", "-3080", "--alpha-re-db", "-3080", "--metric", "esr",
+                "--scheme", "mrc_sc", "--csi", "nocsi",
+            ],
+            "mrc_sc/nocsi with the relay on fails at",
+        ),
         # the balanced asymptote overflows to inf at a 3080 dB threshold
-        [
-            "--axis", "balanced-snr-db", "--from-db", "-10", "--to-db", "-10",
-            "--gamma-th-db", "3080", "--asymptote", "--scheme", "mrc_mrc",
-        ],
+        (
+            [
+                "--axis", "balanced-snr-db", "--from-db", "-10", "--to-db", "-10",
+                "--gamma-th-db", "3080", "--asymptote", "--scheme", "mrc_mrc",
+            ],
+            "Asymptote(",
+        ),
     ],
+    ids=[f"argv{i}" for i in range(6)],  # named by position, not by the fragment
 )
-def test_cli_nonfinite_closed_form_exit_code(argv, capsys):
+def test_cli_nonfinite_closed_form_exit_code(argv, fragment, capsys):
     assert main(["sweep", *argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numeric failure" in captured.err
+    assert fragment in captured.err
+
+
+def test_cli_quadrature_over_tolerance_exit_code(capsys):
+    # the error bound floors near 1e-14; a tighter --quad-tol cannot be met
+    assert main(["sweep", "--preset", "fig2", "--quad-tol", "1e-16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds requested tolerance" in captured.err
+
+
+def test_cli_validate_numeric_failure_exit_code(monkeypatch, capsys):
+    def failing_sop(params, scheme, csi):
+        raise NumericError("sop fails")
+
+    monkeypatch.setattr(closed_form, "sop", failing_sop)
+    assert main(["validate", "--grid-size", "1", "--mc-trials", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric failure: sop fails" in captured.err
 
 
 def test_cli_close_mrc_destination_rates_at_a_high_target_rate(capsys):
