@@ -3,7 +3,12 @@
 Closed-form secrecy outage probability and ergodic secrecy rate under four
 MRC/SC diversity-combining pairings and two transmitter-CSI regimes, with
 Monte Carlo and quadrature oracles, high-SNR asymptotes, and a sweep CLI.
+
+The oracles' names are served on first use: they are numpy code, and
+importing the package, or running a closed-form sweep, does not load numpy.
 """
+
+import importlib
 
 from .asymptotics import (
     Asymptote,
@@ -35,14 +40,6 @@ from .fading import (
     sum_exp_cdf,
     trial_stream,
 )
-from .oracles import (
-    Estimate,
-    QuadratureResult,
-    monte_carlo_all,
-    quadrature_cells,
-    quadrature_esr,
-    quadrature_sop,
-)
 from .sweep import (
     Axis,
     McOracle,
@@ -58,6 +55,11 @@ from .sweep import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset(
+    {"Estimate", "QuadratureResult", "monte_carlo_all", "quadrature_cells",
+     "quadrature_esr", "quadrature_sop"}
+)
 
 __all__ = [
     "Asymptote",
@@ -112,3 +114,13 @@ __all__ = [
     "trial_stream",
     "write_csv",
 ]
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        return getattr(importlib.import_module(".oracles", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ORACLE_NAMES})

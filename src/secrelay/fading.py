@@ -6,6 +6,10 @@ reciprocal of the link's mean SNR.  The relay retransmits only when its
 received SNR reaches the decode threshold, in which case destination and
 eavesdropper each combine their direct and relayed copies by MRC (sum of
 branch SNRs) or SC (max of branch SNRs).
+
+The module loads without numpy, so that closed-form sweeps never import it:
+the array distribution functions and the random streams import numpy when
+they are called.
 """
 
 from __future__ import annotations
@@ -13,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
-from numpy.random import Generator, Philox
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.random import Generator
 
 __all__ = [
     "HALF_LOG2E",
@@ -46,6 +52,10 @@ __all__ = [
 # Converts a natural-log SNR ratio to the secrecy rate in bits per channel
 # use: C = log2(x) / 2 = ln(x) * HALF_LOG2E.
 HALF_LOG2E = 0.5 / math.log(2.0)
+
+# The quadrature oracle's default absolute tolerance.  It is defined here,
+# not in ``oracles``, so that sweeps can name it without loading numpy.
+DEFAULT_QUAD_TOL = 1e-9
 
 
 class Scheme(Enum):
@@ -184,12 +194,14 @@ def _check_rate(rate: float, name: str = "rate") -> None:
 
 def _points(z) -> tuple[np.ndarray, np.ndarray]:
     """``z`` as a float array, and clipped to the support's start at 0."""
+    import numpy as np
     z = np.asarray(z, dtype=float)
     return z, np.maximum(z, 0.0)
 
 
 def _on_support(z: np.ndarray, outside: np.ndarray, v) -> np.ndarray | float:
     """``v`` with 0 where ``outside`` holds; a float when ``z`` is a scalar."""
+    import numpy as np
     v = np.where(outside, 0.0, v)
     return float(v) if v.ndim == 0 else v
 
@@ -203,12 +215,14 @@ def _on_support(z: np.ndarray, outside: np.ndarray, v) -> np.ndarray | float:
 
 def exp_cdf(rate: float, z):
     """CDF of an exponential with the given rate."""
+    import numpy as np
     _check_rate(rate)
     z, zp = _points(z)
     return _on_support(z, z <= 0.0, -np.expm1(-rate * zp))
 
 
 def exp_pdf(rate: float, z):
+    import numpy as np
     _check_rate(rate)
     z, zp = _points(z)
     return _on_support(z, z < 0.0, rate * np.exp(-rate * zp))
@@ -222,6 +236,7 @@ def _sum_exp_quotient(r1: float, r2: float, zp: np.ndarray):
     does not cancel at any gap; at d = 0 it is its limit z e^{-a z}, taken
     as 0 where e^{-a z} is 0 (at z = inf, and beyond underflow).
     """
+    import numpy as np
     a, b = sorted((r1, r2))
     d = b - a
     ea = np.exp(-a * zp)
@@ -246,6 +261,7 @@ def _sum_exp_series(r: float, y: np.ndarray) -> np.ndarray:
     (-1)^k h_k(r y, y) / (k + 2)!, where the complete homogeneous
     polynomial h_k(r y, y) = y^k (1 + r + ... + r^k).  That is a polynomial
     in y, evaluated by Horner's rule; its first term, 1/2, dominates."""
+    import numpy as np
     coef, c, g = [], 0.5, 1.0
     for k in range(_SERIES_TERMS):
         coef.append(c * g)
@@ -270,6 +286,7 @@ def sum_exp_cdf(r1: float, r2: float, z):
     accuracy down to underflow (``a b z^2 / 2`` to leading order).  One
     formula for distinct and equal rates.
     """
+    import numpy as np
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
     z, zp = _points(z)
@@ -293,6 +310,7 @@ def sum_exp_pdf(r1: float, r2: float, z):
 
 def max_exp_cdf(r1: float, r2: float, z):
     """CDF of the maximum of two independent exponentials."""
+    import numpy as np
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
     z, zp = _points(z)
@@ -300,6 +318,7 @@ def max_exp_cdf(r1: float, r2: float, z):
 
 
 def max_exp_pdf(r1: float, r2: float, z):
+    import numpy as np
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
     z, zp = _points(z)
@@ -353,6 +372,8 @@ CHUNK_LIMIT = 2**_CHUNK_BITS
 
 def stream(seed: int, point: int = 0, purpose: int = PURPOSE_TRIALS, chunk: int = 0) -> Generator:
     """Independent deterministic stream for (seed, purpose, point, chunk)."""
+    import numpy as np
+    from numpy.random import Generator, Philox
     if not (isinstance(seed, int) and 0 <= seed < 2**64):
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if not (isinstance(point, int) and 0 <= point < POINT_LIMIT):

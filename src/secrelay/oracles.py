@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fading, kernels
 from .errors import DomainError, NumericError
-from .fading import HALF_LOG2E, CsiMode, Scheme, SCHEME_ORDER, SystemParams
+from .fading import DEFAULT_QUAD_TOL, HALF_LOG2E, CsiMode, Scheme, SCHEME_ORDER, SystemParams
 
 __all__ = [
     "Estimate",
@@ -53,7 +53,6 @@ SUB_BLOCK_TRIALS = 1 << 13
 # Integrand support is cut where the density has underflowed to noise.
 PDF_FLOOR = 1e-300
 
-DEFAULT_QUAD_TOL = 1e-9
 _QUAD_LIMIT = 200  # intervals per integral
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum, EnumMeta
 from functools import partial
@@ -11,9 +10,10 @@ from itertools import product
 from operator import attrgetter
 from typing import Iterable, Optional, TextIO, Union
 
-from . import asymptotics, closed_form, oracles
+from . import asymptotics, closed_form
 from .errors import DomainError
 from .fading import (
+    DEFAULT_QUAD_TOL,
     CsiMode,
     SCHEME_ORDER,
     Scheme,
@@ -79,7 +79,7 @@ class McOracle:
 
 @dataclass(frozen=True)
 class QuadOracle:
-    tol: float = oracles.DEFAULT_QUAD_TOL
+    tol: float = DEFAULT_QUAD_TOL
 
 
 @dataclass(frozen=True)
@@ -212,6 +212,7 @@ def _map(fn, items, n_jobs):
     """``[fn(x) for x in items]``, on ``n_jobs`` worker threads if above 1;
     results come back in ``items`` order."""
     if n_jobs > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
@@ -239,7 +240,9 @@ def _curve(spec: SweepSpec, cells, variant: Variant):
     return variant, axis, params, shared
 
 
-def _point_rows(spec: SweepSpec, cells, item):
+def _point_rows(spec: SweepSpec, cells, oracles, item):
+    """One point's rows; ``oracles`` is the module, or None when the sweep
+    has no oracle column."""
     point_index, ((variant, axis, params, shared), value_db) = item
     params_pt = _apply_axis(params, axis, value_db)
 
@@ -282,7 +285,12 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     cells = _cells(spec.metrics, spec.modes, spec.schemes)
     curves = [_curve(spec, cells, variant) for variant in spec.variants]
     points = list(enumerate(product(curves, spec.axis_values())))
-    chunks = _map(partial(_point_rows, spec, cells), points, n_jobs)
+    # The oracles are numpy code: a closed-form sweep does not load them, and
+    # a sweep with an oracle loads them here, before any worker thread runs.
+    oracles = None
+    if spec.oracle is not None:
+        from . import oracles
+    chunks = _map(partial(_point_rows, spec, cells, oracles), points, n_jobs)
     return [row for chunk in chunks for row in chunk]
 
 
@@ -473,7 +481,7 @@ def run_validation(
     grid_size: int = 200,
     seed: int = 7,
     mc_trials: int = 10**6,
-    quad_tol: float = oracles.DEFAULT_QUAD_TOL,
+    quad_tol: float = DEFAULT_QUAD_TOL,
     tol_quad_abs: float = 1e-6,
     mc_sigmas: float = 3.0,
     n_jobs: int = 1,
@@ -491,6 +499,8 @@ def run_validation(
         raise DomainError(f"tol_quad_abs must be positive and finite, got {tol_quad_abs!r}")
     if not (mc_sigmas >= 0.0 and math.isfinite(mc_sigmas)):
         raise DomainError(f"mc_sigmas must be >= 0 and finite, got {mc_sigmas!r}")
+    from . import oracles
+
     grid = sample_grid(grid_size, seed)
     cells = _cells(Metric, CsiMode, SCHEME_ORDER)
 

@@ -1,5 +1,6 @@
 """Tests for sweeps, presets, CSV output, validation, and the CLI."""
 
+import concurrent.futures
 import dataclasses
 import io
 import math
@@ -642,7 +643,8 @@ def test_cli_rejects_jobs_above_max(jobs, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a pool for an invalid --jobs")
 
-    monkeypatch.setattr(sweep, "ThreadPoolExecutor", no_pool)
+    # the pool class is looked up in concurrent.futures when a pool starts
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     for cmd in (["sweep", "--preset", "fig2"], ["validate", "--grid-size", "2"]):
         with pytest.raises(SystemExit) as exc:
             main([*cmd, "--jobs", jobs])
@@ -853,6 +855,81 @@ def test_cli_import_leaves_out_scipy_integrate():
         env=_cli_env(), capture_output=True, text=True, timeout=60, check=True,
     )
     assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_closed_form_runs_leave_out_numpy():
+    # numpy (~0.1 s) and the thread pool load only when a run reaches an
+    # oracle, a random stream or a second worker
+    code = (
+        "import contextlib, io, sys\n"
+        "import secrelay, secrelay.cli, secrelay.fading, secrelay.sweep\n"
+        "import secrelay.closed_form, secrelay.asymptotics, secrelay.expint\n"
+        "from secrelay.cli import main\n"
+        "from secrelay.sweep import PRESET_NAMES, Axis\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(list(argv)) == 0, argv\n"
+        "def loaded():\n"
+        "    return [m for m in ('numpy', 'concurrent.futures') if m in sys.modules]\n"
+        "print(loaded())\n"
+        "for preset in PRESET_NAMES:\n"
+        "    run('sweep', '--preset', preset)\n"
+        "for axis in Axis:\n"
+        "    run('sweep', '--axis', axis.value.replace('_', '-'), '--from-db', '0',\n"
+        "        '--to-db', '30', '--metric', 'both', '--asymptote')\n"
+        "print(loaded())\n"
+        "run('sweep', '--preset', 'fig3', '--quad-tol', '1e-9')\n"
+        "print(loaded())\n"
+        "run('sweep', '--preset', 'fig5', '--mc-trials', '2000')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_cli_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.splitlines() == ["[]", "[]", "['numpy']"]
+
+
+def test_oracle_names_load_on_first_use():
+    import secrelay
+
+    code = (
+        "import sys\n"
+        "import secrelay\n"
+        "print('numpy' in sys.modules)\n"
+        "from secrelay import monte_carlo_all, quadrature_sop\n"
+        "print(monte_carlo_all is secrelay.oracles.monte_carlo_all,\n"
+        "      quadrature_sop is secrelay.oracles.quadrature_sop)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=_cli_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.splitlines() == ["False", "True True"]
+    assert secrelay.quadrature_cells is secrelay.oracles.quadrature_cells
+    assert set(secrelay.__all__) <= set(dir(secrelay))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        secrelay.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--preset", "fig5", "--mc-trials", "20000", "--seed", "3", "--jobs", "4"],
+        ["validate", "--grid-size", "2", "--mc-trials", "20000", "--jobs", "2"],
+    ],
+    ids=["sweep", "validate"],
+)
+def test_first_oracle_import_from_worker_threads(argv):
+    # each run imports the oracles for the first time in its interpreter;
+    # the threaded run must print the bytes of the one-thread run
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "secrelay.cli", *argv[:-1], jobs],
+            env=_cli_env(), capture_output=True, timeout=120, check=True,
+        ).stdout
+        for jobs in (argv[-1], "1")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_cli_sweep_stops_quietly_when_stdout_closes():
