@@ -38,12 +38,15 @@ from .fading import (
     CsiMode,
     Scheme,
     SystemParams,
+    branch_rates,
     decode_probability,
+    shared_value,
 )
 
 __all__ = [
     "Method",
     "SecrecyMetric",
+    "cells",
     "sop",
     "esr",
     "sop_conditional",
@@ -362,37 +365,50 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
 # ---------------------------------------------------------------------------
 
 
-def _decode_mixture(conditional, params, scheme, csi):
-    # The decode-success and decode-failure branches weighted by the relay
-    # decode probability.  A branch of weight 0 is skipped, so a value the
-    # result never reaches cannot fail the conditional's finiteness check.
-    _validate(params, scheme, csi)
+def cells(params: SystemParams, cells, shared=None) -> list[float]:
+    """Closed-form value of each (scheme, csi, metric) cell of one point, in
+    order; ``metric`` is "sop" (outage probability) or "esr" (bpcu).
+
+    Each cell mixes its decode-success and decode-failure branch values with
+    the relay decode probability, skipping a branch of weight 0, whose value
+    the result never reaches.  A branch reads ``rate_rs`` and
+    :func:`fading.branch_rates` only (and with the relay silent, not the
+    scheme), so ``shared``, a dict kept over one sweep's calls, reads back a
+    branch whose fields are unchanged (:func:`fading.shared_value`).
+    """
+    for scheme, csi, metric in cells:
+        _validate(params, scheme, csi)
+        if metric not in ("sop", "esr"):
+            raise DomainError(f"metric must be 'sop' or 'esr', got {metric!r}")
+    shared = {} if shared is None else shared
     p_on = decode_probability(params)
-    value = 0.0
-    for weight, relay_on in ((p_on, True), (1.0 - p_on, False)):
-        if weight != 0.0:
-            value += weight * conditional(params, scheme, csi, relay_on)
-    return value
+    mix = [(w, relay_on) for w, relay_on in ((p_on, True), (1.0 - p_on, False)) if w != 0.0]
+    tags = {relay_on: (params.rate_rs, *branch_rates(params, relay_on)) for _, relay_on in mix}
+    out = []
+    for scheme, csi, metric in cells:
+        conditional = sop_conditional if metric == "sop" else esr_conditional
+        value = 0.0
+        for weight, relay_on in mix:
+            ident = (metric, csi, relay_on, scheme if relay_on else None)
+            branch = shared_value(shared, ident, tags[relay_on], conditional, params, scheme, csi, relay_on)
+            value += weight * branch
+        out.append(min(1.0, max(0.0, value)) if metric == "sop" else value)
+    return out
 
 
 def sop(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
-    """Secrecy outage probability.
-
-    Mixes the conditional outage of the decode-success and decode-failure
-    branches with the relay decode probability.
-    """
-    value = _decode_mixture(sop_conditional, params, scheme, csi)
-    return SecrecyMetric(min(1.0, max(0.0, value)), Method.CLOSED_FORM)
+    """Secrecy outage probability (one :func:`cells` cell)."""
+    return SecrecyMetric(cells(params, ((scheme, csi, "sop"),))[0], Method.CLOSED_FORM)
 
 
 def esr(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
-    """Ergodic secrecy rate in bits per channel use.
+    """Ergodic secrecy rate in bits per channel use (one :func:`cells` cell).
 
     The CSI variant conditions on the destination outcombining the
     eavesdropper and is non-negative; the no-CSI variant is the raw
     expected log-ratio and may be negative.
     """
-    return SecrecyMetric(_decode_mixture(esr_conditional, params, scheme, csi), Method.CLOSED_FORM)
+    return SecrecyMetric(cells(params, ((scheme, csi, "esr"),))[0], Method.CLOSED_FORM)
 
 
 def esr_mrc_sc_csi_variant(params: SystemParams) -> float:

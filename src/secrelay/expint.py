@@ -160,13 +160,14 @@ _PIECES = (
 def eiexp_asymptotic(x: float, j: int = 0) -> float:
     """``x^j eiexp^(j)(x)`` for ``x > ASYMPTOTIC_X``: the termwise derivative
     ``sum_k (-1)^(k+j+1) (k+j)!/x^(k+1)`` of ``eiexp(x) ~ -sum_k (-1)^k k!/x^(k+1)``,
-    summed up to its smallest term.  Its first term, ``(-1)^(j+1) j!/x``,
-    keeps the sum finite and nonzero up to the largest double."""
+    summed until a term falls to eps (2^-52) of the sum, which bounds the
+    error of the enveloping series, or else to its smallest term.  Its first
+    term, ``(-1)^(j+1) j!/x``, keeps the sum finite and nonzero."""
     term = total = (-1) ** (j + 1) * math.factorial(j) / x
-    k = 0
-    while k + j + 1 < x and abs(term) > 1e-17 * abs(total):
-        k += 1
-        term *= -(k + j) / x
+    for m in range(j + 1, math.ceil(x)):
+        if abs(term) <= 2.0 ** -52 * abs(total):
+            break
+        term *= -m / x
         total += term
     return total
 

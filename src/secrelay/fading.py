@@ -331,6 +331,25 @@ def decode_probability(params: SystemParams) -> float:
     return math.exp(-params.beta_sr * params.gamma_th)
 
 
+def branch_rates(params: SystemParams, relay_on: bool) -> tuple[float, ...]:
+    """The link rates one decode branch reads (with the relay silent, the
+    direct links); ``beta_sr`` and ``gamma_th`` only weight the branches."""
+    if relay_on:
+        return (params.alpha_se, params.alpha_re, params.beta_sd, params.beta_rd)
+    return (params.alpha_se, params.beta_sd)
+
+
+def shared_value(shared: dict, ident, tag, compute, *args):
+    """``compute(*args)``, or the value ``shared`` holds for ``ident`` if it
+    was computed for the same ``tag`` (the fields it read).  One slot per
+    identity, overwritten on a new tag, bounds the store; only finished
+    values go in, so threads may share it."""
+    slot = shared.get(ident)
+    if slot is None or slot[0] != tag:
+        slot = shared[ident] = tag, compute(*args)
+    return slot[1]
+
+
 def combine(scheme: Scheme, draw: TrialDraw) -> tuple[float, float]:
     """Post-combining SNRs (destination, eavesdropper) for one trial.
 

@@ -306,12 +306,6 @@ def _snr_dist(direct: float, relayed: float, relay_on: bool, mrc):
     return partial(cdf, direct, relayed), partial(pdf, direct, relayed)
 
 
-def _branch_scales(params: SystemParams, relay_on: bool):
-    if relay_on:
-        return (params.alpha_se, params.alpha_re, params.beta_sd, params.beta_rd)
-    return (params.alpha_se, params.beta_sd)
-
-
 def _cut(d):
     """The density ``d``, zeroed where it has underflowed to noise."""
     return np.where(d < PDF_FLOOR, 0.0, d)
@@ -390,7 +384,7 @@ def _integrand(params: SystemParams, key):
 _METRIC_FACTOR = {"sop": 1.0, "esr": HALF_LOG2E}
 
 
-def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL):
+def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
     """Quadrature of every (scheme, csi, metric) cell of one point, with
     ``metric`` "sop" (outage probability) or "esr" (ergodic secrecy rate,
     bpcu), in one batch.
@@ -400,42 +394,55 @@ def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL)
     ``gamma_th`` = 0 or inf leaves one branch alone.  Each branch's mesh is
     built once, an integral that several cells read (see
     :func:`_integral_keys`) is integrated once, and all of them advance in
-    one :func:`_integrate` call.  Each branch's bound is within ``tol`` on
-    its own, so each cell's is too.  Returns one :class:`QuadratureResult`
-    per cell, in order; its ``evaluations`` count every integral the cell
-    reads, shared ones included.
+    one :func:`_integrate` call, but for those ``shared``, a dict kept over
+    one sweep's calls, holds for this point's ``tol``, ``rate_rs`` and
+    :func:`fading.branch_rates` (no result depends on what else a batch
+    holds).  Each branch's bound is within ``tol`` on its own, so each
+    cell's is too.  Returns one :class:`QuadratureResult` per cell, in
+    order; its ``evaluations`` count every integral the cell reads, shared
+    ones included.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    shared = {} if shared is None else shared
     p_on = fading.decode_probability(params)
     mix = [(w, relay_on) for w, relay_on in ((p_on, True), (1.0 - p_on, False)) if w != 0.0]
-    branch_mesh = {relay_on: _mesh(_branch_scales(params, relay_on)) for _, relay_on in mix}
-    index, fys, tols, meshes, plans = {}, [], [], [], []
+    rates = {relay_on: fading.branch_rates(params, relay_on) for _, relay_on in mix}
+    branch_mesh = {r: fading.shared_value(shared, ("mesh", r), s, _mesh, s) for r, s in rates.items()}
+    # (value, bound, evaluations) per integral key, None until integrated
+    found, todo, fys, tols, meshes, plans = {}, [], [], [], [], []
     for scheme, csi, metric in cells:
         if metric not in _METRIC_FACTOR:
             raise DomainError(f"metric must be 'sop' or 'esr', got {metric!r}")
         groups = []
         for weight, relay_on in mix:
             keys = _integral_keys(scheme, csi, metric, relay_on)
+            tag = (tol, params.rate_rs, *rates[relay_on])
             for key in keys:
-                if key not in index:
-                    index[key] = len(fys)
+                if key in found:
+                    continue
+                slot = shared.get(key)
+                found[key] = slot[1] if slot is not None and slot[0] == tag else None
+                if found[key] is None:
+                    todo.append((key, tag))
                     fys.append(_integrand(params, key))
                     tols.append(tol / (_METRIC_FACTOR[metric] * len(keys)))
                     meshes.append(branch_mesh[relay_on])
-            groups.append((weight, [index[key] for key in keys]))
+            groups.append((weight, keys))
         plans.append((_METRIC_FACTOR[metric], groups))
-    values, bounds, evals = (
-        (a.tolist() for a in _integrate(fys, tols, meshes)) if fys else ([], [], [])
-    )
+    if fys:
+        integrated = zip(*(a.tolist() for a in _integrate(fys, tols, meshes)))
+        for (key, tag), result in zip(todo, integrated):
+            found[key] = result
+            shared[key] = tag, result
     out = []
     for factor, groups in plans:
         value = bound = 0.0
-        for weight, idx in groups:
-            v = values[idx[0]] - sum(values[j] for j in idx[1:])
+        for weight, keys in groups:
+            v = found[keys[0]][0] - sum(found[k][0] for k in keys[1:])
             value += weight * (factor * v)
-            bound += weight * (factor * sum(bounds[j] for j in idx))
-        count = sum(evals[j] for _, idx in groups for j in idx)
+            bound += weight * (factor * sum(found[k][1] for k in keys))
+        count = sum(found[k][2] for _, keys in groups for k in keys)
         out.append(QuadratureResult(value, bound, count))
     return out
 

@@ -11,7 +11,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, TextIO, Union
 
 from . import asymptotics, closed_form
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .fading import (
     DEFAULT_QUAD_TOL,
     CsiMode,
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 UNSUPPORTED_MARKER = "unsupported"
+_METHOD = closed_form.Method.CLOSED_FORM.value
 
 # Most points one sweep axis or one validation grid may have (a preset axis
 # has at most 41).  A grid is sampled in full before its first point runs.
@@ -195,15 +196,6 @@ def _cells(metrics, modes, schemes):
     return [(scheme, csi, metric) for metric in metrics for csi in modes for scheme in schemes]
 
 
-# The dispatches on a cell's metric look their functions up at call time,
-# so a wrapper patched onto the module applies.
-
-
-def _closed_form(params, scheme, csi, metric):
-    fn = closed_form.sop if metric is Metric.SOP else closed_form.esr
-    return fn(params, scheme, csi)
-
-
 def _estimate(mc, scheme, csi, metric):
     return mc.sop(scheme, csi) if metric is Metric.SOP else mc.esr(scheme, csi)
 
@@ -240,11 +232,12 @@ def _curve(spec: SweepSpec, cells, variant: Variant):
     return variant, axis, params, shared
 
 
-def _point_rows(spec: SweepSpec, cells, oracles, item):
+def _point_rows(spec: SweepSpec, cells, oracles, cf_store, quad_store, item):
     """One point's rows; ``oracles`` is the module, or None when the sweep
-    has no oracle column."""
+    has no oracle column.  The stores are the sweep's, one per evaluator."""
     point_index, ((variant, axis, params, shared), value_db) = item
     params_pt = _apply_axis(params, axis, value_db)
+    named = [(s, c, m.value) for s, c, m in cells]
 
     mc = quad = None
     if isinstance(spec.oracle, McOracle):
@@ -252,13 +245,16 @@ def _point_rows(spec: SweepSpec, cells, oracles, item):
             params_pt, spec.oracle.trials, spec.oracle.seed, point=point_index
         )
     elif isinstance(spec.oracle, QuadOracle):
-        quad = oracles.quadrature_cells(
-            params_pt, [(s, c, m.value) for s, c, m in cells], spec.oracle.tol
-        )
+        quad = oracles.quadrature_cells(params_pt, named, spec.oracle.tol, quad_store)
+
+    try:
+        values = closed_form.cells(params_pt, named, cf_store)
+    except NumericError:
+        values = None  # evaluated cell by cell below, so faults raise in cell order
 
     rows = []
     for k, ((scheme, csi, metric), (asym, *floors)) in enumerate(zip(cells, shared)):
-        m = _closed_form(params_pt, scheme, csi, metric)
+        value = values[k] if values else closed_form.cells(params_pt, [named[k]], cf_store)[0]
         o_val = o_err = None
         if mc is not None:
             est = _estimate(mc, scheme, csi, metric)
@@ -270,7 +266,7 @@ def _point_rows(spec: SweepSpec, cells, oracles, item):
             asym = asym.predict(db_to_linear(-value_db))
         rows.append(
             SweepRow(
-                axis, value_db, variant.label, scheme, csi, metric, m.method.value, m.value,
+                axis, value_db, variant.label, scheme, csi, metric, _METHOD, value,
                 o_val, o_err, asym, *floors,
             )
         )
@@ -280,7 +276,9 @@ def _point_rows(spec: SweepSpec, cells, oracles, item):
 def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     """Evaluate a sweep; rows come back in deterministic axis-major order
     (variant, then axis value, then metric/mode, scheme fastest) regardless
-    of the worker count."""
+    of the worker count.  The closed forms and the quadrature oracle each
+    keep a store of decode-branch results for this call, so a branch the
+    axis does not reach is computed once per curve, not once per point."""
     spec.validate()
     cells = _cells(spec.metrics, spec.modes, spec.schemes)
     curves = [_curve(spec, cells, variant) for variant in spec.variants]
@@ -290,7 +288,7 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     oracles = None
     if spec.oracle is not None:
         from . import oracles
-    chunks = _map(partial(_point_rows, spec, cells, oracles), points, n_jobs)
+    chunks = _map(partial(_point_rows, spec, cells, oracles, {}, {}), points, n_jobs)
     return [row for chunk in chunks for row in chunk]
 
 
@@ -509,7 +507,9 @@ def run_validation(
         mc = oracles.monte_carlo_all(params, mc_trials, seed, point=i)
         diffs = []
         for scheme, csi, metric in cells:
-            cf = _closed_form(params, scheme, csi, metric).value
+            # looked up per call, so a wrapper patched onto the module applies
+            cf_fn = closed_form.sop if metric is Metric.SOP else closed_form.esr
+            cf = cf_fn(params, scheme, csi).value
             quad = oracles.quadrature_sop if metric is Metric.SOP else oracles.quadrature_esr
             q = quad(params, scheme, csi, quad_tol).value
             est = _estimate(mc, scheme, csi, metric)

@@ -1,0 +1,289 @@
+"""Tests for the per-sweep store of decode-branch results.
+
+``run_sweep`` gives the closed forms (``closed_form.cells``) and the
+quadrature oracle (``oracles.quadrature_cells``) each a store that lives for
+one call; a branch value or integral whose fields the swept axis does not
+reach is computed once per curve.  The rows must be the bits of fresh,
+unshared calls at every point.
+"""
+
+import concurrent.futures
+import dataclasses
+import io
+import sys
+from collections import Counter
+
+import pytest
+
+from secrelay import asymptotics, closed_form, oracles
+from secrelay.cli import main
+from secrelay.errors import DomainError, NumericError
+from secrelay.fading import SCHEME_ORDER, CsiMode, Scheme, params_from_db
+from secrelay.sweep import (
+    PRESET_NAMES,
+    Axis,
+    Metric,
+    QuadOracle,
+    SweepSpec,
+    Variant,
+    figure_preset,
+    run_sweep,
+    write_csv,
+)
+
+BASE = params_from_db(0.0, 3.0, 3.0, 10.0, 3.0, 3.0, 1.0)
+ALL_CELLS = [(s, c, m) for m in ("sop", "esr") for c in CsiMode for s in SCHEME_ORDER]
+
+
+def _point(params, axis, value_db):
+    # the parameters of one axis point, written out independently of sweep
+    if axis is Axis.GAMMA_TH_DB:
+        return params.with_(gamma_th=10.0 ** (value_db / 10.0))
+    rate = 10.0 ** (-value_db / 10.0)
+    return params.with_(**{
+        Axis.BALANCED_SNR_DB: dict(beta_sr=rate, beta_rd=rate),
+        Axis.BETA_RD_DB: dict(beta_rd=rate),
+        Axis.BETA_SR_DB: dict(beta_sr=rate),
+    }[axis])
+
+
+def _unshared(spec, rows):
+    """``rows`` with the value and oracle columns recomputed by per-cell
+    ``closed_form.sop``/``esr`` calls and one store-less
+    ``quadrature_cells`` call per point."""
+    variants = {v.label: v for v in spec.variants}
+    points = {}
+    for r in rows:
+        points.setdefault((r.variant, r.axis_value_db), []).append(r)
+    out = []
+    for (label, value_db), point_rows in points.items():
+        variant = variants[label]
+        params = _point(spec.fixed.with_(**dict(variant.overrides)), variant.axis or spec.axis,
+                        value_db)
+        cells = [(r.scheme, r.csi, r.metric.value) for r in point_rows]
+        quad = [None] * len(cells)
+        if isinstance(spec.oracle, QuadOracle):
+            quad = [q.value for q in oracles.quadrature_cells(params, cells, spec.oracle.tol)]
+        for r, q in zip(point_rows, quad):
+            fn = closed_form.sop if r.metric is Metric.SOP else closed_form.esr
+            value = fn(params, r.scheme, r.csi).value
+            out.append(dataclasses.replace(r, value=value, oracle_value=q))
+    return out
+
+
+def csv_text(rows):
+    buf = io.StringIO()
+    write_csv(rows, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("quad", [False, True], ids=["shipped", "quad"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_rows_are_the_bits_of_unshared_calls(name, quad):
+    spec = figure_preset(name)
+    if quad:
+        spec = dataclasses.replace(spec, oracle=QuadOracle(1e-9))
+    rows = run_sweep(spec)
+    assert rows == _unshared(spec, rows)
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig5"])
+def test_shared_quadrature_is_thread_invariant(name, capsys):
+    args = ["sweep", "--preset", name, "--quad-tol", "1e-9"]
+    assert main(args + ["--jobs", "1"]) == 0
+    one_job = capsys.readouterr().out
+    assert main(args + ["--jobs", "4"]) == 0
+    assert capsys.readouterr().out == one_job
+    spec = dataclasses.replace(figure_preset(name), oracle=QuadOracle(1e-9))
+    rows = run_sweep(spec, n_jobs=4)
+    assert csv_text(rows) == one_job
+    assert rows == _unshared(spec, rows)
+
+
+def test_store_slots_shared_by_racing_threads():
+    # 8 curves of 3 points each on 8 threads, switching every microsecond:
+    # each silent-relay slot flips between the curves' direct links while
+    # other threads read it, and every row must still be its own bits
+    spec = SweepSpec(
+        Axis.GAMMA_TH_DB, 0.0, 4.0, 2.0, BASE, metrics=(Metric.SOP, Metric.ESR),
+        oracle=QuadOracle(1e-6),
+        variants=tuple(Variant(f"sd{k}", (("beta_sd", 0.25 * (k + 1)),)) for k in range(8)),
+    )
+    expected = run_sweep(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(run_sweep, spec, 8) for _ in range(2)]
+            results = [f.result(timeout=120) for f in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected, expected]
+    assert expected == _unshared(spec, expected)
+
+
+def _counted_integrate(monkeypatch):
+    batches = []
+    integrate = oracles._integrate
+
+    def counted(integrands, tols, meshes):
+        batches.append(len(integrands))
+        return integrate(integrands, tols, meshes)
+
+    monkeypatch.setattr(oracles, "_integrate", counted)
+    return batches
+
+
+def test_threshold_curves_integrate_at_their_first_point_only(monkeypatch):
+    # fig4 sweeps gamma_th, which no integral reads: each of its 2 curves
+    # integrates its 4 integrals (2 CSI modes x 2 branches) at its first
+    # point, and its other 40 points only mix them
+    batches = _counted_integrate(monkeypatch)
+    spec = dataclasses.replace(figure_preset("fig4"), oracle=QuadOracle(1e-9))
+    rows = run_sweep(spec)
+    assert len(rows) == 2 * 41 * 2
+    assert batches == [4, 4]
+
+
+def _counted_branches(monkeypatch):
+    calls = Counter()
+    for name in ("sop_conditional", "esr_conditional"):
+        def counted(params, scheme, csi, relay_on, _fn=getattr(closed_form, name)):
+            calls[relay_on] += 1
+            return _fn(params, scheme, csi, relay_on)
+
+        monkeypatch.setattr(closed_form, name, counted)
+    return calls
+
+
+def test_balanced_curves_share_the_silent_relay_branch(monkeypatch):
+    # the balanced axis moves beta_rd, so the decoding branch is computed at
+    # every point; the silent-relay branch reads no swept field and no
+    # scheme: once per curve and (metric, CSI mode) pair
+    batches = _counted_integrate(monkeypatch)
+    calls = _counted_branches(monkeypatch)
+    spec = SweepSpec(
+        Axis.BALANCED_SNR_DB, 0.0, 20.0, 5.0, BASE, metrics=(Metric.SOP, Metric.ESR),
+        oracle=QuadOracle(1e-9),
+        variants=(Variant("a", (("alpha_se", 0.5),)), Variant("b", (("alpha_se", 2.0),))),
+    )
+    assert len(run_sweep(spec)) == 2 * 5 * 16
+    assert calls == {False: 2 * 4, True: 2 * 5 * 16}
+    # per point 20 decoding-branch integrals; the 6 silent-relay ones (2
+    # outages, 2 + 2 rate sides) at each curve's first point only
+    assert batches == [26, 20, 20, 20, 20] * 2
+
+
+def _store_sizes(monkeypatch):
+    sizes = {}
+    cells, quadrature_cells = closed_form.cells, oracles.quadrature_cells
+
+    def cf_counted(params, cells_, shared=None):
+        out = cells(params, cells_, shared)
+        sizes["closed_form"] = max(sizes.get("closed_form", 0), len(shared))
+        return out
+
+    def quad_counted(params, cells_, tol, shared=None):
+        out = quadrature_cells(params, cells_, tol, shared)
+        sizes["quadrature"] = max(sizes.get("quadrature", 0), len(shared))
+        return out
+
+    monkeypatch.setattr(closed_form, "cells", cf_counted)
+    monkeypatch.setattr(oracles, "quadrature_cells", quad_counted)
+    return sizes
+
+
+def test_store_size_does_not_grow_with_the_axis(monkeypatch):
+    sizes = _store_sizes(monkeypatch)
+    spec = SweepSpec(
+        Axis.BALANCED_SNR_DB, 0.0, 0.1, 0.1, BASE, modes=(CsiMode.NOCSI,),
+        metrics=(Metric.SOP, Metric.ESR), oracle=QuadOracle(1e-6),
+    )
+    assert len(run_sweep(spec)) == 2 * 8
+    two_points = dict(sizes)
+    sizes.clear()
+    long_spec = dataclasses.replace(spec, stop_db=39.9)
+    assert len(run_sweep(long_spec)) == 400 * 8
+    assert two_points.keys() == sizes.keys() == {"closed_form", "quadrature"}
+    assert sizes["closed_form"] <= two_points["closed_form"]
+    assert sizes["quadrature"] <= two_points["quadrature"]
+
+
+# Eavesdropper links at -3000 dB on a 3-point threshold sweep: the MRC
+# eavesdropper transform evaluates to NaN in the decoding branch, which
+# every point of the curve shares.  SC-MRC has no threshold floor, so the
+# fault is the first point's.
+_SHARED_FAULT = [
+    "sweep", "--axis", "gamma-th-db", "--from-db", "0", "--to-db", "2", "--step-db", "1",
+    "--alpha-se-db", "-3000", "--alpha-re-db", "-3000", "--beta-sd-db", "10",
+    "--rate-rs", "3", "--csi", "nocsi", "--scheme", "sc_mrc",
+]
+_SHARED_FAULT_ERR = (
+    "secrelay: numeric failure: sc_mrc/nocsi with the relay on evaluates to nan at "
+    "SystemParams(alpha_se=1e+300, alpha_re=1e+300, beta_sd=0.1, beta_sr=0.1, "
+    "beta_rd=0.5011872336272722, gamma_th=1.0, rate_rs=3.0)\n"
+)
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_fault_in_a_shared_branch_is_the_first_points(jobs, capsys):
+    assert main(_SHARED_FAULT + ["--jobs", jobs]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _SHARED_FAULT_ERR
+
+
+def test_faults_raise_in_cell_order(monkeypatch):
+    # a line failing at the first cell raises before a closed form failing
+    # at a later cell of the same point
+    monkeypatch.setattr(
+        asymptotics, "sop_asymptote_balanced",
+        lambda params, scheme, csi: asymptotics.Asymptote(0.0, 1e308),
+    )
+    conditional = closed_form.sop_conditional
+
+    def failing(params, scheme, csi, relay_on):
+        if scheme is Scheme.SC_MRC:
+            raise NumericError("late cell")
+        return conditional(params, scheme, csi, relay_on)
+
+    monkeypatch.setattr(closed_form, "sop_conditional", failing)
+    spec = SweepSpec(Axis.BALANCED_SNR_DB, -10.0, -10.0, 1.0, BASE, asymptote=True)
+    with pytest.raises(NumericError, match="Asymptote"):
+        run_sweep(spec)
+    with pytest.raises(NumericError, match="late cell"):
+        run_sweep(dataclasses.replace(spec, asymptote=False))
+
+
+def test_cells_match_per_cell_calls():
+    shared = {}
+    for gamma_db in (-10.0, 3.0, 40.0, 400.0):
+        params = BASE.with_(gamma_th=10.0 ** (gamma_db / 10.0))
+        expected = [
+            (closed_form.sop if m == "sop" else closed_form.esr)(params, s, c).value
+            for s, c, m in ALL_CELLS
+        ]
+        assert closed_form.cells(params, ALL_CELLS) == expected
+        assert closed_form.cells(params, ALL_CELLS, shared) == expected
+        assert closed_form.cells(params, ALL_CELLS[::-1], shared)[::-1] == expected
+    with pytest.raises(DomainError):
+        closed_form.cells(BASE, [(Scheme.MRC_SC, CsiMode.CSI, "mean")])
+    assert closed_form.cells(BASE, []) == []
+
+
+def test_quadrature_store_reads_back_only_its_own_fields(monkeypatch):
+    # at 40 dB relay hops the tolerance decides how far intervals are halved
+    params = params_from_db(0.0, 3.0, 3.0, 40.0, 40.0, 3.0, 1.0)
+    shared = {}
+    fresh = oracles.quadrature_cells(params, ALL_CELLS, 1e-9)
+    assert oracles.quadrature_cells(params, ALL_CELLS, 1e-6, shared) != fresh
+    batches = _counted_integrate(monkeypatch)
+    # a new tolerance integrates everything again; the same point reads back
+    assert oracles.quadrature_cells(params, ALL_CELLS, 1e-9, shared) == fresh
+    assert oracles.quadrature_cells(params, ALL_CELLS[::-1], 1e-9, shared)[::-1] == fresh
+    # a new threshold only reweights the branches
+    other = params.with_(gamma_th=0.5)
+    assert oracles.quadrature_cells(other, ALL_CELLS, 1e-9, shared) == (
+        oracles.quadrature_cells(other, ALL_CELLS, 1e-9)
+    )
+    assert batches == [26, 26]
