@@ -25,6 +25,7 @@ from .errors import DomainError, NumericError
 from .expint import eiexp, exp_integral_ei, log_expectation_shifted_exp
 from .fading import (
     CsiMode,
+    Metric,
     SCHEME_ORDER,
     Scheme,
     SystemParams,
@@ -43,7 +44,6 @@ from .fading import (
 from .sweep import (
     Axis,
     McOracle,
-    Metric,
     QuadOracle,
     SweepRow,
     SweepSpec,

@@ -36,6 +36,7 @@ from .expint import ASYMPTOTIC_X, eiexp, eiexp_asymptotic
 from .fading import (
     HALF_LOG2E,
     CsiMode,
+    Metric,
     Scheme,
     SystemParams,
     branch_rates,
@@ -367,7 +368,7 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
 
 def cells(params: SystemParams, cells, shared=None) -> list[float]:
     """Closed-form value of each (scheme, csi, metric) cell of one point, in
-    order; ``metric`` is "sop" (outage probability) or "esr" (bpcu).
+    order, each of :class:`Scheme`, :class:`CsiMode` and :class:`Metric` members.
 
     Each cell mixes its decode-success and decode-failure branch values with
     the relay decode probability, skipping a branch of weight 0, whose value
@@ -378,27 +379,27 @@ def cells(params: SystemParams, cells, shared=None) -> list[float]:
     """
     for scheme, csi, metric in cells:
         _validate(params, scheme, csi)
-        if metric not in ("sop", "esr"):
-            raise DomainError(f"metric must be 'sop' or 'esr', got {metric!r}")
+        if not isinstance(metric, Metric):
+            raise DomainError(f"metric must be a Metric member, got {metric!r}")
     shared = {} if shared is None else shared
     p_on = decode_probability(params)
     mix = [(w, relay_on) for w, relay_on in ((p_on, True), (1.0 - p_on, False)) if w != 0.0]
     tags = {relay_on: (params.rate_rs, *branch_rates(params, relay_on)) for _, relay_on in mix}
     out = []
     for scheme, csi, metric in cells:
-        conditional = sop_conditional if metric == "sop" else esr_conditional
+        conditional = sop_conditional if metric is Metric.SOP else esr_conditional
         value = 0.0
         for weight, relay_on in mix:
             ident = (metric, csi, relay_on, scheme if relay_on else None)
             branch = shared_value(shared, ident, tags[relay_on], conditional, params, scheme, csi, relay_on)
             value += weight * branch
-        out.append(min(1.0, max(0.0, value)) if metric == "sop" else value)
+        out.append(min(1.0, max(0.0, value)) if metric is Metric.SOP else value)
     return out
 
 
 def sop(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
     """Secrecy outage probability (one :func:`cells` cell)."""
-    return SecrecyMetric(cells(params, ((scheme, csi, "sop"),))[0], Method.CLOSED_FORM)
+    return SecrecyMetric(cells(params, ((scheme, csi, Metric.SOP),))[0], Method.CLOSED_FORM)
 
 
 def esr(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
@@ -408,7 +409,7 @@ def esr(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
     eavesdropper and is non-negative; the no-CSI variant is the raw
     expected log-ratio and may be negative.
     """
-    return SecrecyMetric(cells(params, ((scheme, csi, "esr"),))[0], Method.CLOSED_FORM)
+    return SecrecyMetric(cells(params, ((scheme, csi, Metric.ESR),))[0], Method.CLOSED_FORM)
 
 
 def esr_mrc_sc_csi_variant(params: SystemParams) -> float:

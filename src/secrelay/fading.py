@@ -29,6 +29,7 @@ __all__ = [
     "HALF_LOG2E",
     "Scheme",
     "CsiMode",
+    "Metric",
     "SCHEME_ORDER",
     "SystemParams",
     "TrialDraw",
@@ -80,6 +81,16 @@ class CsiMode(Enum):
 
     NOCSI = "nocsi"
     CSI = "csi"
+
+
+class Metric(Enum):
+    """Secrecy outage probability or ergodic secrecy rate (bpcu)."""
+
+    SOP = "sop"
+    ESR = "esr"
+
+    # Enum's hash runs in Python at every store lookup; identity equality allows C's.
+    __hash__ = object.__hash__
 
 
 SCHEME_ORDER = (Scheme.MRC_SC, Scheme.MRC_MRC, Scheme.SC_SC, Scheme.SC_MRC)

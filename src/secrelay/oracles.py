@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fading, kernels
 from .errors import DomainError, NumericError
-from .fading import DEFAULT_QUAD_TOL, HALF_LOG2E, CsiMode, Scheme, SCHEME_ORDER, SystemParams
+from .fading import DEFAULT_QUAD_TOL, HALF_LOG2E, CsiMode, Metric, Scheme, SCHEME_ORDER, SystemParams
 
 __all__ = [
     "Estimate",
@@ -221,9 +221,9 @@ def _integrate(integrands, tols, meshes):
     times ``tols[k]``) or at the floor, and all of an integral's intervals
     are once their estimates add up to within ``tols[k]``; the others are
     halved.  Returns per-integral arrays (value, error bound, integrand
-    evaluations).  Raises :class:`NumericError` when an integral needs more
-    than ``_QUAD_LIMIT`` intervals, an interval cannot be halved, or a bound
-    exceeds its tolerance.
+    evaluations).  Raises :class:`NumericError` when an integrand returns a
+    non-finite value, an integral needs more than ``_QUAD_LIMIT`` intervals,
+    an interval cannot be halved, or a bound exceeds its tolerance.
     """
     n = len(integrands)
     tols = np.asarray(tols, dtype=float)
@@ -243,10 +243,16 @@ def _integrate(integrands, tols, meshes):
         y = t / om
         f, env = np.empty_like(t), np.empty_like(t)
         ends = np.searchsorted(owner, np.arange(n + 1))
-        for k in range(n):
-            a, b = ends[k], ends[k + 1]
-            if a < b:
-                f[a:b], env[a:b] = integrands[k](y[a:b])
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for k in range(n):
+                a, b = ends[k], ends[k + 1]
+                if a < b:
+                    f[a:b], env[a:b] = integrands[k](y[a:b])
+        bad = ~np.isfinite(f)
+        if bad.any():
+            found = " and ".join(sorted(set(map(str, f[bad].tolist()))))
+            found += f", first at y = {float(y[bad][0])!r}"
+            raise NumericError(f"quadrature failed: the integrand evaluates to {found}")
         jac = om * om
         f /= jac
         env /= jac
@@ -311,7 +317,7 @@ def _cut(d):
     return np.where(d < PDF_FLOOR, 0.0, d)
 
 
-def _integral_keys(scheme: Scheme, csi: CsiMode, metric: str, relay_on: bool):
+def _integral_keys(scheme: Scheme, csi: CsiMode, metric: Metric, relay_on: bool):
     """The integrals one cell needs on one decode branch, each keyed by what
     it reads: (metric, part, CSI mode, decode branch, destination combiner,
     eavesdropper combiner), a combiner None where the integrand does not
@@ -320,11 +326,11 @@ def _integral_keys(scheme: Scheme, csi: CsiMode, metric: str, relay_on: bool):
     ("main") minus the eavesdropper's log-SNR integral."""
     m = scheme.mrc_at_destination if relay_on else None
     e = scheme.mrc_at_eavesdropper if relay_on else None
-    if metric == "sop":
-        return (("sop", "eaves", csi, relay_on, m, e),)
+    if metric is Metric.SOP:
+        return ((metric, "eaves", csi, relay_on, m, e),)
     if csi is CsiMode.NOCSI:
-        return (("esr", "main", csi, relay_on, m, None), ("esr", "eaves", csi, relay_on, None, e))
-    return (("esr", "main", csi, relay_on, m, e), ("esr", "eaves", csi, relay_on, m, e))
+        return ((metric, "main", csi, relay_on, m, None), (metric, "eaves", csi, relay_on, None, e))
+    return ((metric, "main", csi, relay_on, m, e), (metric, "eaves", csi, relay_on, m, e))
 
 
 # Each integrand function returns the integrand and its envelope: the
@@ -351,7 +357,7 @@ def _integrand(params: SystemParams, key):
     cdf_e, pdf_e = _snr_dist(params.alpha_se, params.alpha_re, relay_on, mrc_e)
     rho = params.rho
 
-    if metric == "sop":
+    if metric is Metric.SOP:
         if csi is CsiMode.NOCSI:
 
             def fy(y):
@@ -381,13 +387,12 @@ def _integrand(params: SystemParams, key):
 
 # What a cell's signed sum of integrals is multiplied by: nats to bpcu for
 # a rate.
-_METRIC_FACTOR = {"sop": 1.0, "esr": HALF_LOG2E}
+_METRIC_FACTOR = {Metric.SOP: 1.0, Metric.ESR: HALF_LOG2E}
 
 
 def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
-    """Quadrature of every (scheme, csi, metric) cell of one point, with
-    ``metric`` "sop" (outage probability) or "esr" (ergodic secrecy rate,
-    bpcu), in one batch.
+    """Quadrature of every (scheme, csi, metric) cell of one point, each of
+    :class:`Scheme`, :class:`CsiMode` and :class:`Metric` members, in one batch.
 
     Each cell mixes two decode outcomes, relay decoding (with the decode
     probability) and relay silent; an outcome of weight 0 is skipped, so
@@ -412,8 +417,8 @@ def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL,
     # (value, bound, evaluations) per integral key, None until integrated
     found, todo, fys, tols, meshes, plans = {}, [], [], [], [], []
     for scheme, csi, metric in cells:
-        if metric not in _METRIC_FACTOR:
-            raise DomainError(f"metric must be 'sop' or 'esr', got {metric!r}")
+        if not all(map(isinstance, (scheme, csi, metric), (Scheme, CsiMode, Metric))):
+            raise DomainError(f"a cell is (Scheme, CsiMode, Metric), got {(scheme, csi, metric)}")
         groups = []
         for weight, relay_on in mix:
             keys = _integral_keys(scheme, csi, metric, relay_on)
@@ -455,11 +460,11 @@ def quadrature_sop(
     The decode-success and decode-failure cases are integrated
     separately and mixed with the decode probability.
     """
-    return quadrature_cells(params, ((scheme, csi, "sop"),), tol)[0]
+    return quadrature_cells(params, ((scheme, csi, Metric.SOP),), tol)[0]
 
 
 def quadrature_esr(
     params: SystemParams, scheme: Scheme, csi: CsiMode, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
     """Ergodic secrecy rate (bpcu) by adaptive quadrature."""
-    return quadrature_cells(params, ((scheme, csi, "esr"),), tol)[0]
+    return quadrature_cells(params, ((scheme, csi, Metric.ESR),), tol)[0]

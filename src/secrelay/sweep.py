@@ -11,10 +11,11 @@ from operator import attrgetter
 from typing import Iterable, Optional, TextIO, Union
 
 from . import asymptotics, closed_form
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .fading import (
     DEFAULT_QUAD_TOL,
     CsiMode,
+    Metric,
     SCHEME_ORDER,
     Scheme,
     SystemParams,
@@ -56,11 +57,6 @@ class Axis(Enum):
     BETA_RD_DB = "beta_rd_db"
     BETA_SR_DB = "beta_sr_db"
     GAMMA_TH_DB = "gamma_th_db"
-
-
-class Metric(Enum):
-    SOP = "sop"
-    ESR = "esr"
 
 
 @dataclass(frozen=True)
@@ -232,43 +228,30 @@ def _curve(spec: SweepSpec, cells, variant: Variant):
     return variant, axis, params, shared
 
 
-def _point_rows(spec: SweepSpec, cells, oracles, cf_store, quad_store, item):
-    """One point's rows; ``oracles`` is the module, or None when the sweep
-    has no oracle column.  The stores are the sweep's, one per evaluator."""
+def _point_rows(spec: SweepSpec, cells, cf_store, quad_store, item):
+    """One point's rows: an oracle column pair per cell, the closed forms in
+    one call, and the curve's columns.  The stores are the sweep's."""
     point_index, ((variant, axis, params, shared), value_db) = item
     params_pt = _apply_axis(params, axis, value_db)
-    named = [(s, c, m.value) for s, c, m in cells]
-
-    mc = quad = None
-    if isinstance(spec.oracle, McOracle):
-        mc = oracles.monte_carlo_all(
-            params_pt, spec.oracle.trials, spec.oracle.seed, point=point_index
-        )
-    elif isinstance(spec.oracle, QuadOracle):
-        quad = oracles.quadrature_cells(params_pt, named, spec.oracle.tol, quad_store)
-
-    try:
-        values = closed_form.cells(params_pt, named, cf_store)
-    except NumericError:
-        values = None  # evaluated cell by cell below, so faults raise in cell order
-
+    oracle = spec.oracle
+    if isinstance(oracle, McOracle):
+        from . import oracles
+        mc = oracles.monte_carlo_all(params_pt, oracle.trials, oracle.seed, point=point_index)
+        columns = [(e.value, e.stderr) for e in (_estimate(mc, *cell) for cell in cells)]
+    elif isinstance(oracle, QuadOracle):
+        from . import oracles
+        quad = oracles.quadrature_cells(params_pt, cells, oracle.tol, quad_store)
+        columns = [(q.value, None) for q in quad]
+    else:
+        columns = [(None, None)] * len(cells)
+    values = closed_form.cells(params_pt, cells, cf_store)
     rows = []
-    for k, ((scheme, csi, metric), (asym, *floors)) in enumerate(zip(cells, shared)):
-        value = values[k] if values else closed_form.cells(params_pt, [named[k]], cf_store)[0]
-        o_val = o_err = None
-        if mc is not None:
-            est = _estimate(mc, scheme, csi, metric)
-            o_val, o_err = est.value, est.stderr
-        elif quad is not None:
-            o_val = quad[k].value
+    for cell, value, column, (asym, *floors) in zip(cells, values, columns, shared):
         # Only a line reads the swept rate, so no other cell converts it.
         if isinstance(asym, asymptotics.Asymptote):
             asym = asym.predict(db_to_linear(-value_db))
         rows.append(
-            SweepRow(
-                axis, value_db, variant.label, scheme, csi, metric, _METHOD, value,
-                o_val, o_err, asym, *floors,
-            )
+            SweepRow(axis, value_db, variant.label, *cell, _METHOD, value, *column, asym, *floors)
         )
     return rows
 
@@ -285,10 +268,9 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     points = list(enumerate(product(curves, spec.axis_values())))
     # The oracles are numpy code: a closed-form sweep does not load them, and
     # a sweep with an oracle loads them here, before any worker thread runs.
-    oracles = None
     if spec.oracle is not None:
-        from . import oracles
-    chunks = _map(partial(_point_rows, spec, cells, oracles, {}, {}), points, n_jobs)
+        from . import oracles  # noqa: F401
+    chunks = _map(partial(_point_rows, spec, cells, {}, {}), points, n_jobs)
     return [row for chunk in chunks for row in chunk]
 
 

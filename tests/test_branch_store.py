@@ -11,6 +11,7 @@ import concurrent.futures
 import dataclasses
 import io
 import sys
+import warnings
 from collections import Counter
 
 import pytest
@@ -32,7 +33,15 @@ from secrelay.sweep import (
 )
 
 BASE = params_from_db(0.0, 3.0, 3.0, 10.0, 3.0, 3.0, 1.0)
-ALL_CELLS = [(s, c, m) for m in ("sop", "esr") for c in CsiMode for s in SCHEME_ORDER]
+ALL_CELLS = [(s, c, m) for m in Metric for c in CsiMode for s in SCHEME_ORDER]
+# cells the evaluators reject: an unknown metric, and the names, not the
+# members, of a metric, a scheme and a CSI mode
+BAD_CELLS = [
+    (Scheme.MRC_SC, CsiMode.CSI, "mean"),
+    (Scheme.MRC_SC, CsiMode.CSI, "sop"),
+    ("mrc_sc", CsiMode.CSI, Metric.SOP),
+    (Scheme.MRC_SC, "csi", Metric.SOP),
+]
 
 
 def _point(params, axis, value_db):
@@ -60,7 +69,7 @@ def _unshared(spec, rows):
         variant = variants[label]
         params = _point(spec.fixed.with_(**dict(variant.overrides)), variant.axis or spec.axis,
                         value_db)
-        cells = [(r.scheme, r.csi, r.metric.value) for r in point_rows]
+        cells = [(r.scheme, r.csi, r.metric) for r in point_rows]
         quad = [None] * len(cells)
         if isinstance(spec.oracle, QuadOracle):
             quad = [q.value for q in oracles.quadrature_cells(params, cells, spec.oracle.tol)]
@@ -233,9 +242,26 @@ def test_fault_in_a_shared_branch_is_the_first_points(jobs, capsys):
     assert captured.err == _SHARED_FAULT_ERR
 
 
+def test_non_finite_integrand_is_named_without_warnings(capsys):
+    # the same shared branch under the quadrature oracle: its integrand
+    # overflows, then turns NaN, and the run names both without letting
+    # numpy's RuntimeWarnings through
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(_SHARED_FAULT + ["--quad-tol", "1e-9"]) == 3
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "secrelay: numeric failure: quadrature failed: the integrand evaluates to inf and nan, "
+        "first at y = "
+    )
+
+
 def test_faults_raise_in_cell_order(monkeypatch):
-    # a line failing at the first cell raises before a closed form failing
-    # at a later cell of the same point
+    # a point's closed forms run in one call, in cell order, before any cell's
+    # asymptote line: a closed form failing at a later cell raises before a
+    # line failing at the first cell, and the earlier of two failing cells wins
     monkeypatch.setattr(
         asymptotics, "sop_asymptote_balanced",
         lambda params, scheme, csi: asymptotics.Asymptote(0.0, 1e308),
@@ -243,16 +269,23 @@ def test_faults_raise_in_cell_order(monkeypatch):
     conditional = closed_form.sop_conditional
 
     def failing(params, scheme, csi, relay_on):
-        if scheme is Scheme.SC_MRC:
-            raise NumericError("late cell")
+        if scheme in (Scheme.SC_SC, Scheme.SC_MRC):
+            raise NumericError(f"{scheme.value} cell")
         return conditional(params, scheme, csi, relay_on)
 
-    monkeypatch.setattr(closed_form, "sop_conditional", failing)
     spec = SweepSpec(Axis.BALANCED_SNR_DB, -10.0, -10.0, 1.0, BASE, asymptote=True)
     with pytest.raises(NumericError, match="Asymptote"):
         run_sweep(spec)
-    with pytest.raises(NumericError, match="late cell"):
+    monkeypatch.setattr(closed_form, "sop_conditional", failing)
+    with pytest.raises(NumericError, match="sc_sc cell"):
+        run_sweep(spec)
+    # one closed-form call per point, with no cell-by-cell rerun on a fault
+    calls = []
+    cells = closed_form.cells
+    monkeypatch.setattr(closed_form, "cells", lambda *args: calls.append(1) or cells(*args))
+    with pytest.raises(NumericError, match="sc_sc cell"):
         run_sweep(dataclasses.replace(spec, asymptote=False))
+    assert len(calls) == 1
 
 
 def test_cells_match_per_cell_calls():
@@ -260,14 +293,15 @@ def test_cells_match_per_cell_calls():
     for gamma_db in (-10.0, 3.0, 40.0, 400.0):
         params = BASE.with_(gamma_th=10.0 ** (gamma_db / 10.0))
         expected = [
-            (closed_form.sop if m == "sop" else closed_form.esr)(params, s, c).value
+            (closed_form.sop if m is Metric.SOP else closed_form.esr)(params, s, c).value
             for s, c, m in ALL_CELLS
         ]
         assert closed_form.cells(params, ALL_CELLS) == expected
         assert closed_form.cells(params, ALL_CELLS, shared) == expected
         assert closed_form.cells(params, ALL_CELLS[::-1], shared)[::-1] == expected
-    with pytest.raises(DomainError):
-        closed_form.cells(BASE, [(Scheme.MRC_SC, CsiMode.CSI, "mean")])
+    for cell in BAD_CELLS:
+        with pytest.raises(DomainError):
+            closed_form.cells(BASE, [ALL_CELLS[0], cell])
     assert closed_form.cells(BASE, []) == []
 
 

@@ -20,3 +20,9 @@ def test_all_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
     # the star import reads __all__ and fails on a stale entry
     exec(f"from {name} import *", {})
+
+
+def test_metric_is_one_class():
+    from secrelay import fading, sweep
+
+    assert fading.Metric is sweep.Metric is secrelay.Metric

@@ -7,10 +7,11 @@ import pytest
 
 from secrelay import fading, kernels, oracles
 from secrelay.closed_form import sop
-from secrelay.errors import DomainError
+from secrelay.errors import DomainError, NumericError
 from secrelay.fading import (
     CsiMode,
     DRAWS_PER_TRIAL,
+    Metric,
     SCHEME_ORDER,
     Scheme,
     combine,
@@ -317,7 +318,7 @@ def test_quadrature_integrates_slow_links_across_wide_gaps():
 
 
 @pytest.mark.parametrize("db", [250.0, 300.0, 600.0])
-@pytest.mark.parametrize("metric", ["sop", "esr"])
+@pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
 def test_quadrature_refuses_links_too_slow_for_the_map(db, metric):
     # an eavesdropper link's mass at y ~ 10^(db/10) lies closer to t = 1 than
     # the map resolves; the integral used to miss it (an outage of 2.5e-16
@@ -327,6 +328,18 @@ def test_quadrature_refuses_links_too_slow_for_the_map(db, metric):
     params = params_from_db(db, db, 10.0, 10.0, 10.0, 3.0, 0.5)
     with pytest.raises(NumericError):
         oracles.quadrature_cells(params, ((Scheme.MRC_SC, CsiMode.NOCSI, metric),), 1e-9)
+
+
+def test_quadrature_refuses_more_intervals_than_its_limit(monkeypatch):
+    # at 40 dB relay hops a rate's decoding-branch integrals start on 30
+    # intervals and halve one: a limit of 32 holds them, one of 31 does not
+    params = params_from_db(0.0, 3.0, 3.0, 40.0, 40.0, 3.0, 1.0)
+    cell = (Scheme.MRC_SC, CsiMode.NOCSI, Metric.ESR)
+    monkeypatch.setattr(oracles, "_QUAD_LIMIT", 32)
+    oracles.quadrature_cells(params, [cell], 1e-9)
+    monkeypatch.setattr(oracles, "_QUAD_LIMIT", 31)
+    with pytest.raises(NumericError, match="more than 31 intervals needed"):
+        oracles.quadrature_cells(params, [cell], 1e-9)
 
 
 def test_three_way_agreement_spot_check():
@@ -347,7 +360,7 @@ def test_three_way_agreement_spot_check():
 
 ALL_CELLS = [
     (scheme, csi, metric)
-    for metric in ("sop", "esr")
+    for metric in Metric
     for csi in (CsiMode.NOCSI, CsiMode.CSI)
     for scheme in SCHEME_ORDER
 ]
@@ -368,7 +381,7 @@ def test_batch_matches_per_cell_calls(point, tol):
     params = BATCH_POINTS[point]
     batch = oracles.quadrature_cells(params, ALL_CELLS, tol)
     for (scheme, csi, metric), q in zip(ALL_CELLS, batch, strict=True):
-        fn = oracles.quadrature_sop if metric == "sop" else oracles.quadrature_esr
+        fn = oracles.quadrature_sop if metric is Metric.SOP else oracles.quadrature_esr
         assert q == fn(params, scheme, csi, tol), (scheme, csi, metric)
     # nor does the order of the cells matter
     assert oracles.quadrature_cells(params, ALL_CELLS[::-1], tol)[::-1] == batch
@@ -390,7 +403,7 @@ def test_full_point_integrates_each_distinct_integral_once(base_params, monkeypa
     assert batches == [26]
     # one cell at a time integrates 48
     for scheme, csi, metric in ALL_CELLS:
-        fn = oracles.quadrature_sop if metric == "sop" else oracles.quadrature_esr
+        fn = oracles.quadrature_sop if metric is Metric.SOP else oracles.quadrature_esr
         fn(base_params, scheme, csi)
     assert sum(batches[1:]) == 48 and len(batches) == 17
     # a zero-weight branch is left out
@@ -401,6 +414,16 @@ def test_full_point_integrates_each_distinct_integral_once(base_params, monkeypa
 
 
 def test_batch_rejects_unknown_metric(base_params):
+    # an unknown metric, and the names, not the members, of a metric, a
+    # scheme and a CSI mode
+    for cell in [
+        (Scheme.MRC_SC, CsiMode.CSI, "mean"),
+        (Scheme.MRC_SC, CsiMode.CSI, "sop"),
+        ("mrc_sc", CsiMode.CSI, Metric.SOP),
+        (Scheme.MRC_SC, "csi", Metric.SOP),
+    ]:
+        with pytest.raises(DomainError):
+            oracles.quadrature_cells(base_params, [ALL_CELLS[0], cell])
     with pytest.raises(DomainError):
-        oracles.quadrature_cells(base_params, [(Scheme.MRC_SC, CsiMode.CSI, "mean")])
+        oracles.quadrature_sop(base_params, "mrc_sc", CsiMode.CSI)
     assert oracles.quadrature_cells(base_params, []) == []
