@@ -39,7 +39,8 @@ from .fading import (
     Metric,
     Scheme,
     SystemParams,
-    branch_rates,
+    check_cells,
+    decode_branches,
     decode_probability,
     shared_value,
 )
@@ -289,11 +290,10 @@ def _esr_bracket(params, scheme, csi, relay_on):
     return _mixture(*m, phi, phi_dd)
 
 
-def _validate(params, scheme, csi):
+def _validate(params, cells):
     if not isinstance(params, SystemParams):
         raise DomainError(f"params must be SystemParams, got {type(params).__name__}")
-    if not isinstance(scheme, Scheme) or not isinstance(csi, CsiMode):
-        raise DomainError("scheme/csi must be Scheme and CsiMode members")
+    check_cells(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def sop_conditional(
 ) -> float:
     """Conditional outage probability given the relay decode outcome;
     :class:`NumericError` where it does not evaluate to a finite number."""
-    _validate(params, scheme, csi)
+    _validate(params, ((scheme, csi, Metric.SOP),))
     value = _checked(_branch_name, params, _sop_bracket, params, scheme, csi, relay_on)
     return min(1.0, max(0.0, value))
 
@@ -334,7 +334,7 @@ def esr_conditional(
 ) -> float:
     """Conditional ergodic secrecy rate (bpcu) given the decode outcome;
     :class:`NumericError` where it does not evaluate to a finite number."""
-    _validate(params, scheme, csi)
+    _validate(params, ((scheme, csi, Metric.ESR),))
     return HALF_LOG2E * _checked(_branch_name, params, _esr_bracket, params, scheme, csi, relay_on)
 
 
@@ -348,7 +348,7 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
     difference of two O(1) values would lose ~eps/b relative, 1e-6 at a
     100 dB direct link.
     """
-    _validate(params, scheme, csi)
+    _validate(params, ((scheme, csi, Metric.SOP),))
     _, _, phi_dd2 = _outage_functional(params, scheme, csi, relay_on=True)
     b = params.beta_sd
 
@@ -368,31 +368,24 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
 
 def cells(params: SystemParams, cells, shared=None) -> list[float]:
     """Closed-form value of each (scheme, csi, metric) cell of one point, in
-    order, each of :class:`Scheme`, :class:`CsiMode` and :class:`Metric` members.
+    order (:func:`fading.check_cells`).
 
-    Each cell mixes its decode-success and decode-failure branch values with
-    the relay decode probability, skipping a branch of weight 0, whose value
-    the result never reaches.  A branch reads ``rate_rs`` and
-    :func:`fading.branch_rates` only (and with the relay silent, not the
-    scheme), so ``shared``, a dict kept over one sweep's calls, reads back a
-    branch whose fields are unchanged (:func:`fading.shared_value`).
+    Each cell mixes the values of the decode branches of
+    :func:`fading.decode_branches` with their weights.  A branch reads its
+    ``fields`` only (and with the relay silent, not the scheme), so
+    ``shared``, a dict kept over one sweep's calls, reads back a branch
+    whose fields are unchanged (:func:`fading.shared_value`).
     """
-    for scheme, csi, metric in cells:
-        _validate(params, scheme, csi)
-        if not isinstance(metric, Metric):
-            raise DomainError(f"metric must be a Metric member, got {metric!r}")
+    _validate(params, cells)
     shared = {} if shared is None else shared
-    p_on = decode_probability(params)
-    mix = [(w, relay_on) for w, relay_on in ((p_on, True), (1.0 - p_on, False)) if w != 0.0]
-    tags = {relay_on: (params.rate_rs, *branch_rates(params, relay_on)) for _, relay_on in mix}
+    branches = decode_branches(params)
     out = []
     for scheme, csi, metric in cells:
         conditional = sop_conditional if metric is Metric.SOP else esr_conditional
         value = 0.0
-        for weight, relay_on in mix:
+        for weight, relay_on, fields in branches:
             ident = (metric, csi, relay_on, scheme if relay_on else None)
-            branch = shared_value(shared, ident, tags[relay_on], conditional, params, scheme, csi, relay_on)
-            value += weight * branch
+            value += weight * shared_value(shared, ident, fields, conditional, params, scheme, csi, relay_on)
         out.append(min(1.0, max(0.0, value)) if metric is Metric.SOP else value)
     return out
 

@@ -67,6 +67,10 @@ class Scheme(Enum):
     SC_SC = "sc_sc"
     SC_MRC = "sc_mrc"
 
+    # Enum's hash runs in Python at every store lookup; identity equality
+    # allows C's (so also in CsiMode and Metric).
+    __hash__ = object.__hash__
+
     @property
     def mrc_at_destination(self) -> bool:
         return self in (Scheme.MRC_SC, Scheme.MRC_MRC)
@@ -82,6 +86,8 @@ class CsiMode(Enum):
     NOCSI = "nocsi"
     CSI = "csi"
 
+    __hash__ = object.__hash__
+
 
 class Metric(Enum):
     """Secrecy outage probability or ergodic secrecy rate (bpcu)."""
@@ -89,11 +95,17 @@ class Metric(Enum):
     SOP = "sop"
     ESR = "esr"
 
-    # Enum's hash runs in Python at every store lookup; identity equality allows C's.
     __hash__ = object.__hash__
 
 
 SCHEME_ORDER = (Scheme.MRC_SC, Scheme.MRC_MRC, Scheme.SC_SC, Scheme.SC_MRC)
+
+
+def check_cells(cells) -> None:
+    """:class:`DomainError` unless each cell is a (Scheme, CsiMode, Metric) triple of members."""
+    for cell in cells:
+        if not (len(cell) == 3 and all(map(isinstance, cell, (Scheme, CsiMode, Metric)))):
+            raise DomainError(f"a cell is (Scheme, CsiMode, Metric) members, got {cell!r}")
 
 
 @dataclass(frozen=True)
@@ -342,12 +354,15 @@ def decode_probability(params: SystemParams) -> float:
     return math.exp(-params.beta_sr * params.gamma_th)
 
 
-def branch_rates(params: SystemParams, relay_on: bool) -> tuple[float, ...]:
-    """The link rates one decode branch reads (with the relay silent, the
-    direct links); ``beta_sr`` and ``gamma_th`` only weight the branches."""
-    if relay_on:
-        return (params.alpha_se, params.alpha_re, params.beta_sd, params.beta_rd)
-    return (params.alpha_se, params.beta_sd)
+def decode_branches(params: SystemParams) -> list[tuple[float, bool, tuple[float, ...]]]:
+    """``(weight, relay_on, fields)`` per decode branch of nonzero weight, the
+    relay decoding first; ``fields`` are ``rate_rs`` and the links the branch
+    reads.  ``beta_sr`` and ``gamma_th`` only weight the branches."""
+    p_on = decode_probability(params)
+    p = params
+    on = (p_on, True, (p.rate_rs, p.alpha_se, p.alpha_re, p.beta_sd, p.beta_rd))
+    off = (1.0 - p_on, False, (p.rate_rs, p.alpha_se, p.beta_sd))
+    return [branch for branch in (on, off) if branch[0] != 0.0]
 
 
 def shared_value(shared: dict, ident, tag, compute, *args):

@@ -391,38 +391,35 @@ _METRIC_FACTOR = {Metric.SOP: 1.0, Metric.ESR: HALF_LOG2E}
 
 
 def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
-    """Quadrature of every (scheme, csi, metric) cell of one point, each of
-    :class:`Scheme`, :class:`CsiMode` and :class:`Metric` members, in one batch.
+    """Quadrature of every (scheme, csi, metric) cell of one point, in one
+    batch (:func:`fading.check_cells`).
 
-    Each cell mixes two decode outcomes, relay decoding (with the decode
-    probability) and relay silent; an outcome of weight 0 is skipped, so
-    ``gamma_th`` = 0 or inf leaves one branch alone.  Each branch's mesh is
-    built once, an integral that several cells read (see
-    :func:`_integral_keys`) is integrated once, and all of them advance in
-    one :func:`_integrate` call, but for those ``shared``, a dict kept over
-    one sweep's calls, holds for this point's ``tol``, ``rate_rs`` and
-    :func:`fading.branch_rates` (no result depends on what else a batch
-    holds).  Each branch's bound is within ``tol`` on its own, so each
-    cell's is too.  Returns one :class:`QuadratureResult` per cell, in
-    order; its ``evaluations`` count every integral the cell reads, shared
-    ones included.
+    Each cell mixes the decode branches of :func:`fading.decode_branches`
+    with their weights, so ``gamma_th`` = 0 or inf leaves one branch alone.
+    Each branch's mesh is built once, an integral that several cells read
+    (see :func:`_integral_keys`) is integrated once, and all of them advance
+    in one :func:`_integrate` call, but for those ``shared``, a dict kept
+    over one sweep's calls, holds for this point's ``tol`` and branch
+    ``fields`` (no result depends on what else a batch holds).  Each
+    branch's bound is within ``tol`` on its own, so each cell's is too.
+    Returns one :class:`QuadratureResult` per cell, in order; its
+    ``evaluations`` count every integral the cell reads, shared ones
+    included.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    fading.check_cells(cells)
     shared = {} if shared is None else shared
-    p_on = fading.decode_probability(params)
-    mix = [(w, relay_on) for w, relay_on in ((p_on, True), (1.0 - p_on, False)) if w != 0.0]
-    rates = {relay_on: fading.branch_rates(params, relay_on) for _, relay_on in mix}
-    branch_mesh = {r: fading.shared_value(shared, ("mesh", r), s, _mesh, s) for r, s in rates.items()}
+    branches = []  # (weight, relay_on, store tag, mesh)
+    for weight, relay_on, fields in fading.decode_branches(params):
+        mesh = fading.shared_value(shared, ("mesh", relay_on), fields[1:], _mesh, fields[1:])
+        branches.append((weight, relay_on, (tol, *fields), mesh))
     # (value, bound, evaluations) per integral key, None until integrated
     found, todo, fys, tols, meshes, plans = {}, [], [], [], [], []
     for scheme, csi, metric in cells:
-        if not all(map(isinstance, (scheme, csi, metric), (Scheme, CsiMode, Metric))):
-            raise DomainError(f"a cell is (Scheme, CsiMode, Metric), got {(scheme, csi, metric)}")
         groups = []
-        for weight, relay_on in mix:
+        for weight, relay_on, tag, mesh in branches:
             keys = _integral_keys(scheme, csi, metric, relay_on)
-            tag = (tol, params.rate_rs, *rates[relay_on])
             for key in keys:
                 if key in found:
                     continue
@@ -432,7 +429,7 @@ def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL,
                     todo.append((key, tag))
                     fys.append(_integrand(params, key))
                     tols.append(tol / (_METRIC_FACTOR[metric] * len(keys)))
-                    meshes.append(branch_mesh[relay_on])
+                    meshes.append(mesh)
             groups.append((weight, keys))
         plans.append((_METRIC_FACTOR[metric], groups))
     if fys:
@@ -455,16 +452,12 @@ def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL,
 def quadrature_sop(
     params: SystemParams, scheme: Scheme, csi: CsiMode, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
-    """Outage probability by adaptive quadrature of its defining integral.
-
-    The decode-success and decode-failure cases are integrated
-    separately and mixed with the decode probability.
-    """
+    """Outage probability by adaptive quadrature (one :func:`quadrature_cells` cell)."""
     return quadrature_cells(params, ((scheme, csi, Metric.SOP),), tol)[0]
 
 
 def quadrature_esr(
     params: SystemParams, scheme: Scheme, csi: CsiMode, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
-    """Ergodic secrecy rate (bpcu) by adaptive quadrature."""
+    """Ergodic secrecy rate (bpcu) by adaptive quadrature (one :func:`quadrature_cells` cell)."""
     return quadrature_cells(params, ((scheme, csi, Metric.ESR),), tol)[0]

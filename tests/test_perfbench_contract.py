@@ -5,15 +5,17 @@ attributes for timing wrappers, and ``perfbench/run.py`` reads the Monte
 Carlo backend and chunk size.  A cleanup of ``src/`` that renames or drops
 one of those names breaks ``perfbench/run.py --trace 1`` without failing any
 other test, so this test runs a tiny traced validation point and sweep
-through the real tracer.
+through the real tracer, and the one-cell closed-form and quadrature calls
+it wraps, which validation and sweeps do not make (they evaluate a
+point through ``closed_form.cells`` and ``oracles.quadrature_cells``).
 """
 
 from pathlib import Path
 
 import pytest
 
-from secrelay import closed_form, kernels, sweep
-from secrelay.fading import params_from_db
+from secrelay import closed_form, kernels, oracles, sweep
+from secrelay.fading import CsiMode, Scheme, params_from_db
 from secrelay.sweep import Axis, Metric, SweepSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -43,6 +45,10 @@ def test_tracer_runs_validation_and_sweep(perfbench):
     with tracer.installed():
         report = tracer.root(lambda: sweep.run_validation(grid_size=1, mc_trials=1000))
         rows = tracer.root(lambda: sweep.run_sweep(spec))
+        for one_cell in (
+            closed_form.sop, closed_form.esr, oracles.quadrature_sop, oracles.quadrature_esr
+        ):
+            one_cell(spec.fixed, Scheme.MRC_SC, CsiMode.CSI)
         env = run.environment()
         bytes_per_trial = tracer.kernel_bytes_per_trial()
     # the wrappers are removed again

@@ -387,14 +387,22 @@ def test_validation_rejects_degenerate_bands(band):
         run_validation(grid_size=1, seed=3, mc_trials=1000, **band)
 
 
+def _nan_for_sc_sc_sop(monkeypatch):
+    """Make every SC-SC outage closed form NaN."""
+    shipped = closed_form.cells
+
+    def nan_for_sc_sc(params, cells, shared=None):
+        values = shipped(params, cells, shared)
+        return [
+            math.nan if (scheme, metric) == (Scheme.SC_SC, Metric.SOP) else v
+            for (scheme, _, metric), v in zip(cells, values)
+        ]
+
+    monkeypatch.setattr(closed_form, "cells", nan_for_sc_sc)
+
+
 def test_validation_fails_on_a_nan_closed_form(monkeypatch):
-    shipped = closed_form.sop
-
-    def nan_for_sc_sc(params, scheme, csi):
-        m = shipped(params, scheme, csi)
-        return dataclasses.replace(m, value=math.nan) if scheme is Scheme.SC_SC else m
-
-    monkeypatch.setattr(closed_form, "sop", nan_for_sc_sc)
+    _nan_for_sc_sc_sop(monkeypatch)
     report = run_validation(grid_size=2, seed=5, mc_trials=1000)
     assert report.passed is False
     failed = {(r.scheme, r.metric) for r in report.rows if not r.passed}
@@ -402,22 +410,53 @@ def test_validation_fails_on_a_nan_closed_form(monkeypatch):
     assert "overall: FAIL" in report.render()
 
 
-def test_validation_runs_one_quadrature_per_cell(monkeypatch):
+def test_validation_runs_one_batch_per_point(monkeypatch):
     calls = []
 
     def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+        def wrapper(params, cells, *args):
+            calls.append((fn.__name__, len(cells)))
+            return fn(params, cells, *args)
 
         return wrapper
 
-    for name in ("quadrature_sop", "quadrature_esr"):
-        monkeypatch.setattr(oracles, name, counted(getattr(oracles, name)))
+    monkeypatch.setattr(closed_form, "cells", counted(closed_form.cells))
+    monkeypatch.setattr(oracles, "quadrature_cells", counted(oracles.quadrature_cells))
     report = run_validation(grid_size=2, seed=5, mc_trials=1000)
     assert report.grid_size == 2
-    assert calls.count("quadrature_sop") == 2 * 8
-    assert calls.count("quadrature_esr") == 2 * 8
+    assert sorted(calls) == [("cells", 16)] * 2 + [("quadrature_cells", 16)] * 2
+
+
+def test_validation_report_holds_the_per_cell_values():
+    # the report's batched values against one-cell calls at every point
+    seed, trials = 7, 2000
+    report = run_validation(grid_size=3, seed=seed, mc_trials=trials)
+    quad_diffs, mc_ratios, variant_diffs, shipped_diffs = [], [], [], []
+    for i, params in enumerate(sample_grid(3, seed)):
+        mc = oracles.monte_carlo_all(params, trials, seed, point=i)
+        quad_row, mc_row = [], []
+        for r in report.rows:
+            if r.metric is Metric.SOP:
+                cf_fn, quad_fn, mc_fn = closed_form.sop, oracles.quadrature_sop, mc.sop
+            else:
+                cf_fn, quad_fn, mc_fn = closed_form.esr, oracles.quadrature_esr, mc.esr
+            cf = cf_fn(params, r.scheme, r.csi).value
+            est = mc_fn(r.scheme, r.csi)
+            quad_row.append(abs(cf - quad_fn(params, r.scheme, r.csi).value))
+            mc_row.append(abs(cf - est.value) / (3.0 * est.stderr + sweep.MC_ABS_FLOOR))
+        quad_diffs.append(quad_row)
+        mc_ratios.append(mc_row)
+        q = oracles.quadrature_esr(params, Scheme.MRC_SC, CsiMode.CSI).value
+        shipped = closed_form.esr(params, Scheme.MRC_SC, CsiMode.CSI).value
+        variant_diffs.append(abs(closed_form.esr_mrc_sc_csi_variant(params) - q))
+        shipped_diffs.append(abs(shipped - q))
+    assert [r.worst_quad_diff for r in report.rows] == list(map(max, zip(*quad_diffs)))
+    assert [r.worst_mc_ratio for r in report.rows] == list(map(max, zip(*mc_ratios)))
+    assert report.variant_note == (
+        "mrc_sc/csi esr argument-pairing check: shipped form worst "
+        f"|cf-quad|={max(shipped_diffs):.3e}; rejected variant worst "
+        f"|alt-quad|={max(variant_diffs):.3e}"
+    )
 
 
 def test_validation_render_deterministic():
@@ -570,12 +609,7 @@ def test_cli_validate_exit_codes(monkeypatch, capsys):
     argv = ["validate", "--grid-size", "1", "--seed", "3", "--mc-trials", "50000"]
     assert main(argv) == 0
     assert "overall: pass" in capsys.readouterr().out
-    shipped = closed_form.sop
-
-    def nan_sop(params, scheme, csi):
-        return dataclasses.replace(shipped(params, scheme, csi), value=math.nan)
-
-    monkeypatch.setattr(closed_form, "sop", nan_sop)
+    _nan_for_sc_sc_sop(monkeypatch)
     assert main(argv) == 4
     assert "FAIL" in capsys.readouterr().out
 
@@ -792,10 +826,10 @@ def test_cli_quadrature_over_tolerance_exit_code(capsys):
 
 
 def test_cli_validate_numeric_failure_exit_code(monkeypatch, capsys):
-    def failing_sop(params, scheme, csi):
+    def failing_cells(params, cells, shared=None):
         raise NumericError("sop fails")
 
-    monkeypatch.setattr(closed_form, "sop", failing_sop)
+    monkeypatch.setattr(closed_form, "cells", failing_cells)
     assert main(["validate", "--grid-size", "1", "--mc-trials", "1000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
