@@ -40,7 +40,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VALIDATION = 4
 
-# Most worker threads --jobs may ask for; the pools take one task per point.
+# Most worker threads --jobs may ask for; the pools take one task per slice of
+# a sweep curve's points or per validation grid point.
 MAX_JOBS = 256
 
 _AXIS_BY_FLAG = {axis.value.replace("_", "-"): axis for axis in Axis}

@@ -210,8 +210,14 @@ def params_from_db(
     )
 
 
-def _check_rate(rate: float, name: str = "rate") -> None:
-    if not (rate > 0.0 and math.isfinite(rate)):
+def _check_rate(rate, name: str = "rate") -> None:
+    """:class:`DomainError` unless ``rate``, or every element of an array of
+    rates, is positive and finite."""
+    if isinstance(rate, (int, float)):
+        ok = rate > 0.0 and math.isfinite(rate)
+    else:
+        ok = 0.0 < rate.min() and rate.max() < math.inf  # False for a NaN
+    if not ok:
         raise DomainError(f"{name} must be positive and finite, got {rate!r}")
 
 
@@ -230,13 +236,15 @@ def _on_support(z: np.ndarray, outside: np.ndarray, v) -> np.ndarray | float:
 
 
 # The distribution functions below take a scalar or an array ``z`` and check
-# their rates once per call.  Scalar and array arguments run the same numpy
-# arithmetic, so a scalar call returns exactly the matching element of an
-# array call.  Formulas are evaluated at ``max(z, 0)``: points off the
-# support are zeroed afterwards and must not overflow on the way.
+# their rates once per call.  A rate may be an array too, broadcast against
+# ``z`` (the quadrature oracle passes one rate per row of nodes).  Scalar and
+# array arguments run the same arithmetic on every element, so a scalar call
+# returns exactly the matching element of an array call.  Formulas are
+# evaluated at ``max(z, 0)``: points off the support are zeroed afterwards
+# and must not overflow on the way.
 
 
-def exp_cdf(rate: float, z):
+def exp_cdf(rate, z):
     """CDF of an exponential with the given rate."""
     import numpy as np
     _check_rate(rate)
@@ -244,31 +252,35 @@ def exp_cdf(rate: float, z):
     return _on_support(z, z <= 0.0, -np.expm1(-rate * zp))
 
 
-def exp_pdf(rate: float, z):
+def exp_pdf(rate, z):
     import numpy as np
     _check_rate(rate)
     z, zp = _points(z)
     return _on_support(z, z < 0.0, rate * np.exp(-rate * zp))
 
 
-def _sum_exp_quotient(r1: float, r2: float, zp: np.ndarray):
-    """The smaller rate a and (e^{-a z} - e^{-b z}) / (b - a) at ``zp`` >= 0,
-    where b is the larger rate.
+def _sum_exp_quotient(r1, r2, zp: np.ndarray):
+    """The smaller rate a, the larger rate b, and (e^{-a z} - e^{-b z}) / (b - a)
+    at ``zp`` >= 0.
 
     With d = b - a >= 0 the quotient is e^{-a z} (-expm1(-d z) / d), which
     does not cancel at any gap; at d = 0 it is its limit z e^{-a z}, taken
-    as 0 where e^{-a z} is 0 (at z = inf, and beyond underflow).
+    as 0 where e^{-a z} is 0 (at z = inf, and beyond underflow).  The limit
+    is evaluated only where a gap is 0.
     """
     import numpy as np
-    a, b = sorted((r1, r2))
+    a, b = np.minimum(r1, r2), np.maximum(r1, r2)
     d = b - a
+    gap = d > 0.0
     ea = np.exp(-a * zp)
-    if d > 0.0:
-        q = np.expm1(-d * zp)
-        q /= -d
-        q *= ea
-        return a, q
-    return a, np.multiply(zp, ea, out=np.zeros_like(ea), where=ea > 0.0)
+    whole = gap.all()
+    nd = -d if whole else np.where(gap, -d, -1.0)  # -1 stands in where the gap is 0
+    q = np.expm1(nd * zp)
+    q /= nd
+    q *= ea
+    if not whole:
+        q = np.where(gap, q, np.multiply(zp, ea, out=np.zeros_like(ea), where=ea > 0.0))
+    return a, b, q
 
 
 # The sum CDF takes its Taylor series where the larger rate times z is at
@@ -278,12 +290,14 @@ _SERIES_MAX = 0.25
 _SERIES_TERMS = 13
 
 
-def _sum_exp_series(r: float, y: np.ndarray) -> np.ndarray:
+def _sum_exp_series(r, y: np.ndarray) -> np.ndarray:
     """The second divided difference e[0, r y, y] of e^{-t} for 0 < r <= 1
     and 0 <= y <= _SERIES_MAX: its Taylor series, the sum over k of
     (-1)^k h_k(r y, y) / (k + 2)!, where the complete homogeneous
     polynomial h_k(r y, y) = y^k (1 + r + ... + r^k).  That is a polynomial
-    in y, evaluated by Horner's rule; its first term, 1/2, dominates."""
+    in y, evaluated by Horner's rule; its first term, 1/2, dominates.  An
+    array ``r`` holds one ratio per element of ``y``, and so do the
+    coefficients."""
     import numpy as np
     coef, c, g = [], 0.5, 1.0
     for k in range(_SERIES_TERMS):
@@ -297,7 +311,7 @@ def _sum_exp_series(r: float, y: np.ndarray) -> np.ndarray:
     return s
 
 
-def sum_exp_cdf(r1: float, r2: float, z):
+def sum_exp_cdf(r1, r2, z):
     """CDF of the sum of two independent exponentials with rates a <= b.
 
     It is ``x y e[0, x, y]`` with x = a z, y = b z and e[0, x, y] the second
@@ -313,25 +327,27 @@ def sum_exp_cdf(r1: float, r2: float, z):
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
     z, zp = _points(z)
-    a, q = _sum_exp_quotient(r1, r2, zp)
-    v = np.asarray(-np.expm1(-a * zp) - a * q)
-    b = max(r1, r2)
-    small = b * zp <= _SERIES_MAX
-    if np.any(small):
-        x, y = a * zp[small], b * zp[small]
-        v[small] = x * y * _sum_exp_series(a / b, y)
+    a, b, q = _sum_exp_quotient(r1, r2, zp)
+    x, y = a * zp, b * zp
+    v = np.asarray(-np.expm1(-x) - a * q)
+    small = y <= _SERIES_MAX
+    if small.any():
+        r = a / b
+        r = np.broadcast_to(r, small.shape)[small] if r.ndim else float(r)
+        ys = y[small]
+        v[small] = x[small] * ys * _sum_exp_series(r, ys)
     return _on_support(z, z <= 0.0, v)
 
 
-def sum_exp_pdf(r1: float, r2: float, z):
+def sum_exp_pdf(r1, r2, z):
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")
     z, zp = _points(z)
-    _, q = _sum_exp_quotient(r1, r2, zp)
+    _, _, q = _sum_exp_quotient(r1, r2, zp)
     return _on_support(z, z < 0.0, (r1 * r2) * q)
 
 
-def max_exp_cdf(r1: float, r2: float, z):
+def max_exp_cdf(r1, r2, z):
     """CDF of the maximum of two independent exponentials."""
     import numpy as np
     _check_rate(r1, "r1")
@@ -340,7 +356,7 @@ def max_exp_cdf(r1: float, r2: float, z):
     return _on_support(z, z <= 0.0, np.expm1(-r1 * zp) * np.expm1(-r2 * zp))
 
 
-def max_exp_pdf(r1: float, r2: float, z):
+def max_exp_pdf(r1, r2, z):
     import numpy as np
     _check_rate(r1, "r1")
     _check_rate(r2, "r2")

@@ -5,25 +5,25 @@ side, the defining one-dimensional integrals on the other - and share no
 algebra with the closed forms they validate.
 
 The quadrature oracle is an adaptive Gauss-Kronrod integrator in numpy
-(QUADPACK's 10/21-point pair).  ``quadrature_cells`` takes every cell of
-one parameter point: an outage is one integral per decode branch, a rate
-the destination's and the eavesdropper's integrals per branch, and an
-integral several cells read is integrated once.  All of them advance
-together: each round evaluates every integrand once, on the nodes of all
-its open intervals.  ``quadrature_sop``/``quadrature_esr`` are one-cell
-calls of it.  One decode branch alone is the point at ``gamma_th`` = 0
-(the relay always decodes) or ``gamma_th`` = inf (it never does).
-``QuadratureResult.abs_error_bound`` adds up the accepted intervals' error
-estimates, each at least a round-off floor, and ``evaluations`` counts
-integrand points.
+(QUADPACK's 10/21-point pair).  ``quadrature_cells`` takes every cell of a
+sequence of parameter points: an outage is one integral per decode branch,
+a rate the destination's and the eavesdropper's integrals per branch, and
+an integral that several cells or points read is integrated once.  All of
+them advance together, one round at a time.  The integrals that share an
+integrand and differ only in their rates and ``rho`` form a family, and
+each round calls a family's integrand once per block of nodes, with the
+rates and ``rho`` of each row's integral.  ``quadrature_sop`` and
+``quadrature_esr`` are one-cell, one-point calls of it.  One decode branch
+alone is the point at ``gamma_th`` = 0 (the relay always decodes) or
+``gamma_th`` = inf (it never does).  ``QuadratureResult.abs_error_bound``
+adds up the accepted intervals' error estimates, each at least a round-off
+floor, and ``evaluations`` counts integrand points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from . import fading, kernels
@@ -206,88 +206,146 @@ def _mesh(scales) -> np.ndarray:
     return t[np.concatenate(([True], t[1:] != t[:-1]))]
 
 
-def _integrate(integrands, tols, meshes):
-    """Integrate each ``fy`` over y in [0, inf) to its absolute tolerance.
+# Intervals per block of nodes: the 21 nodes of 384 intervals fill a 63 KiB
+# array, so each per-node temporary of a block stays below glibc's 128 KiB
+# mmap threshold and is reused from the heap instead of being mapped anew.
+_BLOCK = 384
 
-    ``fy(y)`` returns the integrand and its envelope at an array of points.
-    The half-line is mapped to t in [0, 1) by y = t / (1 - t); integral k
-    starts from the intervals between the breakpoints ``meshes[k]``.  All
-    integrals advance together, one round at a time: each integrand is
-    called once a round, on the 21 nodes of every open interval it has.
-    Each open interval gets the 21-point Kronrod value and QUADPACK's error
-    estimate from the 10-point Gauss value, with a round-off floor of 50 eps
-    times the integral of the envelope over it.  An interval is accepted
-    when its estimate is within its share of the tolerance (its length
-    times ``tols[k]``) or at the floor, and all of an integral's intervals
-    are once their estimates add up to within ``tols[k]``; the others are
-    halved.  Returns per-integral arrays (value, error bound, integrand
-    evaluations).  Raises :class:`NumericError` when an integrand returns a
-    non-finite value, an integral needs more than ``_QUAD_LIMIT`` intervals,
-    an interval cannot be halved, or a bound exceeds its tolerance.
+
+def _blocks(bounds):
+    """The rows from ``bounds[0]`` to ``bounds[-1]`` in blocks of at most
+    ``_BLOCK``, each a list of (start, stop) segments of one family, where
+    ``bounds`` are the families' first rows.  A family that fits in a block
+    is not split."""
+    blocks, block, room = [], [], _BLOCK
+    for a, b in zip(bounds, bounds[1:]):
+        if room < b - a <= _BLOCK:
+            blocks.append(block)
+            block, room = [], _BLOCK
+        while a < b:
+            take = min(b - a, room)
+            block.append((a, a + take))
+            a += take
+            room -= take
+            if not room:
+                blocks.append(block)
+                block, room = [], _BLOCK
+    blocks.append(block)
+    return [block for block in blocks if block]
+
+
+def _integrate(integrands, tols, meshes):
+    """Integrate each integral over y in [0, inf) to its absolute tolerance.
+
+    Integral k is ``integrands[k] = (fy, args)``: ``fy(y, *args)`` returns
+    the integrand and its envelope at an array of points, ``args`` a tuple
+    of floats of the same length for every integral.  The half-line is
+    mapped to t in [0, 1) by y = t / (1 - t); integral k starts from the
+    intervals between the breakpoints ``meshes[k]``.  All integrals advance
+    together, one round at a time.  A round builds the 21 nodes of the open
+    intervals in the blocks of :func:`_blocks` and calls each family, a run
+    of consecutive integrals with the same ``fy``, once per block it has
+    rows in: with the floats of ``args`` where those rows are one
+    integral's, else with one ``(rows, 1)`` column per argument, each row's
+    value from its own integral.  Each open interval gets the
+    21-point Kronrod value and QUADPACK's error estimate from the 10-point
+    Gauss value, with a round-off floor of 50 eps times the integral of the
+    envelope over it.  An interval is accepted when its estimate is within
+    its share of the tolerance (its length times ``tols[k]``) or at the
+    floor, and all of an integral's intervals are once their estimates add
+    up to within ``tols[k]``; the others are halved.  No integral's result
+    depends on the others.  Returns per-integral arrays (value, error
+    bound, integrand evaluations).  Raises :class:`NumericError` when an
+    integrand returns a non-finite value, an integral needs more than
+    ``_QUAD_LIMIT`` intervals, an interval cannot be halved, or a bound
+    exceeds its tolerance.
     """
     n = len(integrands)
     tols = np.asarray(tols, dtype=float)
+    fys, rows = zip(*integrands)
+    # the first integral of each family, then n
+    firsts = [k for k in range(n) if k == 0 or fys[k] is not fys[k - 1]] + [n]
+    table = np.array(rows)
     lo = np.concatenate([m[:-1] for m in meshes])
     hi = np.concatenate([m[1:] for m in meshes])
     owner = np.repeat(np.arange(n), [len(m) - 1 for m in meshes])  # stays sorted
     value, bound = np.zeros(n), np.zeros(n)
     evals, kept = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    while owner.size:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        # Nodes in t and in 1 - t, each from its own midpoint: near t = 1,
-        # where the integrand in t peaks for slowly decaying links, 1 - t
-        # rounded from t would move the nodes by ~1e-16 / (1 - t) relative.
-        t = mid[:, None] + half[:, None] * _NODES
-        om = (0.5 * ((1.0 - hi) + (1.0 - lo)))[:, None] - half[:, None] * _NODES
-        y = t / om
-        f, env = np.empty_like(t), np.empty_like(t)
-        ends = np.searchsorted(owner, np.arange(n + 1))
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            for k in range(n):
-                a, b = ends[k], ends[k + 1]
-                if a < b:
-                    f[a:b], env[a:b] = integrands[k](y[a:b])
-        bad = ~np.isfinite(f)
-        if bad.any():
-            found = " and ".join(sorted(set(map(str, f[bad].tolist()))))
-            found += f", first at y = {float(y[bad][0])!r}"
-            raise NumericError(f"quadrature failed: the integrand evaluates to {found}")
-        jac = om * om
-        f /= jac
-        env /= jac
+    # One errstate for the whole call: the integrands may overflow or turn
+    # NaN, which the finiteness check below reports instead of numpy.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        while owner.size:
+            size = owner.size
+            half = 0.5 * (hi - lo)
+            mid = 0.5 * (hi + lo)
+            mid_om = 0.5 * ((1.0 - hi) + (1.0 - lo))  # the midpoint in 1 - t
+            resk, resg = np.empty(size), np.empty(size)
+            resabs, resasc = np.empty(size), np.empty(size)
+            for block in _blocks(np.searchsorted(owner, firsts).tolist()):
+                s, e = block[0][0], block[-1][1]
+                # Nodes in t and in 1 - t, each from its own midpoint: near
+                # t = 1, where the integrand in t peaks for slowly decaying
+                # links, 1 - t rounded from t would move the nodes by
+                # ~1e-16 / (1 - t) relative.
+                offsets = half[s:e, None] * _NODES
+                t = mid[s:e, None] + offsets
+                om = mid_om[s:e, None] - offsets
+                y = t / om
+                f, env = np.empty_like(t), np.empty_like(t)
+                columns = None  # each row's args, gathered once per block
+                for a, b in block:
+                    k = owner[a]
+                    a, b = a - s, b - s
+                    if k == owner[s + b - 1]:
+                        args = rows[k]
+                    else:
+                        if columns is None:
+                            columns = table[owner[s:e]].T[:, :, None]
+                        args = columns[:, a:b]
+                    f[a:b], env[a:b] = fys[k](y[a:b], *args)
+                bad = ~np.isfinite(f)
+                if bad.any():
+                    found = " and ".join(sorted(set(map(str, f[bad].tolist()))))
+                    found += f", first at y = {float(y[bad][0])!r}"
+                    raise NumericError(f"quadrature failed: the integrand evaluates to {found}")
+                jac = om * om
+                f /= jac
+                env /= jac
+                rk, rg = (f @ _WKG).T
+                resk[s:e], resg[s:e] = rk, rg
+                resabs[s:e] = env @ _WK21
+                resasc[s:e] = np.abs(f - 0.5 * rk[:, None]) @ _WK21
 
-        resk, resg = (f @ _WKG).T
-        resabs = (env @ _WK21) * half
-        resasc = (np.abs(f - 0.5 * resk[:, None]) @ _WK21) * half
-        val = resk * half
-        err = np.abs(resk - resg) * half
-        pos = resasc > 0.0
-        ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=pos)
-        err = np.where(pos, resasc * np.minimum(1.0, ratio ** 1.5), err)
-        floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
-        err = np.maximum(err, floor)
+            resabs *= half
+            resasc *= half
+            val = resk * half
+            err = np.abs(resk - resg) * half
+            pos = resasc > 0.0
+            ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=pos)
+            err = np.where(pos, resasc * np.minimum(1.0, ratio ** 1.5), err)
+            floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+            err = np.maximum(err, floor)
 
-        open_count = np.bincount(owner, minlength=n)
-        evals += 21 * open_count
-        done = bound + np.bincount(owner, weights=err, minlength=n) <= tols
-        accept = done[owner] | (err <= np.maximum(tols[owner] * (hi - lo), floor))
-        taken = owner[accept]
-        value += np.bincount(taken, weights=val[accept], minlength=n)
-        bound += np.bincount(taken, weights=err[accept], minlength=n)
-        taken_count = np.bincount(taken, minlength=n)
-        kept += taken_count
-        if np.any(kept + 2 * (open_count - taken_count) > _QUAD_LIMIT):
-            raise NumericError(f"quadrature failed: more than {_QUAD_LIMIT} intervals needed")
+            open_count = np.bincount(owner, minlength=n)
+            evals += 21 * open_count
+            done = bound + np.bincount(owner, weights=err, minlength=n) <= tols
+            accept = done[owner] | (err <= np.maximum(tols[owner] * (hi - lo), floor))
+            taken = owner[accept]
+            value += np.bincount(taken, weights=val[accept], minlength=n)
+            bound += np.bincount(taken, weights=err[accept], minlength=n)
+            taken_count = np.bincount(taken, minlength=n)
+            kept += taken_count
+            if np.any(kept + 2 * (open_count - taken_count) > _QUAD_LIMIT):
+                raise NumericError(f"quadrature failed: more than {_QUAD_LIMIT} intervals needed")
 
-        split = ~accept
-        lo, mid, hi, owner = lo[split], mid[split], hi[split], owner[split]
-        if np.any((mid <= lo) | (mid >= hi)):
-            # the midpoint rounds onto an end: t cannot resolve the integrand
-            raise NumericError("quadrature failed: an interval is too short to halve")
-        halves = np.stack((lo, mid, mid, hi), axis=1)  # [lo, mid], [mid, hi] per row
-        lo, hi = halves[:, 0::2].ravel(), halves[:, 1::2].ravel()
-        owner = np.repeat(owner, 2)
+            split = ~accept
+            lo, mid, hi, owner = lo[split], mid[split], hi[split], owner[split]
+            if np.any((mid <= lo) | (mid >= hi)):
+                # the midpoint rounds onto an end: t cannot resolve the integrand
+                raise NumericError("quadrature failed: an interval is too short to halve")
+            halves = np.stack((lo, mid, mid, hi), axis=1)  # [lo, mid], [mid, hi] per row
+            lo, hi = halves[:, 0::2].ravel(), halves[:, 1::2].ravel()
+            owner = np.repeat(owner, 2)
     over = np.flatnonzero(~(bound <= tols))
     if over.size:
         k = over[0]
@@ -297,19 +355,19 @@ def _integrate(integrands, tols, meshes):
     return value, bound, evals
 
 
-def _snr_dist(direct: float, relayed: float, relay_on: bool, mrc):
-    """(CDF, PDF) of one receiver's SNR on one decode branch: its direct
-    link alone, or with the relayed link combined by MRC (``mrc`` True) or
-    SC (False).  (None, None) for ``mrc`` None, a combiner not read."""
+def _snr_dist(relay_on: bool, mrc):
+    """(CDF, PDF) of one receiver's SNR on one decode branch, called with
+    the receiver's direct rate, its relayed rate where the relay is on, and
+    the points: its direct link alone, or with the relayed link combined by
+    MRC (``mrc`` True) or SC (False).  (None, None) for ``mrc`` None, a
+    combiner not read."""
     if not relay_on:
-        return partial(fading.exp_cdf, direct), partial(fading.exp_pdf, direct)
+        return fading.exp_cdf, fading.exp_pdf
     if mrc is None:
         return None, None
     if mrc:
-        cdf, pdf = fading.sum_exp_cdf, fading.sum_exp_pdf
-    else:
-        cdf, pdf = fading.max_exp_cdf, fading.max_exp_pdf
-    return partial(cdf, direct, relayed), partial(pdf, direct, relayed)
+        return fading.sum_exp_cdf, fading.sum_exp_pdf
+    return fading.max_exp_cdf, fading.max_exp_pdf
 
 
 def _cut(d):
@@ -346,41 +404,46 @@ def _integral_keys(scheme: Scheme, csi: CsiMode, metric: Metric, relay_on: bool)
 _MIN_RATE = 2.0 ** -50
 
 
-def _integrand(params: SystemParams, key):
-    """The integrand function of the integral ``key`` of :func:`_integral_keys`
-    (:class:`NumericError` where a link of its density is below ``_MIN_RATE``)."""
-    metric, part, csi, relay_on, mrc_m, mrc_e = key
+def _check_links(params: SystemParams, key) -> None:
+    """:class:`NumericError` where a link of the density that the integral
+    ``key`` integrates is below ``_MIN_RATE``."""
+    part, relay_on = key[1], key[3]
     side = (params.beta_sd, params.beta_rd) if part == "main" else (params.alpha_se, params.alpha_re)
     if min(side[: 2 if relay_on else 1]) < _MIN_RATE:
         raise NumericError(f"quadrature cannot resolve a link rate below 2^-50 at {params}")
-    cdf_m, pdf_m = _snr_dist(params.beta_sd, params.beta_rd, relay_on, mrc_m)
-    cdf_e, pdf_e = _snr_dist(params.alpha_se, params.alpha_re, relay_on, mrc_e)
-    rho = params.rho
+
+
+def _family(key):
+    """The integrand function ``fy(y, rho, beta_sd, beta_rd, alpha_se,
+    alpha_re)`` of every integral keyed ``key`` (see :func:`_integral_keys`);
+    a silent relay's reads neither relayed rate."""
+    metric, part, csi, relay_on, mrc_m, mrc_e = key
+    cdf_m, pdf_m = _snr_dist(relay_on, mrc_m)
+    cdf_e, pdf_e = _snr_dist(relay_on, mrc_e)
+    nocsi = csi is CsiMode.NOCSI
+    n = 2 if relay_on else 1  # the rates of each receiver's SNR
 
     if metric is Metric.SOP:
-        if csi is CsiMode.NOCSI:
 
-            def fy(y):
-                d = _cut(pdf_e(y))
-                return cdf_m(rho * (1.0 + y) - 1.0) * d, d
-
-        else:
-
-            def fy(y):
-                d = _cut(pdf_e(y))
-                return (cdf_m(rho * (1.0 + y) - 1.0) - cdf_m(y)) * d, d
+        def fy(y, rho, sd, rd, se, re):
+            m, e = (sd, rd)[:n], (se, re)[:n]
+            d = _cut(pdf_e(*e, y))
+            f = cdf_m(*m, rho * (1.0 + y) - 1.0)
+            return (f if nocsi else f - cdf_m(*m, y)) * d, d
 
     elif part == "main":
 
-        def fy(x):
-            e = np.log1p(x) * _cut(pdf_m(x))
-            return (e if csi is CsiMode.NOCSI else cdf_e(x) * e), e
+        def fy(x, rho, sd, rd, se, re):
+            m, e = (sd, rd)[:n], (se, re)[:n]
+            g = np.log1p(x) * _cut(pdf_m(*m, x))
+            return (g if nocsi else cdf_e(*e, x) * g), g
 
     else:
 
-        def fy(y):
-            e = np.log1p(y) * _cut(pdf_e(y))
-            return (e if csi is CsiMode.NOCSI else (1.0 - cdf_m(y)) * e), e
+        def fy(y, rho, sd, rd, se, re):
+            m, e = (sd, rd)[:n], (se, re)[:n]
+            g = np.log1p(y) * _cut(pdf_e(*e, y))
+            return (g if nocsi else (1.0 - cdf_m(*m, y)) * g), g
 
     return fy
 
@@ -390,74 +453,88 @@ def _integrand(params: SystemParams, key):
 _METRIC_FACTOR = {Metric.SOP: 1.0, Metric.ESR: HALF_LOG2E}
 
 
-def quadrature_cells(params: SystemParams, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
-    """Quadrature of every (scheme, csi, metric) cell of one point, in one
-    batch (:func:`fading.check_cells`).
+def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
+    """Quadrature of every (scheme, csi, metric) cell at each of ``points``
+    (:class:`SystemParams`), in one batch (:func:`fading.check_cells`).
 
     Each cell mixes the decode branches of :func:`fading.decode_branches`
     with their weights, so ``gamma_th`` = 0 or inf leaves one branch alone.
-    Each branch's mesh is built once, an integral that several cells read
-    (see :func:`_integral_keys`) is integrated once, and all of them advance
-    in one :func:`_integrate` call, but for those ``shared``, a dict kept
-    over one sweep's calls, holds for this point's ``tol`` and branch
-    ``fields`` (no result depends on what else a batch holds).  Each
-    branch's bound is within ``tol`` on its own, so each cell's is too.
-    Returns one :class:`QuadratureResult` per cell, in order; its
-    ``evaluations`` count every integral the cell reads, shared ones
-    included.
+    An integral is its key (see :func:`_integral_keys`) on its branch's
+    ``fields``: one that several cells or points read is integrated once,
+    and all of them advance in one :func:`_integrate` call, family by
+    family, but for those ``shared``, a dict kept over one sweep's calls,
+    holds for ``tol`` and the same fields (no result depends on what else
+    a batch holds).  Each branch's mesh is built once.  Each branch's bound
+    is within ``tol`` on its own, so each cell's is too.  Returns per point
+    one :class:`QuadratureResult` per cell, in order; its ``evaluations``
+    count every integral the cell reads, shared ones included.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     fading.check_cells(cells)
     shared = {} if shared is None else shared
-    branches = []  # (weight, relay_on, store tag, mesh)
-    for weight, relay_on, fields in fading.decode_branches(params):
-        mesh = fading.shared_value(shared, ("mesh", relay_on), fields[1:], _mesh, fields[1:])
-        branches.append((weight, relay_on, (tol, *fields), mesh))
-    # (value, bound, evaluations) per integral key, None until integrated
-    found, todo, fys, tols, meshes, plans = {}, [], [], [], [], []
-    for scheme, csi, metric in cells:
-        groups = []
-        for weight, relay_on, tag, mesh in branches:
-            keys = _integral_keys(scheme, csi, metric, relay_on)
-            for key in keys:
-                if key in found:
-                    continue
-                slot = shared.get(key)
-                found[key] = slot[1] if slot is not None and slot[0] == tag else None
-                if found[key] is None:
-                    todo.append((key, tag))
-                    fys.append(_integrand(params, key))
-                    tols.append(tol / (_METRIC_FACTOR[metric] * len(keys)))
-                    meshes.append(mesh)
-            groups.append((weight, keys))
-        plans.append((_METRIC_FACTOR[metric], groups))
-    if fys:
-        integrated = zip(*(a.tolist() for a in _integrate(fys, tols, meshes)))
-        for (key, tag), result in zip(todo, integrated):
-            found[key] = result
+    # per store tag, (value, bound, evaluations) per integral key, None
+    # until integrated
+    found = {}
+    families = {}  # key -> (its tag's results, tag, args, tol, mesh) per integral to integrate
+    plans = []  # per point and cell: (factor, per branch (weight, its tag's results, keys))
+    for params in points:
+        args = (params.rho, params.beta_sd, params.beta_rd, params.alpha_se, params.alpha_re)
+        branches = []  # (weight, relay_on, store tag, its results, mesh)
+        for weight, relay_on, fields in fading.decode_branches(params):
+            tag = (tol, *fields)
+            mesh = fading.shared_value(shared, ("mesh", relay_on), fields[1:], _mesh, fields[1:])
+            branches.append((weight, relay_on, tag, found.setdefault(tag, {}), mesh))
+        point_plans = []
+        for scheme, csi, metric in cells:
+            factor = _METRIC_FACTOR[metric]
+            groups = []
+            for weight, relay_on, tag, known, mesh in branches:
+                keys = _integral_keys(scheme, csi, metric, relay_on)
+                for key in keys:
+                    if key in known:
+                        continue
+                    slot = shared.get(key)
+                    known[key] = slot[1] if slot is not None and slot[0] == tag else None
+                    if known[key] is None:
+                        _check_links(params, key)
+                        todo = families.setdefault(key, [])
+                        todo.append((known, tag, args, tol / (factor * len(keys)), mesh))
+                groups.append((weight, known, keys))
+            point_plans.append((factor, groups))
+        plans.append(point_plans)
+    if families:
+        todo = [(key, *item) for key, items in families.items() for item in items]
+        fys = {key: _family(key) for key in families}
+        integrands = [(fys[key], args) for key, _, _, args, _, _ in todo]
+        out = _integrate(integrands, [t for *_, t, _ in todo], [m for *_, m in todo])
+        for (key, known, tag, *_), result in zip(todo, zip(*(a.tolist() for a in out))):
+            known[key] = result
             shared[key] = tag, result
-    out = []
-    for factor, groups in plans:
-        value = bound = 0.0
-        for weight, keys in groups:
-            v = found[keys[0]][0] - sum(found[k][0] for k in keys[1:])
-            value += weight * (factor * v)
-            bound += weight * (factor * sum(found[k][1] for k in keys))
-        count = sum(found[k][2] for _, keys in groups for k in keys)
-        out.append(QuadratureResult(value, bound, count))
-    return out
+    results = []
+    for point_plans in plans:
+        point_results = []
+        for factor, groups in point_plans:
+            value = bound = 0.0
+            for weight, known, keys in groups:
+                v = known[keys[0]][0] - sum(known[k][0] for k in keys[1:])
+                value += weight * (factor * v)
+                bound += weight * (factor * sum(known[k][1] for k in keys))
+            count = sum(known[k][2] for _, known, keys in groups for k in keys)
+            point_results.append(QuadratureResult(value, bound, count))
+        results.append(point_results)
+    return results
 
 
 def quadrature_sop(
     params: SystemParams, scheme: Scheme, csi: CsiMode, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
     """Outage probability by adaptive quadrature (one :func:`quadrature_cells` cell)."""
-    return quadrature_cells(params, ((scheme, csi, Metric.SOP),), tol)[0]
+    return quadrature_cells([params], ((scheme, csi, Metric.SOP),), tol)[0][0]
 
 
 def quadrature_esr(
     params: SystemParams, scheme: Scheme, csi: CsiMode, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
     """Ergodic secrecy rate (bpcu) by adaptive quadrature (one :func:`quadrature_cells` cell)."""
-    return quadrature_cells(params, ((scheme, csi, Metric.ESR),), tol)[0]
+    return quadrature_cells([params], ((scheme, csi, Metric.ESR),), tol)[0][0]

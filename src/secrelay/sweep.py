@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum, EnumMeta
 from functools import partial
-from itertools import product
 from operator import attrgetter
 from typing import Iterable, Optional, TextIO, Union
 
@@ -228,49 +227,78 @@ def _curve(spec: SweepSpec, cells, variant: Variant):
     return variant, axis, params, shared
 
 
-def _point_rows(spec: SweepSpec, cells, cf_store, quad_store, item):
-    """One point's rows: an oracle column pair per cell, the closed forms in
-    one call, and the curve's columns.  The stores are the sweep's."""
-    point_index, ((variant, axis, params, shared), value_db) = item
-    params_pt = _apply_axis(params, axis, value_db)
+# Points per quadrature batch: a --quad-tol sweep hands each curve's points
+# to ``oracles.quadrature_cells`` in slices of at most this many, which
+# share the integrator's per-round and per-family call overhead.  Larger
+# slices gain little (on a shared 2-vCPU container the six presets at tol
+# 1e-9 took 137 ms at one point per batch, 86 ms at 16 and 83 ms at 32)
+# while a batch's interval arrays grow with them (1.8 MiB at 16 against
+# 2.9 MiB at 32 on a 31-point curve).  Other sweeps take one point per
+# slice, so ``--jobs`` spreads a Monte Carlo sweep point by point.
+QUAD_SLICE = 16
+
+
+def _slices(spec: SweepSpec, curves):
+    """``(index of the first point, curve, its (axis value, parameters)
+    pairs)`` per slice, each a run of one curve's points; points are
+    indexed curve-major."""
+    values = spec.axis_values()
+    size = QUAD_SLICE if isinstance(spec.oracle, QuadOracle) else 1
+    slices = []
+    for c, curve in enumerate(curves):
+        _, axis, params, _ = curve
+        points = [(value_db, _apply_axis(params, axis, value_db)) for value_db in values]
+        slices += [(c * len(values) + i, curve, points[i:i + size]) for i in range(0, len(values), size)]
+    return slices
+
+
+def _slice_rows(spec: SweepSpec, cells, cf_store, quad_store, item):
+    """One slice's rows: an oracle column pair per cell of each point (the
+    slice's quadratures in one call), then per point the closed forms in
+    one call and the curve's columns.  The stores are the sweep's."""
+    first, (variant, axis, _, shared), points = item
     oracle = spec.oracle
-    if isinstance(oracle, McOracle):
+    if oracle is not None:
         from . import oracles
-        mc = oracles.monte_carlo_all(params_pt, oracle.trials, oracle.seed, point=point_index)
-        columns = [(e.value, e.stderr) for e in (_estimate(mc, *cell) for cell in cells)]
-    elif isinstance(oracle, QuadOracle):
-        from . import oracles
-        quad = oracles.quadrature_cells(params_pt, cells, oracle.tol, quad_store)
-        columns = [(q.value, None) for q in quad]
+    if isinstance(oracle, QuadOracle):
+        quads = oracles.quadrature_cells([p for _, p in points], cells, oracle.tol, quad_store)
+        columns = [[(q.value, None) for q in quad] for quad in quads]
+    elif isinstance(oracle, McOracle):
+        columns = []
+        for i, (_, params) in enumerate(points):
+            mc = oracles.monte_carlo_all(params, oracle.trials, oracle.seed, point=first + i)
+            columns.append([(e.value, e.stderr) for e in (_estimate(mc, *cell) for cell in cells)])
     else:
-        columns = [(None, None)] * len(cells)
-    values = closed_form.cells(params_pt, cells, cf_store)
+        columns = [[(None, None)] * len(cells)] * len(points)
     rows = []
-    for cell, value, column, (asym, *floors) in zip(cells, values, columns, shared):
-        # Only a line reads the swept rate, so no other cell converts it.
-        if isinstance(asym, asymptotics.Asymptote):
-            asym = asym.predict(db_to_linear(-value_db))
-        rows.append(
-            SweepRow(axis, value_db, variant.label, *cell, _METHOD, value, *column, asym, *floors)
-        )
+    for (value_db, params), point_columns in zip(points, columns):
+        values = closed_form.cells(params, cells, cf_store)
+        for cell, value, column, (asym, *floors) in zip(cells, values, point_columns, shared):
+            # Only a line reads the swept rate, so no other cell converts it.
+            if isinstance(asym, asymptotics.Asymptote):
+                asym = asym.predict(db_to_linear(-value_db))
+            rows.append(
+                SweepRow(axis, value_db, variant.label, *cell, _METHOD, value, *column, asym, *floors)
+            )
     return rows
 
 
 def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     """Evaluate a sweep; rows come back in deterministic axis-major order
     (variant, then axis value, then metric/mode, scheme fastest) regardless
-    of the worker count.  The closed forms and the quadrature oracle each
-    keep a store of decode-branch results for this call, so a branch the
-    axis does not reach is computed once per curve, not once per point."""
+    of the worker count.  The workers take one slice of a curve's points
+    at a time (:data:`QUAD_SLICE`).  The closed forms and the quadrature
+    oracle each keep a store of decode-branch results for this call, so a
+    branch the axis does not reach is computed once per curve, not once
+    per point."""
     spec.validate()
     cells = _cells(spec.metrics, spec.modes, spec.schemes)
     curves = [_curve(spec, cells, variant) for variant in spec.variants]
-    points = list(enumerate(product(curves, spec.axis_values())))
     # The oracles are numpy code: a closed-form sweep does not load them, and
     # a sweep with an oracle loads them here, before any worker thread runs.
     if spec.oracle is not None:
         from . import oracles  # noqa: F401
-    chunks = _map(partial(_point_rows, spec, cells, {}, {}), points, n_jobs)
+    chunks = _map(partial(_slice_rows, spec, cells, {}, {}), _slices(spec, curves), n_jobs)
     return [row for chunk in chunks for row in chunk]
 
 
@@ -491,7 +519,7 @@ def run_validation(
         i, params = item
         mc = oracles.monte_carlo_all(params, mc_trials, seed, point=i)
         cfs = closed_form.cells(params, cells)
-        quads = [q.value for q in oracles.quadrature_cells(params, cells, quad_tol)]
+        quads = [q.value for q in oracles.quadrature_cells([params], cells, quad_tol)[0]]
         diffs = []
         for cell, cf, q in zip(cells, cfs, quads):
             est = _estimate(mc, *cell)

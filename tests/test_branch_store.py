@@ -11,6 +11,7 @@ import concurrent.futures
 import dataclasses
 import io
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -22,6 +23,7 @@ from secrelay.errors import DomainError, NumericError
 from secrelay.fading import SCHEME_ORDER, CsiMode, Scheme, params_from_db
 from secrelay.sweep import (
     PRESET_NAMES,
+    QUAD_SLICE,
     Axis,
     Metric,
     QuadOracle,
@@ -72,7 +74,7 @@ def _unshared(spec, rows):
         cells = [(r.scheme, r.csi, r.metric) for r in point_rows]
         quad = [None] * len(cells)
         if isinstance(spec.oracle, QuadOracle):
-            quad = [q.value for q in oracles.quadrature_cells(params, cells, spec.oracle.tol)]
+            quad = [q.value for q in oracles.quadrature_cells([params], cells, spec.oracle.tol)[0]]
         for r, q in zip(point_rows, quad):
             fn = closed_form.sop if r.metric is Metric.SOP else closed_form.esr
             value = fn(params, r.scheme, r.csi).value
@@ -178,9 +180,10 @@ def test_balanced_curves_share_the_silent_relay_branch(monkeypatch):
     )
     assert len(run_sweep(spec)) == 2 * 5 * 16
     assert calls == {False: 2 * 4, True: 2 * 5 * 16}
-    # per point 20 decoding-branch integrals; the 6 silent-relay ones (2
-    # outages, 2 + 2 rate sides) at each curve's first point only
-    assert batches == [26, 20, 20, 20, 20] * 2
+    # one batch per curve (its 5 points are one slice): per point 20
+    # decoding-branch integrals, and the 6 silent-relay ones (2 outages,
+    # 2 + 2 rate sides) once
+    assert batches == [5 * 20 + 6] * 2
 
 
 def _store_sizes(monkeypatch):
@@ -192,8 +195,8 @@ def _store_sizes(monkeypatch):
         sizes["closed_form"] = max(sizes.get("closed_form", 0), len(shared))
         return out
 
-    def quad_counted(params, cells_, tol, shared=None):
-        out = quadrature_cells(params, cells_, tol, shared)
+    def quad_counted(points, cells_, tol, shared=None):
+        out = quadrature_cells(points, cells_, tol, shared)
         sizes["quadrature"] = max(sizes.get("quadrature", 0), len(shared))
         return out
 
@@ -216,6 +219,75 @@ def test_store_size_does_not_grow_with_the_axis(monkeypatch):
     assert two_points.keys() == sizes.keys() == {"closed_form", "quadrature"}
     assert sizes["closed_form"] <= two_points["closed_form"]
     assert sizes["quadrature"] <= two_points["quadrature"]
+
+
+_SLICED_SPECS = {
+    **{name: dataclasses.replace(figure_preset(name), oracle=QuadOracle(1e-9))
+       for name in PRESET_NAMES},
+    # 41 points of all 16 cells: a full slice and a short one
+    "beta_rd_41": SweepSpec(
+        Axis.BETA_RD_DB, -10.0, 70.0, 2.0, BASE, metrics=(Metric.SOP, Metric.ESR),
+        oracle=QuadOracle(1e-9),
+    ),
+}
+
+
+def _recorded_batches(monkeypatch):
+    batches = []
+    quadrature_cells = oracles.quadrature_cells
+
+    def recorded(points, cells, tol, shared=None):
+        out = quadrature_cells(points, cells, tol, shared)
+        batches.append((points, cells, tol, out))
+        return out
+
+    monkeypatch.setattr(oracles, "quadrature_cells", recorded)
+    return batches
+
+
+@pytest.mark.parametrize("name", sorted(_SLICED_SPECS))
+def test_sliced_quadrature_equals_one_point_calls(name, monkeypatch):
+    # at every point of every slice, each cell's value, bound and evaluation
+    # count are those of a one-point call without a store
+    batches = _recorded_batches(monkeypatch)
+    spec = _SLICED_SPECS[name]
+    run_sweep(spec)
+    monkeypatch.undo()
+    axis = len(spec.axis_values())
+    sizes = [len(points) for points, *_ in batches]
+    assert sum(sizes) == axis * len(spec.variants)
+    assert max(sizes) == min(QUAD_SLICE, axis)
+    for points, cells, tol, out in batches:
+        for params, results in zip(points, out, strict=True):
+            assert results == oracles.quadrature_cells([params], cells, tol)[0]
+
+
+def test_quadrature_sweep_memory_does_not_grow_with_the_axis(monkeypatch):
+    # a 400-point sweep of all 16 cells: what a batch allocates beyond what
+    # was live when it started is bounded by the slice and block sizes, not
+    # by the axis
+    peaks = []
+    quadrature_cells = oracles.quadrature_cells
+
+    def measured(points, cells, tol, shared=None):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = quadrature_cells(points, cells, tol, shared)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    monkeypatch.setattr(oracles, "quadrature_cells", measured)
+    spec = SweepSpec(
+        Axis.BALANCED_SNR_DB, 0.0, 39.9, 0.1, BASE, metrics=(Metric.SOP, Metric.ESR),
+        oracle=QuadOracle(1e-9),
+    )
+    tracemalloc.start()
+    try:
+        assert len(run_sweep(spec)) == 400 * 16
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == -(-400 // QUAD_SLICE)
+    assert max(peaks) < 3 * 2**20
 
 
 # Eavesdropper links at -3000 dB on a 3-point threshold sweep: the MRC
@@ -288,6 +360,29 @@ def test_faults_raise_in_cell_order(monkeypatch):
     assert len(calls) == 1
 
 
+def test_slice_quadratures_fail_before_its_closed_forms(monkeypatch):
+    # the closed forms fail at every point, the quadrature only at the
+    # second: the slice integrates all its points first, so the quadrature's
+    # fault is the one raised
+    def failing_cells(params, cells, shared=None):
+        raise NumericError("closed form fails")
+
+    quadrature_cells = oracles.quadrature_cells
+
+    def failing_quadrature(points, cells, tol, shared=None):
+        if len(points) > 1:
+            raise NumericError("quadrature fails")
+        return quadrature_cells(points, cells, tol, shared)
+
+    monkeypatch.setattr(closed_form, "cells", failing_cells)
+    monkeypatch.setattr(oracles, "quadrature_cells", failing_quadrature)
+    spec = SweepSpec(Axis.BALANCED_SNR_DB, 0.0, 2.0, 2.0, BASE, oracle=QuadOracle(1e-6))
+    with pytest.raises(NumericError, match="quadrature fails"):
+        run_sweep(spec)
+    with pytest.raises(NumericError, match="closed form fails"):
+        run_sweep(dataclasses.replace(spec, stop_db=0.0))
+
+
 def test_cells_match_per_cell_calls():
     shared = {}
     for gamma_db in (-10.0, 3.0, 40.0, 400.0):
@@ -309,15 +404,15 @@ def test_quadrature_store_reads_back_only_its_own_fields(monkeypatch):
     # at 40 dB relay hops the tolerance decides how far intervals are halved
     params = params_from_db(0.0, 3.0, 3.0, 40.0, 40.0, 3.0, 1.0)
     shared = {}
-    fresh = oracles.quadrature_cells(params, ALL_CELLS, 1e-9)
-    assert oracles.quadrature_cells(params, ALL_CELLS, 1e-6, shared) != fresh
+    (fresh,) = oracles.quadrature_cells([params], ALL_CELLS, 1e-9)
+    assert oracles.quadrature_cells([params], ALL_CELLS, 1e-6, shared) != [fresh]
     batches = _counted_integrate(monkeypatch)
     # a new tolerance integrates everything again; the same point reads back
-    assert oracles.quadrature_cells(params, ALL_CELLS, 1e-9, shared) == fresh
-    assert oracles.quadrature_cells(params, ALL_CELLS[::-1], 1e-9, shared)[::-1] == fresh
+    assert oracles.quadrature_cells([params], ALL_CELLS, 1e-9, shared) == [fresh]
+    assert oracles.quadrature_cells([params], ALL_CELLS[::-1], 1e-9, shared)[0][::-1] == fresh
     # a new threshold only reweights the branches
     other = params.with_(gamma_th=0.5)
-    assert oracles.quadrature_cells(other, ALL_CELLS, 1e-9, shared) == (
-        oracles.quadrature_cells(other, ALL_CELLS, 1e-9)
+    assert oracles.quadrature_cells([other], ALL_CELLS, 1e-9, shared) == (
+        oracles.quadrature_cells([other], ALL_CELLS, 1e-9)
     )
     assert batches == [26, 26]

@@ -265,6 +265,45 @@ def test_distributions_on_arrays_match_scalar_calls(fn, rates):
             fn(*rates[:-1], bad, z)
 
 
+# (r1, r2) per row of an array-rate call: distinct rates in both orders,
+# equal rates (a gap of 0), a gap of one part in 1e8, and rates at the
+# quadrature oracle's 2^-50 floor and far above it
+_RATE_ROWS = [
+    (0.7, 2.3), (2.3, 0.7), (1.1, 1.1), (1.1, 1.1 * (1.0 + 1e-8)),
+    (2.0**-50, 2.0**-50), (2.0**-50, 1.5 * 2.0**-50), (2.0**-50, 3.0), (1e3, 1e3), (5.0, 40.0),
+]
+# off the support, at 0, in the sum CDF's series region b z <= 0.25 for
+# every row, beyond it, and at infinity
+_ARRAY_Z = [-1e9, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-9, 1e-5, 2e-4, 0.01, 0.2, 1.0, 7.0,
+            1e3, 1e6, 1e15, 1e300, math.inf]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [_RATE_ROWS, [r for r in _RATE_ROWS if r[0] == r[1]], [r for r in _RATE_ROWS if r[0] != r[1]]],
+    ids=["mixed_gaps", "zero_gaps", "positive_gaps"],
+)
+@pytest.mark.parametrize(
+    "fn", [exp_cdf, exp_pdf, sum_exp_cdf, sum_exp_pdf, max_exp_cdf, max_exp_pdf],
+    ids=lambda fn: fn.__name__,
+)
+def test_array_rates_match_scalar_calls_bit_for_bit(fn, rows):
+    # one rate per row of nodes, as the quadrature oracle passes them: each
+    # element is the scalar call's value, bit for bit
+    n_rates = 1 if fn in (exp_cdf, exp_pdf) else 2
+    rates = [np.array([[r[i]] for r in rows]) for i in range(n_rates)]
+    z = np.tile(_ARRAY_Z, (len(rows), 1))
+    out = fn(*rates, z)
+    expected = np.array([[fn(*r[:n_rates], v) for v in _ARRAY_Z] for r in rows])
+    assert out.shape == z.shape
+    assert out.tobytes() == expected.tobytes()
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        broken = rates[-1].copy()
+        broken[len(rows) // 2, 0] = bad
+        with pytest.raises(DomainError):
+            fn(*rates[:-1], broken, z)
+
+
 @pytest.mark.parametrize("fn", [exp_cdf, exp_pdf])
 def test_distribution_rate_domain(fn):
     with pytest.raises(DomainError):

@@ -327,7 +327,7 @@ def test_quadrature_refuses_links_too_slow_for_the_map(db, metric):
 
     params = params_from_db(db, db, 10.0, 10.0, 10.0, 3.0, 0.5)
     with pytest.raises(NumericError):
-        oracles.quadrature_cells(params, ((Scheme.MRC_SC, CsiMode.NOCSI, metric),), 1e-9)
+        oracles.quadrature_cells([params], ((Scheme.MRC_SC, CsiMode.NOCSI, metric),), 1e-9)
 
 
 def test_quadrature_refuses_more_intervals_than_its_limit(monkeypatch):
@@ -336,10 +336,10 @@ def test_quadrature_refuses_more_intervals_than_its_limit(monkeypatch):
     params = params_from_db(0.0, 3.0, 3.0, 40.0, 40.0, 3.0, 1.0)
     cell = (Scheme.MRC_SC, CsiMode.NOCSI, Metric.ESR)
     monkeypatch.setattr(oracles, "_QUAD_LIMIT", 32)
-    oracles.quadrature_cells(params, [cell], 1e-9)
+    oracles.quadrature_cells([params], [cell], 1e-9)
     monkeypatch.setattr(oracles, "_QUAD_LIMIT", 31)
     with pytest.raises(NumericError, match="more than 31 intervals needed"):
-        oracles.quadrature_cells(params, [cell], 1e-9)
+        oracles.quadrature_cells([params], [cell], 1e-9)
 
 
 def test_three_way_agreement_spot_check():
@@ -379,12 +379,12 @@ BATCH_POINTS = {
 @pytest.mark.parametrize("point", sorted(BATCH_POINTS))
 def test_batch_matches_per_cell_calls(point, tol):
     params = BATCH_POINTS[point]
-    batch = oracles.quadrature_cells(params, ALL_CELLS, tol)
+    (batch,) = oracles.quadrature_cells([params], ALL_CELLS, tol)
     for (scheme, csi, metric), q in zip(ALL_CELLS, batch, strict=True):
         fn = oracles.quadrature_sop if metric is Metric.SOP else oracles.quadrature_esr
         assert q == fn(params, scheme, csi, tol), (scheme, csi, metric)
     # nor does the order of the cells matter
-    assert oracles.quadrature_cells(params, ALL_CELLS[::-1], tol)[::-1] == batch
+    assert oracles.quadrature_cells([params], ALL_CELLS[::-1], tol)[0][::-1] == batch
 
 
 def test_full_point_integrates_each_distinct_integral_once(base_params, monkeypatch):
@@ -397,7 +397,7 @@ def test_full_point_integrates_each_distinct_integral_once(base_params, monkeypa
 
     monkeypatch.setattr(oracles, "_integrate", counted)
     assert 0.0 < fading.decode_probability(base_params) < 1.0
-    oracles.quadrature_cells(base_params, ALL_CELLS)
+    oracles.quadrature_cells([base_params], ALL_CELLS)
     # per decode branch, relay on / off: 8 / 2 outages, 4 / 2 rates without
     # CSI (one side's combiner each), 8 / 2 rates with CSI
     assert batches == [26]
@@ -408,8 +408,8 @@ def test_full_point_integrates_each_distinct_integral_once(base_params, monkeypa
     assert sum(batches[1:]) == 48 and len(batches) == 17
     # a zero-weight branch is left out
     batches.clear()
-    oracles.quadrature_cells(base_params.with_(gamma_th=math.inf), ALL_CELLS)
-    oracles.quadrature_cells(base_params.with_(gamma_th=0.0), ALL_CELLS)
+    oracles.quadrature_cells([base_params.with_(gamma_th=math.inf)], ALL_CELLS)
+    oracles.quadrature_cells([base_params.with_(gamma_th=0.0)], ALL_CELLS)
     assert batches == [6, 20]
 
 
@@ -423,7 +423,8 @@ def test_batch_rejects_unknown_metric(base_params):
         (Scheme.MRC_SC, "csi", Metric.SOP),
     ]:
         with pytest.raises(DomainError):
-            oracles.quadrature_cells(base_params, [ALL_CELLS[0], cell])
+            oracles.quadrature_cells([base_params], [ALL_CELLS[0], cell])
     with pytest.raises(DomainError):
         oracles.quadrature_sop(base_params, "mrc_sc", CsiMode.CSI)
-    assert oracles.quadrature_cells(base_params, []) == []
+    assert oracles.quadrature_cells([base_params], []) == [[]]
+    assert oracles.quadrature_cells([], ALL_CELLS) == []

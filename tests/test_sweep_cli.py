@@ -117,20 +117,21 @@ def test_quadrature_sweep_identical_across_jobs():
     assert a == b == c
 
 
-def test_quadrature_sweep_takes_one_batch_per_point(monkeypatch, capsys):
+def test_quadrature_sweep_takes_one_batch_per_slice(monkeypatch, capsys):
+    # 31 points of one curve go to the oracle in slices of QUAD_SLICE points
     args = ["sweep", "--axis", "balanced-snr-db", "--from-db", "0", "--to-db", "60",
-            "--step-db", "20", "--metric", "both", "--quad-tol", "1e-9"]
+            "--step-db", "2", "--metric", "both", "--quad-tol", "1e-9"]
     batches = []
     quadrature_cells = oracles.quadrature_cells
 
-    def counted(params, cells, *rest):
-        batches.append(len(cells))
-        return quadrature_cells(params, cells, *rest)
+    def counted(points, cells, *rest):
+        batches.append((len(points), len(cells)))
+        return quadrature_cells(points, cells, *rest)
 
     monkeypatch.setattr(oracles, "quadrature_cells", counted)
     assert main(args) == 0
     one_job = capsys.readouterr().out
-    assert batches == [16] * 4
+    assert batches == [(min(sweep.QUAD_SLICE, 31 - i), 16) for i in range(0, 31, sweep.QUAD_SLICE)]
     assert main(args + ["--jobs", "4"]) == 0
     assert capsys.readouterr().out == one_job
     # each cell's oracle value is that of its own quadrature call
