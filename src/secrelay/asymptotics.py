@@ -114,5 +114,6 @@ def esr_perfect_decoding(params: SystemParams) -> float:
 def esr_saturation_case2_mrc_sc(params: SystemParams) -> float:
     """MRC-SC rate with CSI in the case-II limit (decode hop perfect): one
     cell of the case-II rate floor, ``closed_form.esr_conditional(params,
-    scheme, csi, relay_on=True)``."""
+    scheme, csi, relay_on=True)``.  Kept only because
+    perfbench/spans.py wraps esr_saturation_case2_mrc_sc."""
     return closed_form.esr_conditional(params, Scheme.MRC_SC, CsiMode.CSI, True)

@@ -412,6 +412,7 @@ def esr_mrc_sc_csi_variant(params: SystemParams) -> float:
     of the decode-success bracket pairs one link's exponent with the other
     link's integral argument.  Kept only so the validation report can show
     the variant failing against quadrature; not part of the public API.
+    perfbench/spans.py also times esr_mrc_sc_csi_variant.
     """
     b_sd, b_rd = params.beta_sd, params.beta_rd
     if abs(b_sd - b_rd) <= 1e-9 * max(b_sd, b_rd):

@@ -24,7 +24,8 @@ from .fading import HALF_LOG2E
 
 
 def active_backend() -> str:
-    """Name of the reduction kernel: always ``"numpy"``, the only one."""
+    """Name of the reduction kernel: always ``"numpy"``, the only one.
+    Kept only because perfbench/run.py reports active_backend()."""
     return "numpy"
 
 
@@ -35,7 +36,8 @@ def reduce_trials(u, rates, gamma_th, rho, backend=None):
 
     ``rates`` holds (beta_sd, beta_sr, beta_rd, alpha_se, alpha_re); the
     uniform columns follow the same link order.  ``backend`` may only be
-    None or ``"numpy"``: there is no other kernel.
+    None or ``"numpy"``: there is no other kernel.  Kept only because
+    perfbench/spans.py passes reduce_trials a ``backend``.
     """
     if backend not in (None, "numpy"):
         raise ValueError(f"unknown Monte Carlo backend {backend!r}: the only kernel is 'numpy'")

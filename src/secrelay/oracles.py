@@ -316,15 +316,18 @@ def _integrate(integrands, tols, meshes):
                 resabs[s:e] = env @ _WK21
                 resasc[s:e] = np.abs(f - 0.5 * rk[:, None]) @ _WK21
 
+            # in place: per-interval arrays grow with the batch's open intervals
             resabs *= half
             resasc *= half
-            val = resk * half
-            err = np.abs(resk - resg) * half
+            err = np.abs(np.subtract(resk, resg, out=resg), out=resg)
+            err *= half
+            val = np.multiply(resk, half, out=resk)
             pos = resasc > 0.0
             ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=pos)
-            err = np.where(pos, resasc * np.minimum(1.0, ratio ** 1.5), err)
+            np.minimum(1.0, np.power(ratio, 1.5, out=ratio), out=ratio)
+            np.copyto(err, np.multiply(resasc, ratio, out=ratio), where=pos)
             floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
-            err = np.maximum(err, floor)
+            np.maximum(err, floor, out=err)
 
             open_count = np.bincount(owner, minlength=n)
             evals += 21 * open_count

@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import dataclasses
+import importlib
 import io
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -925,11 +927,21 @@ def test_closed_form_runs_leave_out_numpy():
 
 
 def test_oracle_names_load_on_first_use():
+    # every public name and submodule loads on first use: a bare import
+    # loads no submodule, a name only its defining module and what that
+    # imports, and numpy only with an oracle name
     import secrelay
 
+    submodules = ("asymptotics", "closed_form", "errors", "expint", "fading", "sweep")
     code = (
         "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('secrelay.') or m == 'numpy')\n"
         "import secrelay\n"
+        "print(loaded())\n"
+        "from secrelay import params_from_db\n"
+        "print(loaded())\n"
+        f"print([getattr(secrelay, m).__name__ for m in {submodules!r}])\n"
         "print('numpy' in sys.modules)\n"
         "from secrelay import monte_carlo_all, quadrature_sop\n"
         "print(monte_carlo_all is secrelay.oracles.monte_carlo_all,\n"
@@ -939,9 +951,27 @@ def test_oracle_names_load_on_first_use():
         [sys.executable, "-c", code],
         env=_cli_env(), capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.splitlines() == ["False", "True True"]
-    assert secrelay.quadrature_cells is secrelay.oracles.quadrature_cells
-    assert set(secrelay.__all__) <= set(dir(secrelay))
+    assert out.stdout.splitlines() == [
+        "[]",
+        "['secrelay.errors', 'secrelay.fading']",
+        str([f"secrelay.{m}" for m in submodules]),
+        "False",
+        "True True",
+    ]
+    # each name is its defining module's object: the module its __module__
+    # names, or for a constant the modules whose __all__ lists it
+    modules = [
+        importlib.import_module(f"secrelay.{info.name}")
+        for info in pkgutil.iter_modules(secrelay.__path__)
+    ]
+    for name in secrelay.__all__:
+        obj = getattr(secrelay, name)
+        homes = (
+            [sys.modules[obj.__module__]] if hasattr(obj, "__module__")
+            else [m for m in modules if name in getattr(m, "__all__", ())]
+        )
+        assert homes and all(getattr(m, name) is obj for m in homes), name
+    assert {*secrelay.__all__, *submodules} <= set(dir(secrelay))
     with pytest.raises(AttributeError, match="no_such_name"):
         secrelay.no_such_name
 
