@@ -23,10 +23,9 @@ _EXPORTS = {
                     "sop_conditional"),
     "errors": ("DomainError", "NumericError"),
     "expint": ("eiexp", "exp_integral_ei", "log_expectation_shifted_exp"),
-    "fading": ("CsiMode", "Metric", "SCHEME_ORDER", "Scheme", "SystemParams", "TrialDraw",
-               "combine", "decode_probability", "exp_cdf", "max_exp_cdf", "max_exp_pdf",
-               "params_from_db", "sample_trial", "secrecy_rate", "sum_exp_cdf",
-               "trial_stream"),
+    "fading": ("CsiMode", "Metric", "SCHEME_ORDER", "Scheme", "SystemParams",
+               "decode_probability", "exp_cdf", "max_exp_cdf", "max_exp_pdf", "params_from_db",
+               "sum_exp_cdf", "trial_stream"),
     "oracles": ("Estimate", "QuadratureResult", "monte_carlo_all", "quadrature_cells",
                 "quadrature_esr", "quadrature_sop"),
     "sweep": ("Axis", "McOracle", "QuadOracle", "SweepRow", "SweepSpec", "Variant",

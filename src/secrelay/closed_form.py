@@ -28,8 +28,11 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .errors import DomainError, NumericError
 from .expint import ASYMPTOTIC_X, eiexp, eiexp_asymptotic
@@ -82,6 +85,8 @@ class _Combiner(Enum):
     SUM = "mrc"
     MAX = "sc"
 
+    __hash__ = object.__hash__  # C's hash in every store key (fading.Scheme)
+
 
 # A sum-combiner pair closer than this, relative to the smaller rate, takes
 # the analytic divided difference.  Above it the plain quotient loses at most
@@ -106,13 +111,15 @@ def _mixture(comb, r1, r2, phi, phi_dd):
     return r1 * phi_dd(r1, r2) - phi(r1)
 
 
+# Each scheme's (destination, eavesdropper) combiners, read off its name
+# (mrc_sc): a Scheme property would cost a Python call per branch.
+_COMBINERS = {s: tuple(map(_Combiner, s.value.split("_"))) for s in Scheme}
+
+
 def _receivers(params: SystemParams, scheme: Scheme, relay_on: bool):
     # (kind, r1, r2) of the destination's and the eavesdropper's combiners;
-    # a silent relay leaves each its direct link alone.
-    if not relay_on:
-        return (_Combiner.SINGLE, params.beta_sd, None), (_Combiner.SINGLE, params.alpha_se, None)
-    m = _Combiner.SUM if scheme.mrc_at_destination else _Combiner.MAX
-    e = _Combiner.SUM if scheme.mrc_at_eavesdropper else _Combiner.MAX
+    # a silent relay leaves each its direct link alone (r2 is not read).
+    m, e = _COMBINERS[scheme] if relay_on else (_Combiner.SINGLE, _Combiner.SINGLE)
     return (m, params.beta_sd, params.beta_rd), (e, params.alpha_se, params.alpha_re)
 
 
@@ -126,8 +133,9 @@ def _pole_dd2(a, t0, t1, t2):
     return a / ((a + t0) * (a + t1) * (a + t2))
 
 
-def _eaves_laplace(params: SystemParams, scheme: Scheme, relay_on: bool):
-    """Laplace transform ``L(t)`` of the eavesdropper-side density and its
+def _eaves_laplace(comb, a1, a2):
+    """Laplace transform ``L(t)`` of the density of the eavesdropper's
+    combiner ``comb`` with rates ``a1``, ``a2`` (:func:`_receivers`), and its
     divided differences ``L[t1, t2]`` and ``L[t0, t1, t2]``.
 
     Written directly per combiner rather than through the CDF mixture: the
@@ -136,14 +144,9 @@ def _eaves_laplace(params: SystemParams, scheme: Scheme, relay_on: bool):
     Its second difference is the product rule over the two poles, a sum of
     positive terms.
     """
-    a1, a2 = params.alpha_se, params.alpha_re
-    if not relay_on:
-        return (
-            lambda t: a1 / (a1 + t),
-            lambda t1, t2: _pole_dd(a1, t1, t2),
-            lambda t0, t1, t2: _pole_dd2(a1, t0, t1, t2),
-        )
-    if scheme.mrc_at_eavesdropper:
+    if comb is _Combiner.SINGLE:
+        return lambda t: a1 / (a1 + t), partial(_pole_dd, a1), partial(_pole_dd2, a1)
+    if comb is _Combiner.SUM:
         return (
             lambda t: a1 * a2 / ((a1 + t) * (a2 + t)),
             lambda t1, t2: -a1 * a2 / ((a1 + t1) * (a2 + t2)) * (1.0 / (a1 + t2) + 1.0 / (a2 + t1)),
@@ -183,15 +186,15 @@ def _exp_dd2(k, x, y):
     return k * k * math.exp(-k * x) * acc
 
 
-def _outage_functional(params, scheme, csi, relay_on):
-    # phi(s) = exp(-s (rho - 1)) L(rho s), the expectation over the
-    # eavesdropper SNR at the outage boundary; the CSI variant subtracts the
-    # losing region, L(s).  phi[s1, s2] follows from the product rule, exprel
-    # and L's rational divided difference, with no cancellation at any gap;
-    # phi_dd2(x, y) = phi[x, x, y] from the same rule one order up.
-    rho = params.rho
+def _outage_functional(rho, csi, eaves):
+    # phi(s) = exp(-s (rho - 1)) L(rho s), the expectation over the SNR of
+    # the eavesdropper's combiner ``eaves`` at the outage boundary; the CSI
+    # variant subtracts the losing region, L(s).  phi[s1, s2] follows from
+    # the product rule, exprel and L's rational divided difference, with no
+    # cancellation at any gap; phi_dd2(x, y) = phi[x, x, y] from the same
+    # rule one order up.
     k = rho - 1.0
-    lap, lap_dd, lap_dd2 = _eaves_laplace(params, scheme, relay_on)
+    lap, lap_dd, lap_dd2 = _eaves_laplace(*eaves)
     csi_on = csi is CsiMode.CSI
 
     def phi(s):
@@ -216,12 +219,6 @@ def _outage_functional(params, scheme, csi, relay_on):
         return v - lap_dd2(x, x, y) if csi_on else v
 
     return phi, phi_dd, phi_dd2
-
-
-def _sop_bracket(params, scheme, csi, relay_on):
-    phi, phi_dd, _ = _outage_functional(params, scheme, csi, relay_on)
-    total = _mixture(*_receivers(params, scheme, relay_on)[0], phi, phi_dd)
-    return total if csi is CsiMode.CSI else 1.0 + total
 
 
 def _scaled_derivatives(x, n):
@@ -264,32 +261,6 @@ def _eiexp_dd2(s1, s2, a1, a2):
     ) / c
 
 
-def _esr_bracket(params, scheme, csi, relay_on):
-    # E[ln(1 + X)] of a mixture is -sum_i c_i eiexp(s_i).
-    m, e = _receivers(params, scheme, relay_on)
-    if csi is CsiMode.NOCSI:
-        return _mixture(*m, eiexp, _eiexp_dd) - _mixture(*e, eiexp, _eiexp_dd)
-
-    # Conditioned on the destination winning, both one-sided moments share
-    # the pattern sum_i c_i [eiexp(s_i) + sum_j eps_j eiexp(s_i + a_j)]: a
-    # destination mixture of phi(s) = eiexp(s) + (eavesdropper mixture of
-    # a -> eiexp(s + a)).  Its divided difference in s is the same pattern
-    # one order up, with the mixed second difference at close pairs.
-    def phi(s):
-        return eiexp(s) + _mixture(
-            *e, lambda a: eiexp(s + a), lambda a1, a2: _eiexp_dd(s + a1, s + a2)
-        )
-
-    def phi_dd(s1, s2):
-        return _eiexp_dd(s1, s2) + _mixture(
-            *e,
-            lambda a: _eiexp_dd(s1 + a, s2 + a),
-            lambda a1, a2: _eiexp_dd2(s1, s2, a1, a2),
-        )
-
-    return _mixture(*m, phi, phi_dd)
-
-
 def _validate(params, cells):
     if not isinstance(params, SystemParams):
         raise DomainError(f"params must be SystemParams, got {type(params).__name__}")
@@ -315,27 +286,103 @@ def _checked(what, params, evaluate, *args):
     return value
 
 
-def _branch_name(params, scheme, csi, relay_on):
+def _branch_name(_store, _metric, params, scheme, csi, relay_on):
     return f"{scheme.value}/{csi.value} with the relay {'on' if relay_on else 'off'}"
 
 
-def sop_conditional(
-    params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool
-) -> float:
+# A memo keeps one point's destination rates (beta_sd, beta_rd, their sum)
+# and one more: beta_sd, which no axis moves, often stays for the next point.
+_MEMO_SIZE = 4
+_MEMO_LOCK = threading.Lock()
+
+
+def _memoized(memo, fn):
+    """``fn`` keeping its values for the :data:`_MEMO_SIZE` arguments last
+    computed in the OrderedDict ``memo``, which ``phi(s)`` and ``phi[s1, s2]``
+    may share.  A lookup is one C-level dict operation and a new value goes
+    in under a lock, so threads may share a memo."""
+    get = memo.get
+
+    def value(*args):
+        v = get(args)
+        if v is None:
+            v = fn(*args)
+            with _MEMO_LOCK:
+                memo[args] = v
+                if len(memo) > _MEMO_SIZE:
+                    memo.popitem(last=False)
+        return v
+
+    return value
+
+
+def _functional(store, metric, csi, eaves, params):
+    """``(bracket, memo)`` of one metric and CSI mode against a branch's
+    eavesdropper combiner ``eaves``: ``bracket(comb, r1, r2)`` is the branch
+    value for the destination's combiner (the outage before its clamp, the
+    rate in nats), ``memo`` keeps the values of the ``phi`` it mixes.  Rates
+    share the store's ``eiexp`` memo; ``eiexp`` is looked up at call time."""
+    memo = OrderedDict()
+    if metric is Metric.SOP:
+        phi, phi_dd, _ = _outage_functional(params.rho, csi, eaves)
+        phi, phi_dd = _memoized(memo, phi), _memoized(memo, phi_dd)
+        if csi is CsiMode.CSI:
+            return (lambda *m: _mixture(*m, phi, phi_dd)), memo
+        return (lambda *m: 1.0 + _mixture(*m, phi, phi_dd)), memo
+
+    # E[ln(1 + X)] of a mixture is -sum_i c_i eiexp(s_i).
+    eiexp_at = _memoized(shared_value(store, "eiexp", None, OrderedDict), lambda x: eiexp(x))
+    if csi is CsiMode.NOCSI:
+        # The eavesdropper's term reads no destination rate: kept per curve.
+        eaves_term = _memoized(memo, lambda: _mixture(*eaves, eiexp, _eiexp_dd))
+        return (lambda *m: _mixture(*m, eiexp_at, _eiexp_dd) - eaves_term()), memo
+
+    # Conditioned on the destination winning, both one-sided moments share
+    # the pattern sum_i c_i [eiexp(s_i) + sum_j eps_j eiexp(s_i + a_j)]: a
+    # destination mixture of phi(s) = eiexp(s) + (eavesdropper mixture of
+    # a -> eiexp(s + a)).  Its divided difference in s is the same pattern
+    # one order up, with the mixed second difference at close pairs.
+    def phi(s):
+        return eiexp_at(s) + _mixture(
+            *eaves, lambda a: eiexp(s + a), lambda a1, a2: _eiexp_dd(s + a1, s + a2)
+        )
+
+    def phi_dd(s1, s2):
+        return _eiexp_dd(s1, s2) + _mixture(
+            *eaves, lambda a: _eiexp_dd(s1 + a, s2 + a), lambda a1, a2: _eiexp_dd2(s1, s2, a1, a2)
+        )
+
+    phi, phi_dd = _memoized(memo, phi), _memoized(memo, phi_dd)
+    return (lambda *m: _mixture(*m, phi, phi_dd)), memo
+
+
+def _bracket(store, metric, params, scheme, csi, relay_on):
+    # A functional reads no field an axis moves: one per curve and combiner.
+    m, e = _receivers(params, scheme, relay_on)
+    tag = (params.rate_rs, params.alpha_se, params.alpha_re)
+    bracket, _ = shared_value(store, (metric, csi, e[0]), tag, _functional, store, metric, csi, e, params)
+    return bracket(*m)
+
+
+def _conditional(store, metric, params, scheme, csi, relay_on):
+    """One decode branch's outage, clamped to [0, 1], or rate in bpcu, from
+    ``store``'s functionals; :class:`NumericError` where it is not finite."""
+    value = _checked(_branch_name, params, _bracket, store, metric, params, scheme, csi, relay_on)
+    return min(1.0, max(0.0, value)) if metric is Metric.SOP else HALF_LOG2E * value
+
+
+def sop_conditional(params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool) -> float:
     """Conditional outage probability given the relay decode outcome;
     :class:`NumericError` where it does not evaluate to a finite number."""
     _validate(params, ((scheme, csi, Metric.SOP),))
-    value = _checked(_branch_name, params, _sop_bracket, params, scheme, csi, relay_on)
-    return min(1.0, max(0.0, value))
+    return _conditional({}, Metric.SOP, params, scheme, csi, relay_on)
 
 
-def esr_conditional(
-    params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool
-) -> float:
+def esr_conditional(params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool) -> float:
     """Conditional ergodic secrecy rate (bpcu) given the decode outcome;
     :class:`NumericError` where it does not evaluate to a finite number."""
     _validate(params, ((scheme, csi, Metric.ESR),))
-    return HALF_LOG2E * _checked(_branch_name, params, _esr_bracket, params, scheme, csi, relay_on)
+    return _conditional({}, Metric.ESR, params, scheme, csi, relay_on)
 
 
 def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float:
@@ -349,7 +396,7 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
     100 dB direct link.
     """
     _validate(params, ((scheme, csi, Metric.SOP),))
-    _, _, phi_dd2 = _outage_functional(params, scheme, csi, relay_on=True)
+    _, _, phi_dd2 = _outage_functional(params.rho, csi, _receivers(params, scheme, True)[1])
     b = params.beta_sd
 
     def slope():
@@ -371,21 +418,23 @@ def cells(params: SystemParams, cells, shared=None) -> list[float]:
     order (:func:`fading.check_cells`).
 
     Each cell mixes the values of the decode branches of
-    :func:`fading.decode_branches` with their weights.  A branch reads its
-    ``fields`` only (and with the relay silent, not the scheme), so
-    ``shared``, a dict kept over one sweep's calls, reads back a branch
-    whose fields are unchanged (:func:`fading.shared_value`).
+    :func:`fading.decode_branches` with their weights.  ``shared``, a dict
+    kept over one sweep's calls, has a slot per branch, read back while its
+    ``fields`` (with the relay silent, not the scheme) are unchanged
+    (:func:`fading.shared_value`), one per :func:`_functional` and an
+    ``eiexp`` memo; no memo holds more than :data:`_MEMO_SIZE` values.
     """
     _validate(params, cells)
     shared = {} if shared is None else shared
     branches = decode_branches(params)
     out = []
     for scheme, csi, metric in cells:
-        conditional = sop_conditional if metric is Metric.SOP else esr_conditional
         value = 0.0
         for weight, relay_on, fields in branches:
             ident = (metric, csi, relay_on, scheme if relay_on else None)
-            value += weight * shared_value(shared, ident, fields, conditional, params, scheme, csi, relay_on)
+            value += weight * shared_value(
+                shared, ident, fields, _conditional, shared, metric, params, scheme, csi, relay_on
+            )
         out.append(min(1.0, max(0.0, value)) if metric is Metric.SOP else value)
     return out
 

@@ -1,4 +1,4 @@
-"""System model: link parameters, SNR distributions, combining, sampling.
+"""System model: link parameters, SNR distributions, decode branches, random streams.
 
 Five Rayleigh-faded links (S-D, S-R, R-D, S-E, R-E) give exponentially
 distributed instantaneous SNRs; the rate of each exponential is the
@@ -32,7 +32,6 @@ __all__ = [
     "Metric",
     "SCHEME_ORDER",
     "SystemParams",
-    "TrialDraw",
     "db_to_linear",
     "params_from_db",
     "exp_cdf",
@@ -42,11 +41,8 @@ __all__ = [
     "max_exp_cdf",
     "max_exp_pdf",
     "decode_probability",
-    "combine",
-    "secrecy_rate",
     "stream",
     "trial_stream",
-    "sample_trial",
     "DRAWS_PER_TRIAL",
 ]
 
@@ -147,18 +143,6 @@ class SystemParams:
 
     def with_(self, **changes) -> "SystemParams":
         return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class TrialDraw:
-    """One realization of the five link SNRs plus the relay decode flag."""
-
-    g_sd: float
-    g_sr: float
-    g_rd: float
-    g_se: float
-    g_re: float
-    relay_on: bool
 
 
 def db_to_linear(db: float, name: str = "value") -> float:
@@ -392,24 +376,6 @@ def shared_value(shared: dict, ident, tag, compute, *args):
     return slot[1]
 
 
-def combine(scheme: Scheme, draw: TrialDraw) -> tuple[float, float]:
-    """Post-combining SNRs (destination, eavesdropper) for one trial.
-
-    A silent relay leaves both receivers with only their direct copies,
-    whatever the scheme.
-    """
-    if draw.relay_on:
-        gm = draw.g_sd + draw.g_rd if scheme.mrc_at_destination else max(draw.g_sd, draw.g_rd)
-        ge = draw.g_se + draw.g_re if scheme.mrc_at_eavesdropper else max(draw.g_se, draw.g_re)
-        return gm, ge
-    return draw.g_sd, draw.g_se
-
-
-def secrecy_rate(gamma_m: float, gamma_e: float) -> float:
-    """Achievable secrecy rate (bpcu), clamped at zero."""
-    return max(0.0, 0.5 * math.log2((1.0 + gamma_m) / (1.0 + gamma_e)))
-
-
 # ---------------------------------------------------------------------------
 # Counter-based random streams.
 #
@@ -449,14 +415,3 @@ def stream(seed: int, point: int = 0, purpose: int = PURPOSE_TRIALS, chunk: int 
 def trial_stream(seed: int, point: int = 0, chunk: int = 0) -> Generator:
     """Stream holding one chunk of trials; consume five uniforms per trial."""
     return stream(seed, point, PURPOSE_TRIALS, chunk)
-
-
-def sample_trial(params: SystemParams, rng: Generator) -> TrialDraw:
-    """Draw one trial: five inverse-CDF exponentials plus the decode flag."""
-    u = rng.random(DRAWS_PER_TRIAL)
-    g_sd = -math.log1p(-u[0]) / params.beta_sd
-    g_sr = -math.log1p(-u[1]) / params.beta_sr
-    g_rd = -math.log1p(-u[2]) / params.beta_rd
-    g_se = -math.log1p(-u[3]) / params.alpha_se
-    g_re = -math.log1p(-u[4]) / params.alpha_re
-    return TrialDraw(g_sd, g_sr, g_rd, g_se, g_re, relay_on=bool(g_sr >= params.gamma_th))

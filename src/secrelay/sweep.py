@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum, EnumMeta
 from functools import partial
-from operator import attrgetter
-from typing import Iterable, Optional, TextIO, Union
+from typing import Iterable, NamedTuple, Optional, TextIO, Union
 
 from . import asymptotics, closed_form
 from .errors import DomainError
@@ -130,8 +129,7 @@ class SweepSpec:
                 raise DomainError(f"{name} must not repeat, got {shown!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One CSV row; the fields, in order, are the CSV columns."""
 
     axis: Axis
@@ -149,8 +147,7 @@ class SweepRow:
     floor_gamma_inf: Optional[float] = None
 
 
-CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
-_row_values = attrgetter(*CSV_HEADER.split(","))
+CSV_HEADER = ",".join(SweepRow._fields)
 
 
 def _apply_axis(params: SystemParams, axis: Axis, value_db: float) -> SystemParams:
@@ -317,7 +314,7 @@ def _fmt(value) -> str:
 def write_csv(rows: Iterable[SweepRow], out: TextIO) -> None:
     out.write(CSV_HEADER + "\n")
     for r in rows:
-        out.write(",".join(map(_fmt, _row_values(r))) + "\n")
+        out.write(",".join(map(_fmt, r)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def _unshared(spec, rows):
         for r, q in zip(point_rows, quad):
             fn = closed_form.sop if r.metric is Metric.SOP else closed_form.esr
             value = fn(params, r.scheme, r.csi).value
-            out.append(dataclasses.replace(r, value=value, oracle_value=q))
+            out.append(r._replace(value=value, oracle_value=q))
     return out
 
 
@@ -157,13 +157,16 @@ def test_threshold_curves_integrate_at_their_first_point_only(monkeypatch):
 
 
 def _counted_branches(monkeypatch):
+    # the decode-branch evaluations of closed_form.cells and the public
+    # conditionals
     calls = Counter()
-    for name in ("sop_conditional", "esr_conditional"):
-        def counted(params, scheme, csi, relay_on, _fn=getattr(closed_form, name)):
-            calls[relay_on] += 1
-            return _fn(params, scheme, csi, relay_on)
+    conditional = closed_form._conditional
 
-        monkeypatch.setattr(closed_form, name, counted)
+    def counted(store, metric, params, scheme, csi, relay_on):
+        calls[relay_on] += 1
+        return conditional(store, metric, params, scheme, csi, relay_on)
+
+    monkeypatch.setattr(closed_form, "_conditional", counted)
     return calls
 
 
@@ -186,13 +189,22 @@ def test_balanced_curves_share_the_silent_relay_branch(monkeypatch):
     assert batches == [5 * 20 + 6] * 2
 
 
+def _entries(value):
+    """Values a store holds, the memos nested in its slots included."""
+    if isinstance(value, dict):
+        return sum(1 + _entries(v) for v in value.values())
+    if isinstance(value, tuple):
+        return sum(map(_entries, value))
+    return 0
+
+
 def _store_sizes(monkeypatch):
     sizes = {}
     cells, quadrature_cells = closed_form.cells, oracles.quadrature_cells
 
     def cf_counted(params, cells_, shared=None):
         out = cells(params, cells_, shared)
-        sizes["closed_form"] = max(sizes.get("closed_form", 0), len(shared))
+        sizes["closed_form"] = max(sizes.get("closed_form", 0), _entries(shared))
         return out
 
     def quad_counted(points, cells_, tol, shared=None):
@@ -206,6 +218,9 @@ def _store_sizes(monkeypatch):
 
 
 def test_store_size_does_not_grow_with_the_axis(monkeypatch):
+    # the closed-form store's branch values, functionals and the values
+    # their memos keep; the long axis crosses beta_rd == beta_sd at 3 dB,
+    # where the sum combiners take divided differences
     sizes = _store_sizes(monkeypatch)
     spec = SweepSpec(
         Axis.BALANCED_SNR_DB, 0.0, 0.1, 0.1, BASE, modes=(CsiMode.NOCSI,),
@@ -219,6 +234,21 @@ def test_store_size_does_not_grow_with_the_axis(monkeypatch):
     assert two_points.keys() == sizes.keys() == {"closed_form", "quadrature"}
     assert sizes["closed_form"] <= two_points["closed_form"]
     assert sizes["quadrature"] <= two_points["quadrature"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_equal_rate_sweep_is_the_bits_of_one_cell_calls(jobs):
+    # beta_rd crosses beta_sd (3 dB) at an axis point, where the sum
+    # combiners take divided differences; what the functionals and eiexp
+    # memos share along a curve, or between the curves of two eavesdropper
+    # settings, must not move a bit
+    spec = SweepSpec(
+        Axis.BETA_RD_DB, 0.0, 30.0, 1.0, BASE, metrics=(Metric.SOP, Metric.ESR), asymptote=True,
+        variants=(Variant("a"), Variant("b", (("alpha_se", 2.0), ("rate_rs", 0.5)))),
+    )
+    rows = run_sweep(spec, n_jobs=jobs)
+    assert BASE.beta_sd in {10.0 ** (-r.axis_value_db / 10.0) for r in rows}
+    assert rows == _unshared(spec, rows)
 
 
 _SLICED_SPECS = {
@@ -338,17 +368,17 @@ def test_faults_raise_in_cell_order(monkeypatch):
         asymptotics, "sop_asymptote_balanced",
         lambda params, scheme, csi: asymptotics.Asymptote(0.0, 1e308),
     )
-    conditional = closed_form.sop_conditional
+    conditional = closed_form._conditional
 
-    def failing(params, scheme, csi, relay_on):
+    def failing(store, metric, params, scheme, csi, relay_on):
         if scheme in (Scheme.SC_SC, Scheme.SC_MRC):
             raise NumericError(f"{scheme.value} cell")
-        return conditional(params, scheme, csi, relay_on)
+        return conditional(store, metric, params, scheme, csi, relay_on)
 
     spec = SweepSpec(Axis.BALANCED_SNR_DB, -10.0, -10.0, 1.0, BASE, asymptote=True)
     with pytest.raises(NumericError, match="Asymptote"):
         run_sweep(spec)
-    monkeypatch.setattr(closed_form, "sop_conditional", failing)
+    monkeypatch.setattr(closed_form, "_conditional", failing)
     with pytest.raises(NumericError, match="sc_sc cell"):
         run_sweep(spec)
     # one closed-form call per point, with no cell-by-cell rerun on a fault

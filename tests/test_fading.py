@@ -13,20 +13,18 @@ from secrelay.errors import DomainError
 from secrelay.fading import (
     Scheme,
     SystemParams,
-    TrialDraw,
-    combine,
     decode_probability,
     exp_cdf,
     exp_pdf,
     max_exp_cdf,
     max_exp_pdf,
     params_from_db,
-    sample_trial,
-    secrecy_rate,
     sum_exp_cdf,
     sum_exp_pdf,
     trial_stream,
 )
+
+from trial_model import TrialDraw, combine, sample_trial, secrecy_rate
 
 rates_st = st.floats(min_value=0.05, max_value=20.0)
 z_st = st.floats(min_value=0.0, max_value=200.0)

@@ -14,15 +14,13 @@ from secrelay.fading import (
     Metric,
     SCHEME_ORDER,
     Scheme,
-    combine,
     params_from_db,
-    sample_trial,
-    secrecy_rate,
     trial_stream,
 )
 from secrelay.sweep import sample_grid
 
 from mp_reference import mp_reference
+from trial_model import combine, sample_trial, secrecy_rate
 
 
 # ---------------------------------------------------------------------------
