@@ -10,7 +10,7 @@ its defining module and what that imports, and the oracles' names alone
 load numpy.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -36,11 +36,17 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)
 
 
+def _submodule(name):
+    # __import__, not importlib.import_module, so that -X importtime sees it
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name):
     if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
+        return _submodule(name)
     if name in _HOME:
-        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        value = getattr(_submodule(_HOME[name]), name)
         globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

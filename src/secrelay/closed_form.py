@@ -286,22 +286,29 @@ def _checked(what, params, evaluate, *args):
     return value
 
 
-def _branch_name(_store, _metric, params, scheme, csi, relay_on):
+def _branch_name(_bracket, _params, scheme, csi, relay_on):
     return f"{scheme.value}/{csi.value} with the relay {'on' if relay_on else 'off'}"
 
 
-# A memo keeps one point's destination rates (beta_sd, beta_rd, their sum)
-# and one more: beta_sd, which no axis moves, often stays for the next point.
-_MEMO_SIZE = 4
+def _at_destination(bracket, params, scheme, _csi, relay_on):
+    comb = _COMBINERS[scheme][0] if relay_on else _Combiner.SINGLE
+    return bracket(comb, params.beta_sd, params.beta_rd)
+
+
+# A memo keeps one point's arguments: the store's eiexp memo its destination
+# rates (beta_sd, beta_rd, their sum) and, for the CSI rate, each of those
+# plus alpha_se, alpha_re and their sum.  The least recently used goes first,
+# so beta_sd, which no axis moves, stays from point to point.
+_MEMO_SIZE = 16
 _MEMO_LOCK = threading.Lock()
 
 
 def _memoized(memo, fn):
     """``fn`` keeping its values for the :data:`_MEMO_SIZE` arguments last
-    computed in the OrderedDict ``memo``, which ``phi(s)`` and ``phi[s1, s2]``
-    may share.  A lookup is one C-level dict operation and a new value goes
-    in under a lock, so threads may share a memo."""
-    get = memo.get
+    used in the OrderedDict ``memo``, which ``phi(s)`` and ``phi[s1, s2]`` may
+    share.  A lookup is two C-level dict operations and a new value goes in
+    under a lock, so threads may share a memo."""
+    get, touch = memo.get, memo.move_to_end
 
     def value(*args):
         v = get(args)
@@ -311,6 +318,11 @@ def _memoized(memo, fn):
                 memo[args] = v
                 if len(memo) > _MEMO_SIZE:
                     memo.popitem(last=False)
+        else:
+            try:
+                touch(args)
+            except KeyError:  # another thread evicted it since the lookup
+                pass
         return v
 
     return value
@@ -341,10 +353,12 @@ def _functional(store, metric, csi, eaves, params):
     # the pattern sum_i c_i [eiexp(s_i) + sum_j eps_j eiexp(s_i + a_j)]: a
     # destination mixture of phi(s) = eiexp(s) + (eavesdropper mixture of
     # a -> eiexp(s + a)).  Its divided difference in s is the same pattern
-    # one order up, with the mixed second difference at close pairs.
+    # one order up, with the mixed second difference at close pairs.  The
+    # cross terms eiexp(s + a) go through the store's eiexp memo too, which
+    # every eavesdropper combiner shares.
     def phi(s):
         return eiexp_at(s) + _mixture(
-            *eaves, lambda a: eiexp(s + a), lambda a1, a2: _eiexp_dd(s + a1, s + a2)
+            *eaves, lambda a: eiexp_at(s + a), lambda a1, a2: _eiexp_dd(s + a1, s + a2)
         )
 
     def phi_dd(s1, s2):
@@ -356,33 +370,39 @@ def _functional(store, metric, csi, eaves, params):
     return (lambda *m: _mixture(*m, phi, phi_dd)), memo
 
 
-def _bracket(store, metric, params, scheme, csi, relay_on):
-    # A functional reads no field an axis moves: one per curve and combiner.
-    m, e = _receivers(params, scheme, relay_on)
+def _bound(store, metric, csi, params, scheme, relay_on):
+    # A functional reads no field an axis moves: one per curve, metric, CSI
+    # mode and eavesdropper combiner.
+    eaves = _receivers(params, scheme, relay_on)[1]
     tag = (params.rate_rs, params.alpha_se, params.alpha_re)
-    bracket, _ = shared_value(store, (metric, csi, e[0]), tag, _functional, store, metric, csi, e, params)
-    return bracket(*m)
+    return shared_value(store, (metric, csi, eaves[0]), tag, _functional, store, metric, csi, eaves,
+                        params)[0]
 
 
-def _conditional(store, metric, params, scheme, csi, relay_on):
-    """One decode branch's outage, clamped to [0, 1], or rate in bpcu, from
-    ``store``'s functionals; :class:`NumericError` where it is not finite."""
-    value = _checked(_branch_name, params, _bracket, store, metric, params, scheme, csi, relay_on)
+def _conditional(bracket, metric, params, scheme, csi, relay_on):
+    """One decode branch's outage, clamped to [0, 1], or rate in bpcu:
+    ``bracket``, the :func:`_functional` of its eavesdropper combiner, at
+    its destination combiner; :class:`NumericError` where not finite."""
+    value = _checked(_branch_name, params, _at_destination, bracket, params, scheme, csi, relay_on)
     return min(1.0, max(0.0, value)) if metric is Metric.SOP else HALF_LOG2E * value
+
+
+def _public_conditional(metric, params, scheme, csi, relay_on):
+    _validate(params, ((scheme, csi, metric),))
+    bracket = _bound({}, metric, csi, params, scheme, relay_on)
+    return _conditional(bracket, metric, params, scheme, csi, relay_on)
 
 
 def sop_conditional(params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool) -> float:
     """Conditional outage probability given the relay decode outcome;
     :class:`NumericError` where it does not evaluate to a finite number."""
-    _validate(params, ((scheme, csi, Metric.SOP),))
-    return _conditional({}, Metric.SOP, params, scheme, csi, relay_on)
+    return _public_conditional(Metric.SOP, params, scheme, csi, relay_on)
 
 
 def esr_conditional(params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool) -> float:
     """Conditional ergodic secrecy rate (bpcu) given the decode outcome;
     :class:`NumericError` where it does not evaluate to a finite number."""
-    _validate(params, ((scheme, csi, Metric.ESR),))
-    return _conditional({}, Metric.ESR, params, scheme, csi, relay_on)
+    return _public_conditional(Metric.ESR, params, scheme, csi, relay_on)
 
 
 def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float:
@@ -413,35 +433,55 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
 # ---------------------------------------------------------------------------
 
 
-def cells(params: SystemParams, cells, shared=None) -> list[float]:
-    """Closed-form value of each (scheme, csi, metric) cell of one point, in
-    order (:func:`fading.check_cells`).
+def cells(points, cells, shared=None) -> list[list[float]]:
+    """Closed-form value of each (scheme, csi, metric) cell
+    (:func:`fading.check_cells`) at each of ``points``: one list per point,
+    in order.
 
     Each cell mixes the values of the decode branches of
     :func:`fading.decode_branches` with their weights.  ``shared``, a dict
     kept over one sweep's calls, has a slot per branch, read back while its
     ``fields`` (with the relay silent, not the scheme) are unchanged
     (:func:`fading.shared_value`), one per :func:`_functional` and an
-    ``eiexp`` memo; no memo holds more than :data:`_MEMO_SIZE` values.
+    ``eiexp`` memo; no memo holds more than :data:`_MEMO_SIZE` values.  The
+    cells are checked, and each cell's slots and functionals bound, once
+    per call (and again at a point whose ``rate_rs`` or eavesdropper links
+    differ from the last), so a sweep passes it a whole curve.
     """
-    _validate(params, cells)
+    check_cells(cells)
     shared = {} if shared is None else shared
-    branches = decode_branches(params)
-    out = []
-    for scheme, csi, metric in cells:
-        value = 0.0
-        for weight, relay_on, fields in branches:
-            ident = (metric, csi, relay_on, scheme if relay_on else None)
-            value += weight * shared_value(
-                shared, ident, fields, _conditional, shared, metric, params, scheme, csi, relay_on
-            )
-        out.append(min(1.0, max(0.0, value)) if metric is Metric.SOP else value)
+    tag, out = None, []
+    for params in points:
+        _validate(params, ())
+        if tag != (params.rate_rs, params.alpha_se, params.alpha_re):
+            # per cell, indexed by relay_on: each branch's slot identity and
+            # functional, which no axis moves
+            tag = (params.rate_rs, params.alpha_se, params.alpha_re)
+            bound = [
+                (scheme, csi, metric, [
+                    ((metric, csi, on, scheme if on else None),
+                     _bound(shared, metric, csi, params, scheme, on))
+                    for on in (False, True)
+                ])
+                for scheme, csi, metric in cells
+            ]
+        branches = decode_branches(params)
+        values = []
+        for scheme, csi, metric, sides in bound:
+            value = 0.0
+            for weight, relay_on, fields in branches:
+                ident, bracket = sides[relay_on]
+                value += weight * shared_value(
+                    shared, ident, fields, _conditional, bracket, metric, params, scheme, csi, relay_on
+                )
+            values.append(min(1.0, max(0.0, value)) if metric is Metric.SOP else value)
+        out.append(values)
     return out
 
 
 def sop(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
     """Secrecy outage probability (one :func:`cells` cell)."""
-    return SecrecyMetric(cells(params, ((scheme, csi, Metric.SOP),))[0], Method.CLOSED_FORM)
+    return SecrecyMetric(cells([params], ((scheme, csi, Metric.SOP),))[0][0], Method.CLOSED_FORM)
 
 
 def esr(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
@@ -451,7 +491,7 @@ def esr(params: SystemParams, scheme: Scheme, csi: CsiMode) -> SecrecyMetric:
     eavesdropper and is non-negative; the no-CSI variant is the raw
     expected log-ratio and may be negative.
     """
-    return SecrecyMetric(cells(params, ((scheme, csi, Metric.ESR),))[0], Method.CLOSED_FORM)
+    return SecrecyMetric(cells([params], ((scheme, csi, Metric.ESR),))[0][0], Method.CLOSED_FORM)
 
 
 def esr_mrc_sc_csi_variant(params: SystemParams) -> float:

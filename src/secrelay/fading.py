@@ -15,7 +15,7 @@ they are called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -142,7 +142,18 @@ class SystemParams:
         return 2.0 ** (2.0 * self.rate_rs)
 
     def with_(self, **changes) -> "SystemParams":
-        return replace(self, **changes)
+        """A copy with ``changes``, checked as the constructor checks them
+        but without ``dataclasses.replace``'s cost per sweep point."""
+        unknown = changes.keys() - _PARAM_FIELDS
+        if unknown:
+            raise TypeError(f"SystemParams has no field {min(unknown)!r}")
+        new = object.__new__(SystemParams)
+        new.__dict__.update(self.__dict__, **changes)
+        new.__post_init__()
+        return new
+
+
+_PARAM_FIELDS = frozenset(f.name for f in fields(SystemParams))
 
 
 def db_to_linear(db: float, name: str = "value") -> float:

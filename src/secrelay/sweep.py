@@ -230,8 +230,10 @@ def _curve(spec: SweepSpec, cells, variant: Variant):
 # slices gain little (on a shared 2-vCPU container the six presets at tol
 # 1e-9 took 137 ms at one point per batch, 86 ms at 16 and 83 ms at 32)
 # while a batch's interval arrays grow with them (1.8 MiB at 16 against
-# 2.9 MiB at 32 on a 31-point curve).  Other sweeps take one point per
-# slice, so ``--jobs`` spreads a Monte Carlo sweep point by point.
+# 2.9 MiB at 32 on a 31-point curve).  A Monte Carlo sweep takes one point
+# per slice, so ``--jobs`` spreads it point by point; a sweep without an
+# oracle takes one slice per curve, since its closed forms are pure Python
+# that worker threads never ran in parallel.
 QUAD_SLICE = 16
 
 
@@ -240,7 +242,12 @@ def _slices(spec: SweepSpec, curves):
     pairs)`` per slice, each a run of one curve's points; points are
     indexed curve-major."""
     values = spec.axis_values()
-    size = QUAD_SLICE if isinstance(spec.oracle, QuadOracle) else 1
+    if isinstance(spec.oracle, QuadOracle):
+        size = QUAD_SLICE
+    elif isinstance(spec.oracle, McOracle):
+        size = 1
+    else:
+        size = len(values)
     slices = []
     for c, curve in enumerate(curves):
         _, axis, params, _ = curve
@@ -251,8 +258,8 @@ def _slices(spec: SweepSpec, curves):
 
 def _slice_rows(spec: SweepSpec, cells, cf_store, quad_store, item):
     """One slice's rows: an oracle column pair per cell of each point (the
-    slice's quadratures in one call), then per point the closed forms in
-    one call and the curve's columns.  The stores are the sweep's."""
+    slice's quadratures in one call), then the slice's closed forms in one
+    call, then per point the curve's columns.  The stores are the sweep's."""
     first, (variant, axis, _, shared), points = item
     oracle = spec.oracle
     if oracle is not None:
@@ -267,10 +274,10 @@ def _slice_rows(spec: SweepSpec, cells, cf_store, quad_store, item):
             columns.append([(e.value, e.stderr) for e in (_estimate(mc, *cell) for cell in cells)])
     else:
         columns = [[(None, None)] * len(cells)] * len(points)
+    values = closed_form.cells([params for _, params in points], cells, cf_store)
     rows = []
-    for (value_db, params), point_columns in zip(points, columns):
-        values = closed_form.cells(params, cells, cf_store)
-        for cell, value, column, (asym, *floors) in zip(cells, values, point_columns, shared):
+    for (value_db, _), point_values, point_columns in zip(points, values, columns):
+        for cell, value, column, (asym, *floors) in zip(cells, point_values, point_columns, shared):
             # Only a line reads the swept rate, so no other cell converts it.
             if isinstance(asym, asymptotics.Asymptote):
                 asym = asym.predict(db_to_linear(-value_db))
@@ -284,7 +291,7 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     """Evaluate a sweep; rows come back in deterministic axis-major order
     (variant, then axis value, then metric/mode, scheme fastest) regardless
     of the worker count.  The workers take one slice of a curve's points
-    at a time (:data:`QUAD_SLICE`).  The closed forms and the quadrature
+    at a time (:func:`_slices`).  The closed forms and the quadrature
     oracle each keep a store of decode-branch results for this call, so a
     branch the axis does not reach is computed once per curve, not once
     per point."""
@@ -515,7 +522,7 @@ def run_validation(
         # so where both fail the closed form's fault is the one raised.
         i, params = item
         mc = oracles.monte_carlo_all(params, mc_trials, seed, point=i)
-        cfs = closed_form.cells(params, cells)
+        (cfs,) = closed_form.cells([params], cells)
         quads = [q.value for q in oracles.quadrature_cells([params], cells, quad_tol)[0]]
         diffs = []
         for cell, cf, q in zip(cells, cfs, quads):

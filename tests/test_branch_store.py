@@ -219,21 +219,23 @@ def _store_sizes(monkeypatch):
 
 def test_store_size_does_not_grow_with_the_axis(monkeypatch):
     # the closed-form store's branch values, functionals and the values
-    # their memos keep; the long axis crosses beta_rd == beta_sd at 3 dB,
-    # where the sum combiners take divided differences
+    # their memos keep, the CSI rate's cross terms in the eiexp memo
+    # included; 20 points fill every memo, and the long axis crosses
+    # beta_rd == beta_sd at 3 dB, where the sum combiners take divided
+    # differences
     sizes = _store_sizes(monkeypatch)
     spec = SweepSpec(
-        Axis.BALANCED_SNR_DB, 0.0, 0.1, 0.1, BASE, modes=(CsiMode.NOCSI,),
+        Axis.BALANCED_SNR_DB, 0.0, 1.9, 0.1, BASE, modes=(CsiMode.NOCSI, CsiMode.CSI),
         metrics=(Metric.SOP, Metric.ESR), oracle=QuadOracle(1e-6),
     )
-    assert len(run_sweep(spec)) == 2 * 8
-    two_points = dict(sizes)
+    assert len(run_sweep(spec)) == 20 * 16
+    short = dict(sizes)
     sizes.clear()
     long_spec = dataclasses.replace(spec, stop_db=39.9)
-    assert len(run_sweep(long_spec)) == 400 * 8
-    assert two_points.keys() == sizes.keys() == {"closed_form", "quadrature"}
-    assert sizes["closed_form"] <= two_points["closed_form"]
-    assert sizes["quadrature"] <= two_points["quadrature"]
+    assert len(run_sweep(long_spec)) == 400 * 16
+    assert short.keys() == sizes.keys() == {"closed_form", "quadrature"}
+    assert sizes["closed_form"] <= short["closed_form"]
+    assert sizes["quadrature"] <= short["quadrature"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -361,9 +363,10 @@ def test_non_finite_integrand_is_named_without_warnings(capsys):
 
 
 def test_faults_raise_in_cell_order(monkeypatch):
-    # a point's closed forms run in one call, in cell order, before any cell's
-    # asymptote line: a closed form failing at a later cell raises before a
-    # line failing at the first cell, and the earlier of two failing cells wins
+    # a slice's closed forms run in one call, point by point in cell order,
+    # before any of its asymptote lines: a closed form failing at a later
+    # cell or point raises before a line failing at the first cell of the
+    # first point, and the earlier of two failing cells wins
     monkeypatch.setattr(
         asymptotics, "sop_asymptote_balanced",
         lambda params, scheme, csi: asymptotics.Asymptote(0.0, 1e308),
@@ -381,13 +384,60 @@ def test_faults_raise_in_cell_order(monkeypatch):
     monkeypatch.setattr(closed_form, "_conditional", failing)
     with pytest.raises(NumericError, match="sc_sc cell"):
         run_sweep(spec)
-    # one closed-form call per point, with no cell-by-cell rerun on a fault
+    # one closed-form call per slice, with no cell-by-cell rerun on a fault
     calls = []
     cells = closed_form.cells
     monkeypatch.setattr(closed_form, "cells", lambda *args: calls.append(1) or cells(*args))
     with pytest.raises(NumericError, match="sc_sc cell"):
         run_sweep(dataclasses.replace(spec, asymptote=False))
     assert len(calls) == 1
+    # a curve of two points (-10 and 10 dB) is one slice: its second
+    # point's closed form fails before the first point's line
+    def failing_above_0_db(store, metric, params, *rest):
+        fn = failing if params.beta_rd < 1.0 else conditional
+        return fn(store, metric, params, *rest)
+
+    monkeypatch.setattr(closed_form, "cells", cells)
+    monkeypatch.setattr(closed_form, "_conditional", failing_above_0_db)
+    with pytest.raises(NumericError, match="sc_sc cell"):
+        run_sweep(dataclasses.replace(spec, stop_db=10.0, step_db=20.0))
+
+
+_CURVE_SPECS = {
+    **{name: figure_preset(name) for name in PRESET_NAMES},
+    # 41 points of all 16 cells, crossing beta_rd == beta_sd at 3 dB
+    "beta_rd_41": SweepSpec(
+        Axis.BETA_RD_DB, -10.0, 70.0, 2.0, BASE, metrics=(Metric.SOP, Metric.ESR),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CURVE_SPECS))
+def test_curve_batch_equals_one_point_calls(name, monkeypatch):
+    # a sweep without an oracle hands each curve's points to closed_form.cells
+    # in one call with the sweep's store; every point's values are the bits
+    # of a one-point call, and so are those of one store-less batch, of a
+    # list or of a generator
+    batches = []
+    cells = closed_form.cells
+
+    def recorded(points, cells_, shared=None):
+        out = cells(points, cells_, shared)
+        batches.append((points, cells_, out))
+        return out
+
+    monkeypatch.setattr(closed_form, "cells", recorded)
+    spec = _CURVE_SPECS[name]
+    run_sweep(spec)
+    monkeypatch.undo()
+    assert [len(points) for points, *_ in batches] == [len(spec.axis_values())] * len(
+        spec.variants
+    )
+    for points, cells_, out in batches:
+        one_point = [cells([params], cells_)[0] for params in points]
+        assert out == one_point
+        assert cells(points, cells_) == one_point
+        assert cells(iter(points), cells_) == one_point
 
 
 def test_slice_quadratures_fail_before_its_closed_forms(monkeypatch):
@@ -421,13 +471,13 @@ def test_cells_match_per_cell_calls():
             (closed_form.sop if m is Metric.SOP else closed_form.esr)(params, s, c).value
             for s, c, m in ALL_CELLS
         ]
-        assert closed_form.cells(params, ALL_CELLS) == expected
-        assert closed_form.cells(params, ALL_CELLS, shared) == expected
-        assert closed_form.cells(params, ALL_CELLS[::-1], shared)[::-1] == expected
+        assert closed_form.cells([params], ALL_CELLS)[0] == expected
+        assert closed_form.cells([params], ALL_CELLS, shared)[0] == expected
+        assert closed_form.cells([params], ALL_CELLS[::-1], shared)[0][::-1] == expected
     for cell in BAD_CELLS:
         with pytest.raises(DomainError):
-            closed_form.cells(BASE, [ALL_CELLS[0], cell])
-    assert closed_form.cells(BASE, []) == []
+            closed_form.cells([BASE], [ALL_CELLS[0], cell])
+    assert closed_form.cells([BASE], [])[0] == []
 
 
 def test_quadrature_store_reads_back_only_its_own_fields(monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the system model: distributions, combining, and sampling."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -75,6 +76,38 @@ def test_params_validation():
     # an infinite threshold is the wiretap limit and is allowed
     p = SystemParams(1.0, 1.0, 1.0, 1.0, 1.0, math.inf, 1.0)
     assert decode_probability(p) == 0.0
+
+
+_RATE_FIELDS = ("alpha_se", "alpha_re", "beta_sd", "beta_sr", "beta_rd")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{name: v} for name in _RATE_FIELDS for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
+    + [{"gamma_th": -0.5}, {"gamma_th": math.nan}, {"rate_rs": 512.0}, {"rate_rs": -1.0},
+       {"beta_rd": 2.0, "gamma_th": -1.0}],
+)
+def test_with_rejects_what_the_constructor_rejects(change):
+    p = SystemParams(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5)
+    with pytest.raises(DomainError) as built:
+        SystemParams(**{**vars(p), **change})
+    with pytest.raises(DomainError) as changed:
+        p.with_(**change)
+    assert str(changed.value) == str(built.value)
+
+
+def test_with_builds_what_the_constructor_builds():
+    p = SystemParams(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5)
+    q = p.with_(beta_sr=0.25, gamma_th=math.inf)
+    assert type(q) is SystemParams
+    assert q == SystemParams(1.0, 2.0, 3.0, 0.25, 5.0, math.inf, 0.5)
+    assert hash(q) == hash(SystemParams(1.0, 2.0, 3.0, 0.25, 5.0, math.inf, 0.5))
+    assert p == SystemParams(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5)
+    assert p.with_() == p
+    with pytest.raises(TypeError, match="no field 'beta'"):
+        p.with_(beta=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.beta_sr = 1.0
 
 
 # ---------------------------------------------------------------------------

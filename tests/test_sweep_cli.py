@@ -394,11 +394,13 @@ def _nan_for_sc_sc_sop(monkeypatch):
     """Make every SC-SC outage closed form NaN."""
     shipped = closed_form.cells
 
-    def nan_for_sc_sc(params, cells, shared=None):
-        values = shipped(params, cells, shared)
+    def nan_for_sc_sc(points, cells, shared=None):
         return [
-            math.nan if (scheme, metric) == (Scheme.SC_SC, Metric.SOP) else v
-            for (scheme, _, metric), v in zip(cells, values)
+            [
+                math.nan if (scheme, metric) == (Scheme.SC_SC, Metric.SOP) else v
+                for (scheme, _, metric), v in zip(cells, values)
+            ]
+            for values in shipped(points, cells, shared)
         ]
 
     monkeypatch.setattr(closed_form, "cells", nan_for_sc_sc)
@@ -924,6 +926,33 @@ def test_closed_form_runs_leave_out_numpy():
         env=_cli_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.splitlines() == ["[]", "[]", "['numpy']"]
+
+
+def test_import_time_lists_the_submodules():
+    # the package loads a submodule through __import__, whose imports
+    # -X importtime reports (importlib.import_module's are not)
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import secrelay.cli"],
+        env=_cli_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    listed = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
+    assert {"secrelay.closed_form", "secrelay.asymptotics", "secrelay.expint"} <= listed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--axis", axis.value.replace("_", "-"), "--from-db", "-10", "--to-db", "50",
+      "--step-db", "1.5", "--metric", "both", "--asymptote"] for axis in Axis]
+    + [["--preset", "fig7"]],
+    ids=[axis.value for axis in Axis] + ["fig7"],
+)
+def test_closed_form_sweep_bytes_do_not_depend_on_jobs(argv, capsys):
+    # a closed-form sweep's slice is a whole curve: the worker count only
+    # decides which thread evaluates it
+    assert main(["sweep", *argv, "--jobs", "1"]) == 0
+    one_job = capsys.readouterr().out
+    assert main(["sweep", *argv, "--jobs", "3"]) == 0
+    assert capsys.readouterr().out == one_job
 
 
 def test_oracle_names_load_on_first_use():
