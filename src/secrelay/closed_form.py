@@ -346,7 +346,7 @@ def _functional(store, metric, csi, eaves, params):
     eiexp_at = _memoized(shared_value(store, "eiexp", None, OrderedDict), lambda x: eiexp(x))
     if csi is CsiMode.NOCSI:
         # The eavesdropper's term reads no destination rate: kept per curve.
-        eaves_term = _memoized(memo, lambda: _mixture(*eaves, eiexp, _eiexp_dd))
+        eaves_term = _memoized(memo, lambda: _mixture(*eaves, eiexp_at, _eiexp_dd))
         return (lambda *m: _mixture(*m, eiexp_at, _eiexp_dd) - eaves_term()), memo
 
     # Conditioned on the destination winning, both one-sided moments share

@@ -9,10 +9,10 @@ The quadrature oracle is an adaptive Gauss-Kronrod integrator in numpy
 sequence of parameter points: an outage is one integral per decode branch,
 a rate the destination's and the eavesdropper's integrals per branch, and
 an integral that several cells or points read is integrated once.  All of
-them advance together, one round at a time.  The integrals that share an
-integrand and differ only in their rates and ``rho`` form a family, and
-each round calls a family's integrand once per block of nodes, with the
-rates and ``rho`` of each row's integral.  ``quadrature_sop`` and
+them advance together, one round at a time.  The integrals of one decode
+branch of one point form a node set: each round evaluates each law they
+read (a density, a CDF, ``log1p``) once per block of the set's nodes, and
+each integral builds its own integrand from those.  ``quadrature_sop`` and
 ``quadrature_esr`` are one-cell, one-point calls of it.  One decode branch
 alone is the point at ``gamma_th`` = 0 (the relay always decodes) or
 ``gamma_th`` = inf (it never does).  ``QuadratureResult.abs_error_bound``
@@ -206,117 +206,141 @@ def _mesh(scales) -> np.ndarray:
     return t[np.concatenate(([True], t[1:] != t[:-1]))]
 
 
-# Intervals per block of nodes: the 21 nodes of 384 intervals fill a 63 KiB
-# array, so each per-node temporary of a block stays below glibc's 128 KiB
-# mmap threshold and is reused from the heap instead of being mapped anew.
+# Intervals per block of nodes, at most: the 21 nodes of 384 intervals fill
+# a 63 KiB array, so each per-node array of a block, a law included, stays
+# below glibc's 128 KiB mmap threshold and is reused from the heap instead
+# of being mapped anew.
 _BLOCK = 384
 
 
-def _blocks(bounds):
-    """The rows from ``bounds[0]`` to ``bounds[-1]`` in blocks of at most
-    ``_BLOCK``, each a list of (start, stop) segments of one family, where
-    ``bounds`` are the families' first rows.  A family that fits in a block
-    is not split."""
-    blocks, block, room = [], [], _BLOCK
-    for a, b in zip(bounds, bounds[1:]):
-        if room < b - a <= _BLOCK:
-            blocks.append(block)
-            block, room = [], _BLOCK
-        while a < b:
-            take = min(b - a, room)
-            block.append((a, a + take))
-            a += take
-            room -= take
-            if not room:
-                blocks.append(block)
-                block, room = [], _BLOCK
-    blocks.append(block)
-    return [block for block in blocks if block]
+def _blocks(on):
+    """(start, stop) per block of rows, given each row's decode branch
+    ``on``: each run of rows on one branch cut into the fewest blocks of at
+    most ``_BLOCK`` rows, of even sizes."""
+    cuts = [0, *(np.flatnonzero(on[1:] != on[:-1]) + 1).tolist(), on.size]
+    blocks = []
+    for a, b in zip(cuts, cuts[1:]):
+        k = -(-(b - a) // _BLOCK)
+        edges = [a + (b - a) * i // k for i in range(k + 1)]
+        blocks += zip(edges, edges[1:])
+    return blocks
 
 
-def _integrate(integrands, tols, meshes):
+def _padded(f, jac):
+    """``f / jac`` padded with rows of 0 to a multiple of 4 rows: OpenBLAS
+    sums the last rows of another row count in a kernel that can round them
+    differently, so each interval's sums do not depend on its place."""
+    out = np.zeros((-(-len(f) // 4) * 4, 21))
+    np.divide(f, jac, out=out[: len(f)])
+    return out
+
+
+def _integrate(sets):
     """Integrate each integral over y in [0, inf) to its absolute tolerance.
 
-    Integral k is ``integrands[k] = (fy, args)``: ``fy(y, *args)`` returns
-    the integrand and its envelope at an array of points, ``args`` a tuple
-    of floats of the same length for every integral.  The half-line is
-    mapped to t in [0, 1) by y = t / (1 - t); integral k starts from the
-    intervals between the breakpoints ``meshes[k]``.  All integrals advance
-    together, one round at a time.  A round builds the 21 nodes of the open
-    intervals in the blocks of :func:`_blocks` and calls each family, a run
-    of consecutive integrals with the same ``fy``, once per block it has
-    rows in: with the floats of ``args`` where those rows are one
-    integral's, else with one ``(rows, 1)`` column per argument, each row's
-    value from its own integral.  Each open interval gets the
-    21-point Kronrod value and QUADPACK's error estimate from the 10-point
-    Gauss value, with a round-off floor of 50 eps times the integral of the
-    envelope over it.  An interval is accepted when its estimate is within
-    its share of the tolerance (its length times ``tols[k]``) or at the
-    floor, and all of an integral's intervals are once their estimates add
-    up to within ``tols[k]``; the others are halved.  No integral's result
+    ``sets`` are node sets, one per decode branch of a point, each
+    ``(args, mesh, integrals)``: ``args`` its (rho, beta_sd, beta_rd,
+    alpha_se, alpha_re), ``mesh`` its initial breakpoints and ``integrals``
+    a dict, integral key (see :func:`_integral_keys`) -> tolerance.  The
+    half-line is mapped to t in [0, 1) by y = t / (1 - t).  All integrals
+    advance together, one round at a time, each on its own open intervals;
+    a row is an interval of a node set that some of its integrals are open
+    on.  A round builds the 21 nodes and the Jacobian of the rows in the
+    blocks of :func:`_blocks`, evaluates each law that a block's integrals
+    read once for the block (:class:`_Laws`, each row at its own set's
+    rates), and builds each key's integrand and envelope from them
+    (:func:`_integrand`) on the rows its integrals are open on.  Each open
+    interval of an integral gets the 21-point Kronrod value and QUADPACK's
+    error estimate from the 10-point Gauss value, with a round-off floor of
+    50 eps times the integral of the envelope over it.  An interval is
+    accepted when its estimate is within its share of the tolerance (its
+    length times the integral's) or at the floor, and all of an integral's
+    intervals are once their estimates add up to within its tolerance; a
+    row is halved for the integrals still open on it.  No integral's result
     depends on the others.  Returns per-integral arrays (value, error
-    bound, integrand evaluations).  Raises :class:`NumericError` when an
-    integrand returns a non-finite value, an integral needs more than
-    ``_QUAD_LIMIT`` intervals, an interval cannot be halved, or a bound
-    exceeds its tolerance.
+    bound, integrand evaluations), set by set and key by key.  Raises
+    :class:`NumericError` when an integrand is not finite on an open
+    interval, an integral needs more than ``_QUAD_LIMIT`` intervals, an
+    interval cannot be halved, or a bound exceeds its tolerance.
     """
-    n = len(integrands)
-    tols = np.asarray(tols, dtype=float)
-    fys, rows = zip(*integrands)
-    # the first integral of each family, then n
-    firsts = [k for k in range(n) if k == 0 or fys[k] is not fys[k - 1]] + [n]
-    table = np.array(rows)
-    lo = np.concatenate([m[:-1] for m in meshes])
-    hi = np.concatenate([m[1:] for m in meshes])
-    owner = np.repeat(np.arange(n), [len(m) - 1 for m in meshes])  # stays sorted
-    value, bound = np.zeros(n), np.zeros(n)
-    evals, kept = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    # Integrals key-major, each key's in set order: a block's open
+    # intervals of one key are then a run of the (integral, row) pairs.
+    flat = [(key, s, tol) for s, (*_, todo) in enumerate(sets) for key, tol in todo.items()]
+    by_key = {}  # per key, (place in the output, set, tolerance) per integral
+    for i, (key, s, tol) in enumerate(flat):
+        by_key.setdefault(key, []).append((i, s, tol))
+    order, where, tols = (np.array(c) for c in zip(*(x for items in by_key.values() for x in items)))
+    n = order.size
+    firsts = np.cumsum([0, *map(len, by_key.values())])  # each key's first integral, then n
+    table = np.array([args for args, _, _ in sets])
+    on_set = np.array([next(iter(integrals))[3] for *_, integrals in sets])
+    sizes = np.array([len(mesh) - 1 for _, mesh, _ in sets])
+    # rows set by set, the relay-on sets first: a batch's relayed branches
+    # then share blocks
+    layout = np.argsort(~on_set, kind="stable")
+    first = np.empty_like(sizes)  # each set's first row
+    first[layout] = np.cumsum(sizes[layout]) - sizes[layout]
+    lo = np.concatenate([sets[s][1][:-1] for s in layout.tolist()])
+    hi = np.concatenate([sets[s][1][1:] for s in layout.tolist()])
+    rset = np.repeat(layout, sizes[layout])  # each row's node set
+    # the open (integral, row) pairs, by integral and in t within one
+    count = sizes[where]
+    owner = np.repeat(np.arange(n), count)
+    prow = np.arange(owner.size) + np.repeat(first[where] - np.cumsum(count) + count, count)
+    value, bound = np.zeros((2, n))
+    evals, kept = np.zeros((2, n), dtype=np.int64)
     # One errstate for the whole call: the integrands may overflow or turn
     # NaN, which the finiteness check below reports instead of numpy.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         while owner.size:
-            size = owner.size
             half = 0.5 * (hi - lo)
             mid = 0.5 * (hi + lo)
             mid_om = 0.5 * ((1.0 - hi) + (1.0 - lo))  # the midpoint in 1 - t
-            resk, resg = np.empty(size), np.empty(size)
-            resabs, resasc = np.empty(size), np.empty(size)
-            for block in _blocks(np.searchsorted(owner, firsts).tolist()):
-                s, e = block[0][0], block[-1][1]
+            resk, resg, resabs, resasc = np.empty((4, owner.size))
+            on = on_set[rset]
+            blocks = _blocks(on)
+            edges = [s for s, _ in blocks] + [lo.size]
+            bounds = np.searchsorted(owner, firsts).tolist()
+            # per key, where each block's run of its pairs starts, then ends
+            runs = [
+                (key, (a + np.searchsorted(prow[a:b], edges)).tolist())
+                for key, a, b in zip(by_key, bounds, bounds[1:]) if a < b
+            ]
+            for j, (s, e) in enumerate(blocks):
                 # Nodes in t and in 1 - t, each from its own midpoint: near
                 # t = 1, where the integrand in t peaks for slowly decaying
                 # links, 1 - t rounded from t would move the nodes by
                 # ~1e-16 / (1 - t) relative.
                 offsets = half[s:e, None] * _NODES
-                t = mid[s:e, None] + offsets
                 om = mid_om[s:e, None] - offsets
-                y = t / om
-                f, env = np.empty_like(t), np.empty_like(t)
-                columns = None  # each row's args, gathered once per block
-                for a, b in block:
-                    k = owner[a]
-                    a, b = a - s, b - s
-                    if k == owner[s + b - 1]:
-                        args = rows[k]
-                    else:
-                        if columns is None:
-                            columns = table[owner[s:e]].T[:, :, None]
-                        args = columns[:, a:b]
-                    f[a:b], env[a:b] = fys[k](y[a:b], *args)
-                bad = ~np.isfinite(f)
-                if bad.any():
-                    found = " and ".join(sorted(set(map(str, f[bad].tolist()))))
-                    found += f", first at y = {float(y[bad][0])!r}"
-                    raise NumericError(f"quadrature failed: the integrand evaluates to {found}")
+                y = (mid[s:e, None] + offsets) / om
                 jac = om * om
-                f /= jac
-                env /= jac
-                rk, rg = (f @ _WKG).T
-                resk[s:e], resg[s:e] = rk, rg
-                resabs[s:e] = env @ _WK21
-                resasc[s:e] = np.abs(f - 0.5 * rk[:, None]) @ _WK21
+                # one set's rates as floats, several sets' as a column each
+                rates = sets[rset[s]][0] if rset[s] == rset[e - 1] else table[rset[s:e]].T[:, :, None]
+                laws = _Laws(on[s], y, *rates)
+                envelopes = {}  # per law, its Kronrod sums on the block's rows
+                for key, run in runs:
+                    a, b = run[j], run[j + 1]
+                    if a == b:
+                        continue
+                    # the block's rows that the key's integrals are open on
+                    rows = slice(None) if b - a == e - s else prow[a:b] - s
+                    f, env = _integrand(key, lambda *law: laws[law][rows])
+                    bad = ~np.isfinite(f)
+                    if bad.any():
+                        found = " and ".join(sorted(set(map(str, f[bad].tolist()))))
+                        found += f", first at y = {float(y[rows][bad][0])!r}"
+                        raise NumericError(f"quadrature failed: the integrand evaluates to {found}")
+                    if env not in envelopes:
+                        envelopes[env] = (_padded(laws[env], jac) @ _WK21)[: e - s]
+                    f = _padded(f, jac[rows])
+                    rk, rg = (f @ _WKG).T
+                    resk[a:b], resg[a:b] = rk[: b - a], rg[: b - a]
+                    resabs[a:b] = envelopes[env][rows]
+                    resasc[a:b] = (np.abs(f - 0.5 * rk[:, None]) @ _WK21)[: b - a]
 
-            # in place: per-interval arrays grow with the batch's open intervals
+            # in place: per-pair arrays grow with the batch's open intervals
+            half = half[prow]
             resabs *= half
             resasc *= half
             err = np.abs(np.subtract(resk, resg, out=resg), out=resg)
@@ -332,7 +356,7 @@ def _integrate(integrands, tols, meshes):
             open_count = np.bincount(owner, minlength=n)
             evals += 21 * open_count
             done = bound + np.bincount(owner, weights=err, minlength=n) <= tols
-            accept = done[owner] | (err <= np.maximum(tols[owner] * (hi - lo), floor))
+            accept = done[owner] | (err <= np.maximum(tols[owner] * (hi - lo)[prow], floor))
             taken = owner[accept]
             value += np.bincount(taken, weights=val[accept], minlength=n)
             bound += np.bincount(taken, weights=err[accept], minlength=n)
@@ -340,34 +364,38 @@ def _integrate(integrands, tols, meshes):
             kept += taken_count
             if np.any(kept + 2 * (open_count - taken_count) > _QUAD_LIMIT):
                 raise NumericError(f"quadrature failed: more than {_QUAD_LIMIT} intervals needed")
+            if accept.all():
+                break
 
             split = ~accept
-            lo, mid, hi, owner = lo[split], mid[split], hi[split], owner[split]
+            halved = np.bincount(prow[split], minlength=lo.size) > 0  # rows still open
+            lo, mid, hi, rset = lo[halved], mid[halved], hi[halved], rset[halved]
             if np.any((mid <= lo) | (mid >= hi)):
                 # the midpoint rounds onto an end: t cannot resolve the integrand
                 raise NumericError("quadrature failed: an interval is too short to halve")
             halves = np.stack((lo, mid, mid, hi), axis=1)  # [lo, mid], [mid, hi] per row
             lo, hi = halves[:, 0::2].ravel(), halves[:, 1::2].ravel()
-            owner = np.repeat(owner, 2)
+            rset = np.repeat(rset, 2)
+            owner = np.repeat(owner[split], 2)
+            prow = np.repeat(2 * np.cumsum(halved)[prow[split]] - 2, 2)
+            prow[1::2] += 1
     over = np.flatnonzero(~(bound <= tols))
     if over.size:
         k = over[0]
         raise NumericError(
             f"quadrature error bound {bound[k]:.3e} exceeds requested tolerance {tols[k]:.3e}"
         )
-    return value, bound, evals
+    back = np.argsort(order)  # each integral's place, set by set and key by key
+    return value[back], bound[back], evals[back]
 
 
 def _snr_dist(relay_on: bool, mrc):
     """(CDF, PDF) of one receiver's SNR on one decode branch, called with
     the receiver's direct rate, its relayed rate where the relay is on, and
     the points: its direct link alone, or with the relayed link combined by
-    MRC (``mrc`` True) or SC (False).  (None, None) for ``mrc`` None, a
-    combiner not read."""
+    MRC (``mrc`` True) or SC (False)."""
     if not relay_on:
         return fading.exp_cdf, fading.exp_pdf
-    if mrc is None:
-        return None, None
     if mrc:
         return fading.sum_exp_cdf, fading.sum_exp_pdf
     return fading.max_exp_cdf, fading.max_exp_pdf
@@ -394,13 +422,6 @@ def _integral_keys(scheme: Scheme, csi: CsiMode, metric: Metric, relay_on: bool)
     return ((metric, "main", csi, relay_on, m, e), (metric, "eaves", csi, relay_on, m, e))
 
 
-# Each integrand function returns the integrand and its envelope: the
-# density times a bound on the factor it multiplies (1 for a probability,
-# log(1 + SNR) for a rate).  The probabilities are computed to a few ulps
-# absolute, not relative, so the envelope, not |integrand|, scales the
-# round-off floor.
-
-
 # A density's mass sits at y ~ 1/rate, where 1 - t ~ rate: below this rate
 # (a mean SNR above ~150 dB) the map cannot place nodes on it, and the
 # integral would miss it silently.
@@ -416,39 +437,53 @@ def _check_links(params: SystemParams, key) -> None:
         raise NumericError(f"quadrature cannot resolve a link rate below 2^-50 at {params}")
 
 
-def _family(key):
-    """The integrand function ``fy(y, rho, beta_sd, beta_rd, alpha_se,
-    alpha_re)`` of every integral keyed ``key`` (see :func:`_integral_keys`);
-    a silent relay's reads neither relayed rate."""
-    metric, part, csi, relay_on, mrc_m, mrc_e = key
-    cdf_m, pdf_m = _snr_dist(relay_on, mrc_m)
-    cdf_e, pdf_e = _snr_dist(relay_on, mrc_e)
+class _Laws(dict):
+    """The laws that a block's integrands read, each evaluated at its nodes
+    ``y`` on first use: ``laws[name, side, mrc]`` is the destination's
+    ("m") or the eavesdropper's ("e") SNR "pdf" (cut, :func:`_cut`), "cdf",
+    "cdf_rho" (the CDF at rho (1 + y) - 1) or "log_pdf" (log1p(y) times
+    the cut density) for the combiner ``mrc`` (see :func:`_snr_dist`), or
+    "log1p".  Each rate is a float or a column of one per row."""
+
+    def __init__(self, relay_on, y, rho, sd, rd, se, re):
+        n = 2 if relay_on else 1  # a silent relay's laws read no relayed rate
+        self.relay_on, self.y, self.rho = relay_on, y, rho
+        self.rates = {"m": (sd, rd)[:n], "e": (se, re)[:n]}
+
+    def __missing__(self, law):
+        name, side, mrc = law
+        y = self.y
+        if name == "log1p":
+            v = np.log1p(y)
+        elif name == "log_pdf":
+            v = self["log1p", None, None] * self["pdf", side, mrc]
+        else:
+            cdf, pdf = _snr_dist(self.relay_on, mrc)
+            z = self.rho * (1.0 + y) - 1.0 if name == "cdf_rho" else y
+            v = _cut(pdf(*self.rates[side], y)) if name == "pdf" else cdf(*self.rates[side], z)
+        self[law] = v
+        return v
+
+
+def _integrand(key, law):
+    """The integrand of the integrals keyed ``key`` (see
+    :func:`_integral_keys`) from the laws ``law(name, side, mrc)`` (see
+    :class:`_Laws`), and the law that is its envelope: the density times a
+    bound on the factor it multiplies (1 for a probability, log(1 + SNR)
+    for a rate).  The probabilities are computed to a few ulps absolute,
+    not relative, so the envelope, not |integrand|, scales the round-off
+    floor."""
+    metric, part, csi, _, mrc_m, mrc_e = key
     nocsi = csi is CsiMode.NOCSI
-    n = 2 if relay_on else 1  # the rates of each receiver's SNR
-
     if metric is Metric.SOP:
-
-        def fy(y, rho, sd, rd, se, re):
-            m, e = (sd, rd)[:n], (se, re)[:n]
-            d = _cut(pdf_e(*e, y))
-            f = cdf_m(*m, rho * (1.0 + y) - 1.0)
-            return (f if nocsi else f - cdf_m(*m, y)) * d, d
-
-    elif part == "main":
-
-        def fy(x, rho, sd, rd, se, re):
-            m, e = (sd, rd)[:n], (se, re)[:n]
-            g = np.log1p(x) * _cut(pdf_m(*m, x))
-            return (g if nocsi else cdf_e(*e, x) * g), g
-
-    else:
-
-        def fy(y, rho, sd, rd, se, re):
-            m, e = (sd, rd)[:n], (se, re)[:n]
-            g = np.log1p(y) * _cut(pdf_e(*e, y))
-            return (g if nocsi else (1.0 - cdf_m(*m, y)) * g), g
-
-    return fy
+        d = "pdf", "e", mrc_e
+        f = law("cdf_rho", "m", mrc_m)
+        return (f if nocsi else f - law("cdf", "m", mrc_m)) * law(*d), d
+    if part == "main":
+        g = "log_pdf", "m", mrc_m
+        return (law(*g) if nocsi else law("cdf", "e", mrc_e) * law(*g)), g
+    g = "log_pdf", "e", mrc_e
+    return (law(*g) if nocsi else (1.0 - law("cdf", "m", mrc_m)) * law(*g)), g
 
 
 # What a cell's signed sum of integrals is multiplied by: nats to bpcu for
@@ -463,70 +498,67 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
     Each cell mixes the decode branches of :func:`fading.decode_branches`
     with their weights, so ``gamma_th`` = 0 or inf leaves one branch alone.
     An integral is its key (see :func:`_integral_keys`) on its branch's
-    ``fields``: one that several cells or points read is integrated once,
-    and all of them advance in one :func:`_integrate` call, family by
-    family, but for those ``shared``, a dict kept over one sweep's calls,
-    holds for ``tol`` and the same fields (no result depends on what else
-    a batch holds).  Each branch's mesh is built once.  Each branch's bound
-    is within ``tol`` on its own, so each cell's is too.  Returns per point
-    one :class:`QuadratureResult` per cell, in order; its ``evaluations``
-    count every integral the cell reads, shared ones included.
+    ``fields``, which with ``tol`` are its store tag and its node set: one
+    that several cells or points read is integrated once, and all of them
+    advance in one :func:`_integrate` call, node set by node set, but for
+    those ``shared``, a dict kept over one sweep's calls, holds for the same
+    tag (no result depends on what else a batch holds).  Each cell's keys
+    are worked out once per call, and each node set's mesh once.  Each
+    branch's bound is within ``tol`` on its own, so each cell's is too.
+    Returns per point one :class:`QuadratureResult` per cell, in order; its
+    ``evaluations`` count every integral the cell reads, shared ones
+    included.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     fading.check_cells(cells)
     shared = {} if shared is None else shared
-    # per store tag, (value, bound, evaluations) per integral key, None
-    # until integrated
-    found = {}
-    families = {}  # key -> (its tag's results, tag, args, tol, mesh) per integral to integrate
-    plans = []  # per point and cell: (factor, per branch (weight, its tag's results, keys))
+    # per cell, its factor and, per decode branch, the keys it reads
+    reads = [(_METRIC_FACTOR[m], {on: _integral_keys(s, c, m, on) for on in (True, False)})
+             for s, c, m in cells]
+    # per decode branch, each key the cells read and its tolerance
+    tols = {on: {k: tol / (f * len(ks[on])) for f, ks in reads for k in ks[on]} for on in (True, False)}
+    found = {}  # per store tag, (value, bound, evaluations) per integral key
+    sets = {}  # per store tag with integrals to integrate, its node set
+    plans = []  # per point, (weight, relay_on, its tag's results) per decode branch
     for params in points:
-        args = (params.rho, params.beta_sd, params.beta_rd, params.alpha_se, params.alpha_re)
-        branches = []  # (weight, relay_on, store tag, its results, mesh)
+        branches = []
         for weight, relay_on, fields in fading.decode_branches(params):
             tag = (tol, *fields)
-            mesh = fading.shared_value(shared, ("mesh", relay_on), fields[1:], _mesh, fields[1:])
-            branches.append((weight, relay_on, tag, found.setdefault(tag, {}), mesh))
-        point_plans = []
-        for scheme, csi, metric in cells:
-            factor = _METRIC_FACTOR[metric]
-            groups = []
-            for weight, relay_on, tag, known, mesh in branches:
-                keys = _integral_keys(scheme, csi, metric, relay_on)
-                for key in keys:
-                    if key in known:
-                        continue
+            if tag not in found:
+                known = found[tag] = {}
+                todo = {}
+                for key, key_tol in tols[relay_on].items():
                     slot = shared.get(key)
-                    known[key] = slot[1] if slot is not None and slot[0] == tag else None
-                    if known[key] is None:
+                    if slot is not None and slot[0] == tag:
+                        known[key] = slot[1]
+                    else:
                         _check_links(params, key)
-                        todo = families.setdefault(key, [])
-                        todo.append((known, tag, args, tol / (factor * len(keys)), mesh))
-                groups.append((weight, known, keys))
-            point_plans.append((factor, groups))
-        plans.append(point_plans)
-    if families:
-        todo = [(key, *item) for key, items in families.items() for item in items]
-        fys = {key: _family(key) for key in families}
-        integrands = [(fys[key], args) for key, _, _, args, _, _ in todo]
-        out = _integrate(integrands, [t for *_, t, _ in todo], [m for *_, m in todo])
-        for (key, known, tag, *_), result in zip(todo, zip(*(a.tolist() for a in out))):
-            known[key] = result
-            shared[key] = tag, result
-    results = []
-    for point_plans in plans:
-        point_results = []
-        for factor, groups in point_plans:
-            value = bound = 0.0
-            for weight, known, keys in groups:
-                v = known[keys[0]][0] - sum(known[k][0] for k in keys[1:])
-                value += weight * (factor * v)
-                bound += weight * (factor * sum(known[k][1] for k in keys))
-            count = sum(known[k][2] for _, known, keys in groups for k in keys)
-            point_results.append(QuadratureResult(value, bound, count))
-        results.append(point_results)
-    return results
+                        todo[key] = key_tol
+                if todo:
+                    args = (params.rho, params.beta_sd, params.beta_rd, params.alpha_se, params.alpha_re)
+                    mesh = fading.shared_value(shared, ("mesh", relay_on), fields[1:], _mesh, fields[1:])
+                    sets[tag] = args, mesh, todo
+            branches.append((weight, relay_on, found[tag]))
+        plans.append(branches)
+    if sets:
+        out = zip(*(a.tolist() for a in _integrate(list(sets.values()))))
+        for tag, (_, _, todo) in sets.items():
+            for key, result in zip(todo, out):
+                found[tag][key] = result
+                shared[key] = tag, result
+
+    def result(factor, keys_on, branches):
+        value = bound = 0.0
+        count = 0
+        for weight, relay_on, known in branches:
+            parts = [known[k] for k in keys_on[relay_on]]  # (value, bound, evaluations)
+            value += weight * (factor * (parts[0][0] - sum([p[0] for p in parts[1:]])))
+            bound += weight * (factor * sum([p[1] for p in parts]))
+            count += sum([p[2] for p in parts])
+        return QuadratureResult(value, bound, count)
+
+    return [[result(factor, keys_on, branches) for factor, keys_on in reads] for branches in plans]
 
 
 def quadrature_sop(

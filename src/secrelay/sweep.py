@@ -226,14 +226,15 @@ def _curve(spec: SweepSpec, cells, variant: Variant):
 
 # Points per quadrature batch: a --quad-tol sweep hands each curve's points
 # to ``oracles.quadrature_cells`` in slices of at most this many, which
-# share the integrator's per-round and per-family call overhead.  Larger
-# slices gain little (on a shared 2-vCPU container the six presets at tol
-# 1e-9 took 137 ms at one point per batch, 86 ms at 16 and 83 ms at 32)
-# while a batch's interval arrays grow with them (1.8 MiB at 16 against
-# 2.9 MiB at 32 on a 31-point curve).  A Monte Carlo sweep takes one point
-# per slice, so ``--jobs`` spreads it point by point; a sweep without an
-# oracle takes one slice per curve, since its closed forms are pure Python
-# that worker threads never ran in parallel.
+# share the integrator's per-round and per-block call overhead: a block of
+# nodes spans the slice's decode branches, and each law it reads is one
+# call.  Larger slices gain little (on a shared 2-vCPU container the six
+# presets at tol 1e-9 took 196 ms at one point per batch, 81 ms at 16 and
+# 75 ms at 32) while a batch's interval arrays grow with them (1.6 MiB at
+# 16 against 2.2 MiB at 32 on a 31-point curve).  A Monte Carlo sweep
+# takes one point per slice, so ``--jobs`` spreads it point by point; a
+# sweep without an oracle takes one slice per curve, since its closed forms
+# are pure Python that worker threads never ran in parallel.
 QUAD_SLICE = 16
 
 

@@ -137,9 +137,9 @@ def _counted_integrate(monkeypatch):
     batches = []
     integrate = oracles._integrate
 
-    def counted(integrands, tols, meshes):
-        batches.append(len(integrands))
-        return integrate(integrands, tols, meshes)
+    def counted(sets):
+        batches.append(sum(len(integrals) for *_, integrals in sets))
+        return integrate(sets)
 
     monkeypatch.setattr(oracles, "_integrate", counted)
     return batches

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo and quadrature oracles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -389,9 +390,9 @@ def test_full_point_integrates_each_distinct_integral_once(base_params, monkeypa
     batches = []
     integrate = oracles._integrate
 
-    def counted(integrands, tols, meshes):
-        batches.append(len(integrands))
-        return integrate(integrands, tols, meshes)
+    def counted(sets):
+        batches.append(sum(len(integrals) for *_, integrals in sets))
+        return integrate(sets)
 
     monkeypatch.setattr(oracles, "_integrate", counted)
     assert 0.0 < fading.decode_probability(base_params) < 1.0
@@ -409,6 +410,36 @@ def test_full_point_integrates_each_distinct_integral_once(base_params, monkeypa
     oracles.quadrature_cells([base_params.with_(gamma_th=math.inf)], ALL_CELLS)
     oracles.quadrature_cells([base_params.with_(gamma_th=0.0)], ALL_CELLS)
     assert batches == [6, 20]
+
+
+_LAWS = ("exp_cdf", "exp_pdf", "sum_exp_cdf", "sum_exp_pdf", "max_exp_cdf", "max_exp_pdf")
+
+
+def test_a_node_set_evaluates_each_law_once(base_params, monkeypatch):
+    # the point converges in one round, one block per node set (decode
+    # branch): its 26 integrals read each (law, combiner, argument) once, 10
+    # with the relay on (each combiner's density and CDF at y at both
+    # receivers, and its CDF at rho (1 + y) - 1 at the destination) and 5
+    # with it off, the laws that the 16 cells read one at a time
+    calls = []
+    for name in _LAWS:
+
+        def counted(*args, law=getattr(fading, name), name=name):
+            *rates, z = args
+            calls.append((name, *rates, z.tobytes()))
+            return law(*args)
+
+        monkeypatch.setattr(fading, name, counted)
+    assert 0.0 < fading.decode_probability(base_params) < 1.0
+    oracles.quadrature_cells([base_params], ALL_CELLS)
+    batch = Counter(calls)
+    assert max(batch.values()) == 1 and len(batch) == 10 + 5
+    alone = set()
+    for cell in ALL_CELLS:
+        calls.clear()
+        oracles.quadrature_cells([base_params], [cell])
+        alone.update(calls)
+    assert alone == set(batch)
 
 
 def test_batch_rejects_unknown_metric(base_params):

@@ -1,0 +1,57 @@
+"""Print the SHA-256 of the standard outputs of the CLI in this tree.
+
+The outputs are the six figure presets as shipped, the six with
+``--quad-tol 1e-9`` at ``--jobs 1`` and at ``--jobs 2``, and
+``validate --grid-size 3 --mc-trials 20000`` at ``--jobs 1`` and at
+``--jobs 2``.  Each runs in a fresh interpreter on this tree's ``src``, and
+each line gives the digest, the exit code and the command.  Run it in two
+checkouts and diff what it prints to see whether a change moved any byte.
+The script exits 1 if a ``--jobs 2`` output differs from its ``--jobs 1``
+output.
+
+    python tools/output_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+from secrelay.sweep import PRESET_NAMES  # noqa: E402
+
+VALIDATE = ["validate", "--grid-size", "3", "--mc-trials", "20000"]
+
+
+def _digest(args):
+    """(SHA-256 of the standard output, exit code) of ``secrelay args``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", "secrelay.cli", *args], capture_output=True, env=env)
+    return hashlib.sha256(run.stdout).hexdigest(), run.returncode
+
+
+def main() -> int:
+    runs = [["sweep", "--preset", name] for name in PRESET_NAMES]
+    pairs = [["sweep", "--preset", name, "--quad-tol", "1e-9"] for name in PRESET_NAMES] + [VALIDATE]
+    differ = []
+    for args in runs:
+        print("%s %d %s" % (*_digest(args), " ".join(args)))
+    for args in pairs:
+        outs = []
+        for jobs in ("1", "2"):
+            out = _digest([*args, "--jobs", jobs])
+            print("%s %d %s --jobs %s" % (*out, " ".join(args), jobs))
+            outs.append(out)
+        if outs[0] != outs[1]:
+            differ.append(" ".join(args))
+    for args in differ:
+        print(f"--jobs 1 and --jobs 2 differ: {args}", file=sys.stderr)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
