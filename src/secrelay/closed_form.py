@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 
 from .errors import DomainError, NumericError
 from .expint import ASYMPTOTIC_X, eiexp, eiexp_asymptotic
@@ -295,66 +293,41 @@ def _at_destination(bracket, params, scheme, _csi, relay_on):
     return bracket(comb, params.beta_sd, params.beta_rd)
 
 
-# A memo keeps one point's arguments: the store's eiexp memo its destination
-# rates (beta_sd, beta_rd, their sum) and, for the CSI rate, each of those
-# plus alpha_se, alpha_re and their sum.  The least recently used goes first,
-# so beta_sd, which no axis moves, stays from point to point.
+# Each functional's phi and phi[s1, s2], and the store's one eiexp cache,
+# keep their 16 most recently used arguments (lru_cache): a point's
+# destination rates and, for eiexp, the CSI rate's cross terms with alpha_se,
+# alpha_re and their sum.  beta_sd, which no axis moves, stays.
 _MEMO_SIZE = 16
-_MEMO_LOCK = threading.Lock()
-
-
-def _memoized(memo, fn):
-    """``fn`` keeping its values for the :data:`_MEMO_SIZE` arguments last
-    used in the OrderedDict ``memo``, which ``phi(s)`` and ``phi[s1, s2]`` may
-    share.  A lookup is two C-level dict operations and a new value goes in
-    under a lock, so threads may share a memo."""
-    get, touch = memo.get, memo.move_to_end
-
-    def value(*args):
-        v = get(args)
-        if v is None:
-            v = fn(*args)
-            with _MEMO_LOCK:
-                memo[args] = v
-                if len(memo) > _MEMO_SIZE:
-                    memo.popitem(last=False)
-        else:
-            try:
-                touch(args)
-            except KeyError:  # another thread evicted it since the lookup
-                pass
-        return v
-
-    return value
+_memoized = lru_cache(maxsize=_MEMO_SIZE)
 
 
 def _functional(store, metric, csi, eaves, params):
-    """``(bracket, memo)`` of one metric and CSI mode against a branch's
-    eavesdropper combiner ``eaves``: ``bracket(comb, r1, r2)`` is the branch
-    value for the destination's combiner (the outage before its clamp, the
-    rate in nats), ``memo`` keeps the values of the ``phi`` it mixes.  Rates
-    share the store's ``eiexp`` memo; ``eiexp`` is looked up at call time."""
-    memo = OrderedDict()
+    """``bracket(comb, r1, r2)`` of one metric and CSI mode against a branch's
+    eavesdropper combiner ``eaves``: the branch value for the destination's
+    combiner (the outage before its clamp, the rate in nats).  Its ``phi``
+    and ``phi[s1, s2]`` each keep their :data:`_MEMO_SIZE` most recently used
+    arguments (``lru_cache``); rates share the store's one ``eiexp`` cache,
+    which looks ``eiexp`` up at call time."""
     if metric is Metric.SOP:
         phi, phi_dd, _ = _outage_functional(params.rho, csi, eaves)
-        phi, phi_dd = _memoized(memo, phi), _memoized(memo, phi_dd)
+        phi, phi_dd = _memoized(phi), _memoized(phi_dd)
         if csi is CsiMode.CSI:
-            return (lambda *m: _mixture(*m, phi, phi_dd)), memo
-        return (lambda *m: 1.0 + _mixture(*m, phi, phi_dd)), memo
+            return lambda *m: _mixture(*m, phi, phi_dd)
+        return lambda *m: 1.0 + _mixture(*m, phi, phi_dd)
 
     # E[ln(1 + X)] of a mixture is -sum_i c_i eiexp(s_i).
-    eiexp_at = _memoized(shared_value(store, "eiexp", None, OrderedDict), lambda x: eiexp(x))
+    eiexp_at = shared_value(store, "eiexp", None, _memoized, lambda x: eiexp(x))
     if csi is CsiMode.NOCSI:
         # The eavesdropper's term reads no destination rate: kept per curve.
-        eaves_term = _memoized(memo, lambda: _mixture(*eaves, eiexp_at, _eiexp_dd))
-        return (lambda *m: _mixture(*m, eiexp_at, _eiexp_dd) - eaves_term()), memo
+        eaves_term = _memoized(lambda: _mixture(*eaves, eiexp_at, _eiexp_dd))
+        return lambda *m: _mixture(*m, eiexp_at, _eiexp_dd) - eaves_term()
 
     # Conditioned on the destination winning, both one-sided moments share
     # the pattern sum_i c_i [eiexp(s_i) + sum_j eps_j eiexp(s_i + a_j)]: a
     # destination mixture of phi(s) = eiexp(s) + (eavesdropper mixture of
     # a -> eiexp(s + a)).  Its divided difference in s is the same pattern
     # one order up, with the mixed second difference at close pairs.  The
-    # cross terms eiexp(s + a) go through the store's eiexp memo too, which
+    # cross terms eiexp(s + a) go through the store's eiexp cache too, which
     # every eavesdropper combiner shares.
     def phi(s):
         return eiexp_at(s) + _mixture(
@@ -366,8 +339,8 @@ def _functional(store, metric, csi, eaves, params):
             *eaves, lambda a: _eiexp_dd(s1 + a, s2 + a), lambda a1, a2: _eiexp_dd2(s1, s2, a1, a2)
         )
 
-    phi, phi_dd = _memoized(memo, phi), _memoized(memo, phi_dd)
-    return (lambda *m: _mixture(*m, phi, phi_dd)), memo
+    phi, phi_dd = _memoized(phi), _memoized(phi_dd)
+    return lambda *m: _mixture(*m, phi, phi_dd)
 
 
 def _bound(store, metric, csi, params, scheme, relay_on):
@@ -376,7 +349,7 @@ def _bound(store, metric, csi, params, scheme, relay_on):
     eaves = _receivers(params, scheme, relay_on)[1]
     tag = (params.rate_rs, params.alpha_se, params.alpha_re)
     return shared_value(store, (metric, csi, eaves[0]), tag, _functional, store, metric, csi, eaves,
-                        params)[0]
+                        params)
 
 
 def _conditional(bracket, metric, params, scheme, csi, relay_on):
@@ -442,11 +415,13 @@ def cells(points, cells, shared=None) -> list[list[float]]:
     :func:`fading.decode_branches` with their weights.  ``shared``, a dict
     kept over one sweep's calls, has a slot per branch, read back while its
     ``fields`` (with the relay silent, not the scheme) are unchanged
-    (:func:`fading.shared_value`), one per :func:`_functional` and an
-    ``eiexp`` memo; no memo holds more than :data:`_MEMO_SIZE` values.  The
-    cells are checked, and each cell's slots and functionals bound, once
-    per call (and again at a point whose ``rate_rs`` or eavesdropper links
-    differ from the last), so a sweep passes it a whole curve.
+    (:func:`fading.shared_value`), one per :func:`_functional` and one
+    ``eiexp`` cache; each functional's ``phi`` and ``phi[s1, s2]`` and the
+    ``eiexp`` cache keep their :data:`_MEMO_SIZE` most recently used
+    arguments (``functools.lru_cache``).  The cells are checked, and each
+    cell's slots and functionals bound, once per call (and again at a point
+    whose ``rate_rs`` or eavesdropper links differ from the last), so a
+    sweep passes it a whole curve.
     """
     check_cells(cells)
     shared = {} if shared is None else shared

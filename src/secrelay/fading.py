@@ -128,10 +128,10 @@ class SystemParams:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and v > 0.0 and math.isfinite(v)):
                 raise DomainError(f"{name} must be a positive finite rate, got {v!r}")
-        if not (self.gamma_th >= 0.0):
+        if not (isinstance(self.gamma_th, (int, float)) and self.gamma_th >= 0.0):
             raise DomainError(f"gamma_th must be >= 0, got {self.gamma_th!r}")
         # rho = 2^(2 rate_rs) overflows a double from rate_rs = 512 on.
-        if not (0.0 <= self.rate_rs < 512.0):
+        if not (isinstance(self.rate_rs, (int, float)) and 0.0 <= self.rate_rs < 512.0):
             raise DomainError(
                 f"rate_rs must be >= 0 and below 512 (finite rho), got {self.rate_rs!r}"
             )

@@ -111,13 +111,14 @@ def test_shared_quadrature_is_thread_invariant(name, capsys):
     assert rows == _unshared(spec, rows)
 
 
-def test_store_slots_shared_by_racing_threads():
+@pytest.mark.parametrize("oracle", [None, QuadOracle(1e-6)], ids=["closed_form", "quad"])
+def test_store_slots_shared_by_racing_threads(oracle):
     # 8 curves of 3 points each on 8 threads, switching every microsecond:
     # each silent-relay slot flips between the curves' direct links while
-    # other threads read it, and every row must still be its own bits
+    # other threads read it, the curves' rate cells share the store's eiexp
+    # cache, and every row must still be its own bits
     spec = SweepSpec(
-        Axis.GAMMA_TH_DB, 0.0, 4.0, 2.0, BASE, metrics=(Metric.SOP, Metric.ESR),
-        oracle=QuadOracle(1e-6),
+        Axis.GAMMA_TH_DB, 0.0, 4.0, 2.0, BASE, metrics=(Metric.SOP, Metric.ESR), oracle=oracle,
         variants=tuple(Variant(f"sd{k}", (("beta_sd", 0.25 * (k + 1)),)) for k in range(8)),
     )
     expected = run_sweep(spec)
@@ -189,13 +190,23 @@ def test_balanced_curves_share_the_silent_relay_branch(monkeypatch):
     assert batches == [5 * 20 + 6] * 2
 
 
-def _entries(value):
-    """Values a store holds, the memos nested in its slots included."""
+def _entries(value, seen=None):
+    """Values a store holds, with the values kept by every ``lru_cache`` its
+    slots reach through ``__wrapped__`` and closures, each cache once."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
     if isinstance(value, dict):
-        return sum(1 + _entries(v) for v in value.values())
+        return sum(1 + _entries(v, seen) for v in value.values())
     if isinstance(value, tuple):
-        return sum(map(_entries, value))
-    return 0
+        return sum(_entries(v, seen) for v in value)
+    if not callable(value):
+        return 0
+    n = value.cache_info().currsize if hasattr(value, "cache_info") else 0
+    cells = getattr(value, "__closure__", None) or ()
+    reached = [getattr(value, "__wrapped__", None), *(c.cell_contents for c in cells)]
+    return n + sum(_entries(v, seen) for v in reached if v is not None)
 
 
 def _store_sizes(monkeypatch):
@@ -219,16 +230,16 @@ def _store_sizes(monkeypatch):
 
 def test_store_size_does_not_grow_with_the_axis(monkeypatch):
     # the closed-form store's branch values, functionals and the values
-    # their memos keep, the CSI rate's cross terms in the eiexp memo
-    # included; 20 points fill every memo, and the long axis crosses
-    # beta_rd == beta_sd at 3 dB, where the sum combiners take divided
-    # differences
+    # their caches keep, the CSI rate's cross terms in the eiexp cache
+    # included; 50 points fill every cache, and both axes cross
+    # beta_rd == beta_sd at 3 dB, where the sum combiners fill their
+    # phi[s1, s2] caches
     sizes = _store_sizes(monkeypatch)
     spec = SweepSpec(
-        Axis.BALANCED_SNR_DB, 0.0, 1.9, 0.1, BASE, modes=(CsiMode.NOCSI, CsiMode.CSI),
+        Axis.BALANCED_SNR_DB, 0.0, 4.9, 0.1, BASE, modes=(CsiMode.NOCSI, CsiMode.CSI),
         metrics=(Metric.SOP, Metric.ESR), oracle=QuadOracle(1e-6),
     )
-    assert len(run_sweep(spec)) == 20 * 16
+    assert len(run_sweep(spec)) == 50 * 16
     short = dict(sizes)
     sizes.clear()
     long_spec = dataclasses.replace(spec, stop_db=39.9)
@@ -242,7 +253,7 @@ def test_store_size_does_not_grow_with_the_axis(monkeypatch):
 def test_equal_rate_sweep_is_the_bits_of_one_cell_calls(jobs):
     # beta_rd crosses beta_sd (3 dB) at an axis point, where the sum
     # combiners take divided differences; what the functionals and eiexp
-    # memos share along a curve, or between the curves of two eavesdropper
+    # caches share along a curve, or between the curves of two eavesdropper
     # settings, must not move a bit
     spec = SweepSpec(
         Axis.BETA_RD_DB, 0.0, 30.0, 1.0, BASE, metrics=(Metric.SOP, Metric.ESR), asymptote=True,

@@ -1,11 +1,15 @@
 """Print the SHA-256 of the standard outputs of the CLI in this tree.
 
 The outputs are the six figure presets as shipped, the six with
-``--quad-tol 1e-9`` at ``--jobs 1`` and at ``--jobs 2``, and
+``--quad-tol 1e-9`` at ``--jobs 1`` and at ``--jobs 2``,
 ``validate --grid-size 3 --mc-trials 20000`` at ``--jobs 1`` and at
-``--jobs 2``.  Each runs in a fresh interpreter on this tree's ``src``, and
-each line gives the digest, the exit code and the command.  Run it in two
-checkouts and diff what it prints to see whether a change moved any byte.
+``--jobs 2``, and two closed-form sweeps of all 16 cells with asymptotes,
+on ``beta-rd-db`` and on ``balanced-snr-db`` from -10 to 50 dB, at
+``--jobs 1`` and at ``--jobs 2``: each crosses ``beta_rd == beta_sd`` at
+3 dB, which no preset does for every cell.  Each runs in a fresh
+interpreter on this tree's ``src``, and each line gives the digest, the
+exit code and the command.  Run it in two checkouts and diff what it
+prints to see whether a change moved any byte.
 The script exits 1 if a ``--jobs 2`` output differs from its ``--jobs 1``
 output.
 
@@ -25,6 +29,11 @@ sys.path.insert(0, str(SRC))
 from secrelay.sweep import PRESET_NAMES  # noqa: E402
 
 VALIDATE = ["validate", "--grid-size", "3", "--mc-trials", "20000"]
+AD_HOC = [
+    ["sweep", "--axis", axis, "--from-db", "-10", "--to-db", "50", "--step-db", "1", "--metric", "both",
+     "--asymptote"]
+    for axis in ("beta-rd-db", "balanced-snr-db")
+]
 
 
 def _digest(args):
@@ -36,7 +45,7 @@ def _digest(args):
 
 def main() -> int:
     runs = [["sweep", "--preset", name] for name in PRESET_NAMES]
-    pairs = [["sweep", "--preset", name, "--quad-tol", "1e-9"] for name in PRESET_NAMES] + [VALIDATE]
+    pairs = [["sweep", "--preset", name, "--quad-tol", "1e-9"] for name in PRESET_NAMES] + [VALIDATE, *AD_HOC]
     differ = []
     for args in runs:
         print("%s %d %s" % (*_digest(args), " ".join(args)))
