@@ -104,6 +104,14 @@ def check_cells(cells) -> None:
             raise DomainError(f"a cell is (Scheme, CsiMode, Metric) members, got {cell!r}")
 
 
+def check_tolerance(value, name: str, zero: bool = False) -> None:
+    """:class:`DomainError` unless ``value`` is a finite real number above 0
+    (at least 0 where ``zero``)."""
+    ok = isinstance(value, (int, float)) and (value >= 0.0 if zero else value > 0.0)
+    if not (ok and math.isfinite(value)):
+        raise DomainError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Exponential SNR rates of the five links plus operating point.

@@ -249,64 +249,46 @@ def _integrate(sets):
     blocks of :func:`_blocks`, evaluates each law that a block's integrals
     read once for the block (:class:`_Laws`, each row at its own set's
     rates), and builds each key's integrand and envelope from them
-    (:func:`_integrand`) on the rows its integrals are open on.  Each open
-    interval of an integral gets the 21-point Kronrod value and QUADPACK's
-    error estimate from the 10-point Gauss value, with a round-off floor of
-    50 eps times the integral of the envelope over it.  An interval is
-    accepted when its estimate is within its share of the tolerance (its
-    length times the integral's) or at the floor, and all of an integral's
-    intervals are once their estimates add up to within its tolerance; a
-    row is halved for the integrals still open on it.  No integral's result
-    depends on the others.  Returns per-integral arrays (value, error
-    bound, integrand evaluations), set by set and key by key.  Raises
+    (:func:`_integrand`) on the rows it is open on.  An open interval gets
+    the 21-point Kronrod value and QUADPACK's error estimate from the
+    10-point Gauss value, at least a round-off floor of 50 eps times the
+    envelope's integral over it: (row, key) arrays, 0 where the row's set
+    has no open integral of the key, that each integral sums in t order.
+    An interval is accepted when its estimate is within its share of the
+    tolerance (its length times the integral's) or at the floor, and all of
+    an integral's intervals are once their estimates add up to within its
+    tolerance; a row is halved for the integrals still open on it.  No
+    integral's result depends on the others.  Returns per set a dict, key
+    -> (value, error bound, integrand evaluations).  Raises
     :class:`NumericError` when an integrand is not finite on an open
     interval, an integral needs more than ``_QUAD_LIMIT`` intervals, an
     interval cannot be halved, or a bound exceeds its tolerance.
     """
-    # Integrals key-major, each key's in set order: a block's open
-    # intervals of one key are then a run of the (integral, row) pairs.
-    flat = [(key, s, tol) for s, (*_, todo) in enumerate(sets) for key, tol in todo.items()]
-    by_key = {}  # per key, (place in the output, set, tolerance) per integral
-    for i, (key, s, tol) in enumerate(flat):
-        by_key.setdefault(key, []).append((i, s, tol))
-    order, where, tols = (np.array(c) for c in zip(*(x for items in by_key.values() for x in items)))
-    n = order.size
-    firsts = np.cumsum([0, *map(len, by_key.values())])  # each key's first integral, then n
+    keys = list(dict.fromkeys(key for *_, todo in sets for key in todo))
+    tols = np.array([[todo.get(key, np.inf) for key in keys] for *_, todo in sets]).ravel()
+    n, width = tols.size, len(keys)
     table = np.array([args for args, _, _ in sets])
     on_set = np.array([next(iter(integrals))[3] for *_, integrals in sets])
     sizes = np.array([len(mesh) - 1 for _, mesh, _ in sets])
     # rows set by set, the relay-on sets first: a batch's relayed branches
     # then share blocks
     layout = np.argsort(~on_set, kind="stable")
-    first = np.empty_like(sizes)  # each set's first row
-    first[layout] = np.cumsum(sizes[layout]) - sizes[layout]
     lo = np.concatenate([sets[s][1][:-1] for s in layout.tolist()])
     hi = np.concatenate([sets[s][1][1:] for s in layout.tolist()])
     rset = np.repeat(layout, sizes[layout])  # each row's node set
-    # the open (integral, row) pairs, by integral and in t within one
-    count = sizes[where]
-    owner = np.repeat(np.arange(n), count)
-    prow = np.arange(owner.size) + np.repeat(first[where] - np.cumsum(count) + count, count)
+    open_ = np.isfinite(tols).reshape(len(sets), width)[rset]  # (row, key): the integral is open
     value, bound = np.zeros((2, n))
     evals, kept = np.zeros((2, n), dtype=np.int64)
     # One errstate for the whole call: the integrands may overflow or turn
     # NaN, which the finiteness check below reports instead of numpy.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        while owner.size:
+        while True:
             half = 0.5 * (hi - lo)
             mid = 0.5 * (hi + lo)
             mid_om = 0.5 * ((1.0 - hi) + (1.0 - lo))  # the midpoint in 1 - t
-            resk, resg, resabs, resasc = np.empty((4, owner.size))
+            resk, resg, resabs, resasc = np.zeros((4, lo.size, width))
             on = on_set[rset]
-            blocks = _blocks(on)
-            edges = [s for s, _ in blocks] + [lo.size]
-            bounds = np.searchsorted(owner, firsts).tolist()
-            # per key, where each block's run of its pairs starts, then ends
-            runs = [
-                (key, (a + np.searchsorted(prow[a:b], edges)).tolist())
-                for key, a, b in zip(by_key, bounds, bounds[1:]) if a < b
-            ]
-            for j, (s, e) in enumerate(blocks):
+            for s, e in _blocks(on):
                 # Nodes in t and in 1 - t, each from its own midpoint: near
                 # t = 1, where the integrand in t peaks for slowly decaying
                 # links, 1 - t rounded from t would move the nodes by
@@ -319,12 +301,12 @@ def _integrate(sets):
                 rates = sets[rset[s]][0] if rset[s] == rset[e - 1] else table[rset[s:e]].T[:, :, None]
                 laws = _Laws(on[s], y, *rates)
                 envelopes = {}  # per law, its Kronrod sums on the block's rows
-                for key, run in runs:
-                    a, b = run[j], run[j + 1]
-                    if a == b:
+                counts = np.count_nonzero(open_[s:e], axis=0).tolist()
+                for col, (key, c) in enumerate(zip(keys, counts)):
+                    if not c:
                         continue
                     # the block's rows that the key's integrals are open on
-                    rows = slice(None) if b - a == e - s else prow[a:b] - s
+                    rows = slice(None) if c == e - s else np.flatnonzero(open_[s:e, col])
                     f, env = _integrand(key, lambda *law: laws[law][rows])
                     bad = ~np.isfinite(f)
                     if bad.any():
@@ -335,12 +317,13 @@ def _integrate(sets):
                         envelopes[env] = (_padded(laws[env], jac) @ _WK21)[: e - s]
                     f = _padded(f, jac[rows])
                     rk, rg = (f @ _WKG).T
-                    resk[a:b], resg[a:b] = rk[: b - a], rg[: b - a]
-                    resabs[a:b] = envelopes[env][rows]
-                    resasc[a:b] = (np.abs(f - 0.5 * rk[:, None]) @ _WK21)[: b - a]
+                    at = slice(s, e), col
+                    resk[at][rows], resg[at][rows] = rk[:c], rg[:c]
+                    resabs[at][rows] = envelopes[env][rows]
+                    resasc[at][rows] = (np.abs(f - 0.5 * rk[:, None]) @ _WK21)[:c]
 
-            # in place: per-pair arrays grow with the batch's open intervals
-            half = half[prow]
+            # in place: the (row, key) arrays grow with the batch's open rows
+            half = half[:, None]
             resabs *= half
             resasc *= half
             err = np.abs(np.subtract(resk, resg, out=resg), out=resg)
@@ -353,40 +336,43 @@ def _integrate(sets):
             floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
             np.maximum(err, floor, out=err)
 
-            open_count = np.bincount(owner, minlength=n)
+            # each (row, key) entry's integral; each integral's sums run in
+            # row order, which is t order within a set
+            integral = rset[:, None] * width + np.arange(width)
+            owned = integral[open_]
+            open_count = np.bincount(owned, minlength=n)
             evals += 21 * open_count
-            done = bound + np.bincount(owner, weights=err, minlength=n) <= tols
-            accept = done[owner] | (err <= np.maximum(tols[owner] * (hi - lo)[prow], floor))
-            taken = owner[accept]
+            done = bound + np.bincount(owned, weights=err[open_], minlength=n) <= tols
+            share = np.maximum(tols.reshape(-1, width)[rset] * (hi - lo)[:, None], floor)
+            accept = open_ & (done.reshape(-1, width)[rset] | (err <= share))
+            taken = integral[accept]
             value += np.bincount(taken, weights=val[accept], minlength=n)
             bound += np.bincount(taken, weights=err[accept], minlength=n)
             taken_count = np.bincount(taken, minlength=n)
             kept += taken_count
             if np.any(kept + 2 * (open_count - taken_count) > _QUAD_LIMIT):
                 raise NumericError(f"quadrature failed: more than {_QUAD_LIMIT} intervals needed")
-            if accept.all():
-                break
 
-            split = ~accept
-            halved = np.bincount(prow[split], minlength=lo.size) > 0  # rows still open
-            lo, mid, hi, rset = lo[halved], mid[halved], hi[halved], rset[halved]
+            open_ &= ~accept
+            halved = open_.any(axis=1)  # rows still open
+            if not halved.any():
+                break
+            lo, mid, hi, rset, open_ = lo[halved], mid[halved], hi[halved], rset[halved], open_[halved]
             if np.any((mid <= lo) | (mid >= hi)):
                 # the midpoint rounds onto an end: t cannot resolve the integrand
                 raise NumericError("quadrature failed: an interval is too short to halve")
             halves = np.stack((lo, mid, mid, hi), axis=1)  # [lo, mid], [mid, hi] per row
             lo, hi = halves[:, 0::2].ravel(), halves[:, 1::2].ravel()
-            rset = np.repeat(rset, 2)
-            owner = np.repeat(owner[split], 2)
-            prow = np.repeat(2 * np.cumsum(halved)[prow[split]] - 2, 2)
-            prow[1::2] += 1
+            rset, open_ = np.repeat(rset, 2), np.repeat(open_, 2, axis=0)
     over = np.flatnonzero(~(bound <= tols))
     if over.size:
         k = over[0]
         raise NumericError(
             f"quadrature error bound {bound[k]:.3e} exceeds requested tolerance {tols[k]:.3e}"
         )
-    back = np.argsort(order)  # each integral's place, set by set and key by key
-    return value[back], bound[back], evals[back]
+    value, bound, evals = (a.reshape(len(sets), width).tolist() for a in (value, bound, evals))
+    return [{key: (v[col], b[col], c[col]) for col, key in enumerate(keys) if key in todo}
+            for (*_, todo), v, b, c in zip(sets, value, bound, evals)]
 
 
 def _snr_dist(relay_on: bool, mrc):
@@ -509,8 +495,7 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
     ``evaluations`` count every integral the cell reads, shared ones
     included.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    fading.check_tolerance(tol, "tol")
     fading.check_cells(cells)
     shared = {} if shared is None else shared
     # per cell, its factor and, per decode branch, the keys it reads
@@ -542,11 +527,9 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
             branches.append((weight, relay_on, found[tag]))
         plans.append(branches)
     if sets:
-        out = zip(*(a.tolist() for a in _integrate(list(sets.values()))))
-        for tag, (_, _, todo) in sets.items():
-            for key, result in zip(todo, out):
-                found[tag][key] = result
-                shared[key] = tag, result
+        for tag, results in zip(sets, _integrate(list(sets.values()))):
+            found[tag].update(results)
+            shared.update((key, (tag, result)) for key, result in results.items())
 
     def result(factor, keys_on, branches):
         value = bound = 0.0

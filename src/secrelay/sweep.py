@@ -17,6 +17,7 @@ from .fading import (
     SCHEME_ORDER,
     Scheme,
     SystemParams,
+    check_tolerance,
     db_to_linear,
     params_from_db,
     stream,
@@ -419,7 +420,7 @@ _RS_LO, _RS_HI = 0.1, 2.0
 def sample_grid(grid_size: int, seed: int) -> list[SystemParams]:
     """Deterministic random parameter grid for the agreement suite, of at
     most :data:`MAX_AXIS_POINTS` points."""
-    if not 1 <= grid_size <= MAX_AXIS_POINTS:
+    if not (isinstance(grid_size, int) and 1 <= grid_size <= MAX_AXIS_POINTS):
         raise DomainError(f"grid_size must be in [1, {MAX_AXIS_POINTS}], got {grid_size!r}")
     gen = stream(seed, point=0, purpose=PURPOSE_GRID)
     log_span = math.log(_RATE_HI / _RATE_LO)
@@ -508,10 +509,9 @@ def run_validation(
     or unpassable (a zero band) raise :class:`DomainError` before any point
     is evaluated.
     """
-    if not (tol_quad_abs > 0.0 and math.isfinite(tol_quad_abs)):
-        raise DomainError(f"tol_quad_abs must be positive and finite, got {tol_quad_abs!r}")
-    if not (mc_sigmas >= 0.0 and math.isfinite(mc_sigmas)):
-        raise DomainError(f"mc_sigmas must be >= 0 and finite, got {mc_sigmas!r}")
+    check_tolerance(quad_tol, "quad_tol")
+    check_tolerance(tol_quad_abs, "tol_quad_abs")
+    check_tolerance(mc_sigmas, "mc_sigmas", zero=True)
     from . import oracles
 
     grid = sample_grid(grid_size, seed)

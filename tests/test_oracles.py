@@ -244,6 +244,10 @@ def test_quadrature_tolerance_validation(base_params):
             oracles.quadrature_esr(
                 base_params.with_(gamma_th=0.0), Scheme.SC_SC, CsiMode.NOCSI, tol
             )
+    # a malformed tolerance used to raise TypeError from the comparison
+    for tol in ("1e-9", None):
+        with pytest.raises(DomainError, match="tol"):
+            oracles.quadrature_cells([base_params], [(Scheme.MRC_SC, CsiMode.CSI, Metric.SOP)], tol)
 
 
 def test_quadrature_unreachable_tolerance_raises(base_params):
@@ -384,6 +388,40 @@ def test_batch_matches_per_cell_calls(point, tol):
         assert q == fn(params, scheme, csi, tol), (scheme, csi, metric)
     # nor does the order of the cells matter
     assert oracles.quadrature_cells([params], ALL_CELLS[::-1], tol)[0][::-1] == batch
+
+
+def _node_set(params, relay_on, metrics):
+    """The node set of ``params``' decode branch ``relay_on`` with the
+    integrals of every cell of ``metrics``, as ``quadrature_cells`` builds it."""
+    (fields,) = [f for _, on, f in fading.decode_branches(params) if on is relay_on]
+    integrals = {
+        key: 1e-9 if metric is Metric.SOP else 5e-10
+        for scheme, csi, metric in ALL_CELLS if metric in metrics
+        for key in oracles._integral_keys(scheme, csi, metric, relay_on)
+    }
+    args = (params.rho, params.beta_sd, params.beta_rd, params.alpha_se, params.alpha_re)
+    return args, oracles._mesh(fields[1:]), integrals
+
+
+def test_batch_leaves_each_node_set_unchanged():
+    # a set that lacks some of the batch's keys, and a set of the other
+    # decode branch, which shares none of them
+    a, b = _GRID[2], _GRID[3]
+    sets = [
+        _node_set(a, True, tuple(Metric)),
+        _node_set(b, True, (Metric.SOP,)),
+        _node_set(a, False, tuple(Metric)),
+    ]
+    batch = oracles._integrate(sets)
+    assert [len(r) for r in batch] == [20, 8, 6]
+    for node_set, results in zip(sets, batch, strict=True):
+        (alone,) = oracles._integrate([node_set])
+        assert results.keys() == node_set[2].keys()
+        for key, (value, bound, count) in results.items():
+            # bit for bit: == would let -0.0 pass for 0.0
+            assert (np.float64([value, bound]).tobytes(), count) == (
+                np.float64(alone[key][:2]).tobytes(), alone[key][2]
+            ), key
 
 
 def test_full_point_integrates_each_distinct_integral_once(base_params, monkeypatch):

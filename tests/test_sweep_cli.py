@@ -383,11 +383,26 @@ def test_validation_zero_tolerance_fails():
         {"tol_quad_abs": float("nan")},
         {"tol_quad_abs": 0.0},
         {"tol_quad_abs": -1e-6},
+        # a string or None used to raise TypeError from the comparison
+        {"tol_quad_abs": "1e-6"},
+        {"mc_sigmas": None},
+        # the quadrature's tolerance used to be rejected only by the
+        # quadrature, after a point's Monte Carlo had run
+        {"quad_tol": 0.0},
+        {"quad_tol": -1.0},
+        {"quad_tol": float("nan")},
+        {"quad_tol": float("inf")},
     ],
 )
-def test_validation_rejects_degenerate_bands(band):
-    with pytest.raises(DomainError):
+def test_validation_rejects_degenerate_bands(band, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("evaluated a point of a run with an invalid band")
+
+    monkeypatch.setattr(oracles, "monte_carlo_all", no_trials)
+    with pytest.raises(DomainError, match=next(iter(band))):
         run_validation(grid_size=1, seed=3, mc_trials=1000, **band)
+    with pytest.raises(DomainError, match=next(iter(band))):
+        run_validation(grid_size=2, seed=3, mc_trials=1000, n_jobs=2, **band)
 
 
 def _nan_for_sc_sc_sop(monkeypatch):
@@ -494,6 +509,10 @@ def test_grid_beyond_the_stream_key_fails_before_sampling(monkeypatch):
     # shares the axis cap; up to 2^32 points used to be accepted
     with pytest.raises(DomainError, match="grid_size"):
         sample_grid(sweep.MAX_AXIS_POINTS + 1, seed=1)
+    # a float or a string used to raise TypeError from range or the comparison
+    for grid_size in (2.5, "3"):
+        with pytest.raises(DomainError, match="grid_size"):
+            sample_grid(grid_size, seed=7)
 
 
 # ---------------------------------------------------------------------------

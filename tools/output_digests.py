@@ -3,10 +3,14 @@
 The outputs are the six figure presets as shipped, the six with
 ``--quad-tol 1e-9`` at ``--jobs 1`` and at ``--jobs 2``,
 ``validate --grid-size 3 --mc-trials 20000`` at ``--jobs 1`` and at
-``--jobs 2``, and two closed-form sweeps of all 16 cells with asymptotes,
-on ``beta-rd-db`` and on ``balanced-snr-db`` from -10 to 50 dB, at
-``--jobs 1`` and at ``--jobs 2``: each crosses ``beta_rd == beta_sd`` at
-3 dB, which no preset does for every cell.  Each runs in a fresh
+``--jobs 2``, and two sweeps of all 16 cells, on ``beta-rd-db`` and on
+``balanced-snr-db`` from -10 to 50 dB, at ``--jobs 1`` and at ``--jobs 2``,
+once closed-form with asymptotes and once with ``--quad-tol 1e-9``: each
+crosses ``beta_rd == beta_sd`` at 3 dB, which no preset does for every
+cell, and the quadrature ones put a point's 26 integrals into each batch
+of a slice of points, reading the integrals of earlier batches from the
+sweep's store, which neither the presets (SOP and ESR apart) nor
+``validate`` (one point per call, no store) do.  Each runs in a fresh
 interpreter on this tree's ``src``, and each line gives the digest, the
 exit code and the command.  Run it in two checkouts and diff what it
 prints to see whether a change moved any byte.
@@ -30,8 +34,8 @@ from secrelay.sweep import PRESET_NAMES  # noqa: E402
 
 VALIDATE = ["validate", "--grid-size", "3", "--mc-trials", "20000"]
 AD_HOC = [
-    ["sweep", "--axis", axis, "--from-db", "-10", "--to-db", "50", "--step-db", "1", "--metric", "both",
-     "--asymptote"]
+    ["sweep", "--axis", axis, "--from-db", "-10", "--to-db", "50", "--step-db", "1", "--metric", "both", *how]
+    for how in (["--asymptote"], ["--quad-tol", "1e-9"])
     for axis in ("beta-rd-db", "balanced-snr-db")
 ]
 
