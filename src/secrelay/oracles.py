@@ -1,23 +1,26 @@
-"""Ground-truth evaluators: Monte Carlo simulation and adaptive quadrature.
+"""Ground-truth evaluators: Monte Carlo simulation and quadrature.
 
 Both oracles work straight from the system model - sampled trials on one
 side, the defining one-dimensional integrals on the other - and share no
 algebra with the closed forms they validate.
 
-The quadrature oracle is an adaptive Gauss-Kronrod integrator in numpy
-(QUADPACK's 10/21-point pair).  ``quadrature_cells`` takes every cell of a
-sequence of parameter points: an outage is one integral per decode branch,
-a rate the destination's and the eavesdropper's integrals per branch, and
-an integral that several cells or points read is integrated once.  All of
-them advance together, one round at a time.  The integrals of one decode
-branch of one point form a node set: each round evaluates each law they
-read (a density, a CDF, ``log1p``) once per block of the set's nodes, and
-each integral builds its own integrand from those.  ``quadrature_sop`` and
+The quadrature oracle is a trapezoid rule in u = log y, which converges
+geometrically on these integrands (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014), with
+its step halved until each integral's bound is within its tolerance.
+``quadrature_cells`` takes every cell of a sequence of parameter points:
+an outage is one integral per decode branch, a rate the destination's and
+the eavesdropper's integrals per branch, and an integral that several
+cells or points read is integrated once.  All of them advance together,
+one round at a time.  The integrals of one decode branch of one point form
+a node set: each round evaluates each law they read (a density, a CDF,
+``log1p``) once per decode branch on the new nodes of every set, and each
+integral builds its own integrand from those.  ``quadrature_sop`` and
 ``quadrature_esr`` are one-cell, one-point calls of it.  One decode branch
 alone is the point at ``gamma_th`` = 0 (the relay always decodes) or
 ``gamma_th`` = inf (it never does).  ``QuadratureResult.abs_error_bound``
-adds up the accepted intervals' error estimates, each at least a round-off
-floor, and ``evaluations`` counts integrand points.
+is the difference from the rule at twice the step plus a round-off floor,
+and ``evaluations`` counts the nodes evaluated.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ SUB_BLOCK_TRIALS = 1 << 13
 
 # Integrand support is cut where the density has underflowed to noise.
 PDF_FLOOR = 1e-300
-
-_QUAD_LIMIT = 200  # intervals per integral
 
 
 @dataclass(frozen=True)
@@ -146,231 +147,120 @@ def monte_carlo_all(params: SystemParams, n: int, seed: int, *, point: int = 0) 
 # ---------------------------------------------------------------------------
 
 
-# QUADPACK's 21-point Kronrod rule and the 10-point Gauss rule embedded in it
-# (Piessens et al., QUADPACK, 1983, routine QK21): Kronrod abscissae on
-# [0, 1] in decreasing order (the Gauss ones at odd positions), then the
-# Kronrod and the Gauss weights.
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-# The 21 nodes on [-1, 1] in increasing order, their Kronrod weights, and
-# the Gauss weights (0 at the Kronrod-only nodes).
-_NODES = np.concatenate((-_XGK[:10], _XGK[::-1]))
-_WK21 = np.concatenate((_WGK[:10], _WGK[::-1]))
-_WG21 = np.zeros(21)
-_WG21[1:10:2] = _WG
-_WG21[19:10:-2] = _WG
-_WKG = np.stack((_WK21, _WG21), axis=1)
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 
-# The initial mesh has breakpoints at these multiples of every link's decay
-# length, so the tail of each exponential starts on an interval of its own,
-# and fills any wider gap between two links' ranges with a geometric ladder
-# of ratio _MESH_MAX_RATIO: on a longer interval the nodes can all fall on
-# one side of a slower link's mass (at 100 dB, 0.4 bpcu of a rate).
-_MESH_MULTIPLES = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-_MESH_MAX_RATIO = 4.0
-
-
-def _mesh(scales) -> np.ndarray:
-    """Initial breakpoints in t = y / (1 + y), from 0 to 1."""
-    y = np.sort(np.multiply.outer(_MESH_MULTIPLES, 1.0 / np.asarray(scales)), axis=None)
-    ratio = y[1:] / y[:-1]
-    gaps = np.flatnonzero(ratio > _MESH_MAX_RATIO)
-    if gaps.size:
-        ladders = [
-            y[i] * _MESH_MAX_RATIO ** np.arange(1.0, math.ceil(math.log(ratio[i], _MESH_MAX_RATIO)))
-            for i in gaps
-        ]
-        y = np.sort(np.concatenate([y, *ladders]))
-    t = np.concatenate(([0.0], np.minimum(y / (1.0 + y), 1.0 - 1e-12), [1.0]))
-    return t[np.concatenate(([True], t[1:] != t[:-1]))]
+# The trapezoid rule's first step in u = log y, and how often an integral's
+# step may be halved.  These integrands are analytic in a strip about the
+# real u axis, and decay like y as u -> -inf and double-exponentially as
+# u -> +inf, so the rule converges geometrically in 1/h: at tol 1e-9 and
+# 1e-6 the values were within 5e-13 relative of a 100-digit reference on
+# 640 cells at random points with links from -20 to 100 dB.
+_H0 = 0.25
+_HALVINGS = 5
 
 
-# Intervals per block of nodes, at most: the 21 nodes of 384 intervals fill
-# a 63 KiB array, so each per-node array of a block, a law included, stays
-# below glibc's 128 KiB mmap threshold and is reused from the heap instead
-# of being mapped anew.
-_BLOCK = 384
-
-
-def _blocks(on):
-    """(start, stop) per block of rows, given each row's decode branch
-    ``on``: each run of rows on one branch cut into the fewest blocks of at
-    most ``_BLOCK`` rows, of even sizes."""
-    cuts = [0, *(np.flatnonzero(on[1:] != on[:-1]) + 1).tolist(), on.size]
-    blocks = []
-    for a, b in zip(cuts, cuts[1:]):
-        k = -(-(b - a) // _BLOCK)
-        edges = [a + (b - a) * i // k for i in range(k + 1)]
-        blocks += zip(edges, edges[1:])
-    return blocks
-
-
-def _padded(f, jac):
-    """``f / jac`` padded with rows of 0 to a multiple of 4 rows: OpenBLAS
-    sums the last rows of another row count in a kernel that can round them
-    differently, so each interval's sums do not depend on its place."""
-    out = np.zeros((-(-len(f) // 4) * 4, 21))
-    np.divide(f, jac, out=out[: len(f)])
-    return out
+def _span(rates) -> tuple[float, int]:
+    """(start, intervals) of a node set's first grid in u = log y, given
+    the rates of its links: it runs from where the fastest link's density
+    times y is ~1e-18 to where the slowest link's density has underflowed
+    (:func:`_cut`).  The ends are differences of logs, so no quotient
+    underflows at an extreme rate."""
+    lo = math.log(1e-18) - math.log(max(rates))
+    hi = math.log(800.0) - math.log(min(rates))
+    return lo, math.ceil((hi - lo) / _H0)
 
 
 def _integrate(sets):
     """Integrate each integral over y in [0, inf) to its absolute tolerance.
 
     ``sets`` are node sets, one per decode branch of a point, each
-    ``(args, mesh, integrals)``: ``args`` its (rho, beta_sd, beta_rd,
-    alpha_se, alpha_re), ``mesh`` its initial breakpoints and ``integrals``
-    a dict, integral key (see :func:`_integral_keys`) -> tolerance.  The
-    half-line is mapped to t in [0, 1) by y = t / (1 - t).  All integrals
-    advance together, one round at a time, each on its own open intervals;
-    a row is an interval of a node set that some of its integrals are open
-    on.  A round builds the 21 nodes and the Jacobian of the rows in the
-    blocks of :func:`_blocks`, evaluates each law that a block's integrals
-    read once for the block (:class:`_Laws`, each row at its own set's
-    rates), and builds each key's integrand and envelope from them
-    (:func:`_integrand`) on the rows it is open on.  An open interval gets
-    the 21-point Kronrod value and QUADPACK's error estimate from the
-    10-point Gauss value, at least a round-off floor of 50 eps times the
-    envelope's integral over it: (row, key) arrays, 0 where the row's set
-    has no open integral of the key, that each integral sums in t order.
-    An interval is accepted when its estimate is within its share of the
-    tolerance (its length times the integral's) or at the floor, and all of
-    an integral's intervals are once their estimates add up to within its
-    tolerance; a row is halved for the integrals still open on it.  No
-    integral's result depends on the others.  Returns per set a dict, key
-    -> (value, error bound, integrand evaluations).  Raises
-    :class:`NumericError` when an integrand is not finite on an open
-    interval, an integral needs more than ``_QUAD_LIMIT`` intervals, an
-    interval cannot be halved, or a bound exceeds its tolerance.
+    ``(args, span, integrals)``: ``args`` its (rho, beta_sd, beta_rd,
+    alpha_se, alpha_re), ``span`` its first grid (:func:`_span`) and
+    ``integrals`` a dict, integral key (see :func:`_integral_keys`) ->
+    tolerance.  An integral is the trapezoid sum T_h = h sum(g(y) y) over
+    a grid of step h in u = log y.  All integrals advance together, one
+    round at a time: the first round evaluates each set's grid of step
+    ``_H0``, and each later one the midpoints of the sets that still have
+    an open integral, which halves their step.  A round evaluates each law
+    that a decode branch's open integrals read once on all the branch's
+    new nodes (:class:`_Laws`, each node at its own set's rates), and each
+    open integral builds its integrand and envelope from them
+    (:func:`_integrand`) and adds its sum over its set's new nodes to its
+    total, in node order.  Its bound is |T_h - T_2h| (T_2h from the first
+    grid's even nodes, then from the round before) plus a round-off floor
+    of 50 eps times the envelope's trapezoid sum, and it closes once that
+    is within its tolerance.  No integral's result depends on the others.
+    Returns per set a dict, key -> (value, error bound, nodes evaluated).
+    Raises :class:`NumericError` when an integrand is not finite, or an
+    integral is still open after ``_HALVINGS`` halvings.
     """
     keys = list(dict.fromkeys(key for *_, todo in sets for key in todo))
-    tols = np.array([[todo.get(key, np.inf) for key in keys] for *_, todo in sets]).ravel()
-    n, width = tols.size, len(keys)
-    table = np.array([args for args, _, _ in sets])
-    on_set = np.array([next(iter(integrals))[3] for *_, integrals in sets])
-    sizes = np.array([len(mesh) - 1 for _, mesh, _ in sets])
-    # rows set by set, the relay-on sets first: a batch's relayed branches
-    # then share blocks
-    layout = np.argsort(~on_set, kind="stable")
-    lo = np.concatenate([sets[s][1][:-1] for s in layout.tolist()])
-    hi = np.concatenate([sets[s][1][1:] for s in layout.tolist()])
-    rset = np.repeat(layout, sizes[layout])  # each row's node set
-    open_ = np.isfinite(tols).reshape(len(sets), width)[rset]  # (row, key): the integral is open
-    value, bound = np.zeros((2, n))
-    evals, kept = np.zeros((2, n), dtype=np.int64)
+    tols = np.array([[todo.get(key, np.inf) for key in keys] for *_, todo in sets])
+    open_ = np.isfinite(tols)  # (set, key): the integral is open
+    table = np.array([args for args, _, _ in sets]).T  # a row per rate, a column per set
+    lo = np.array([span[0] for _, span, _ in sets])
+    n = np.array([span[1] for _, span, _ in sets])
+    on_set = np.array([next(iter(todo))[3] for *_, todo in sets])
+    # per integral: its sum over the nodes so far, and its envelope's
+    total, env, value, bound = np.zeros((4, *tols.shape))
+    evals = np.zeros(tols.shape, dtype=np.int64)
     # One errstate for the whole call: the integrands may overflow or turn
     # NaN, which the finiteness check below reports instead of numpy.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        while True:
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            mid_om = 0.5 * ((1.0 - hi) + (1.0 - lo))  # the midpoint in 1 - t
-            resk, resg, resabs, resasc = np.zeros((4, lo.size, width))
-            on = on_set[rset]
-            for s, e in _blocks(on):
-                # Nodes in t and in 1 - t, each from its own midpoint: near
-                # t = 1, where the integrand in t peaks for slowly decaying
-                # links, 1 - t rounded from t would move the nodes by
-                # ~1e-16 / (1 - t) relative.
-                offsets = half[s:e, None] * _NODES
-                om = mid_om[s:e, None] - offsets
-                y = (mid[s:e, None] + offsets) / om
-                jac = om * om
-                # one set's rates as floats, several sets' as a column each
-                rates = sets[rset[s]][0] if rset[s] == rset[e - 1] else table[rset[s:e]].T[:, :, None]
-                laws = _Laws(on[s], y, *rates)
-                envelopes = {}  # per law, its Kronrod sums on the block's rows
-                counts = np.count_nonzero(open_[s:e], axis=0).tolist()
-                for col, (key, c) in enumerate(zip(keys, counts)):
-                    if not c:
-                        continue
-                    # the block's rows that the key's integrals are open on
-                    rows = slice(None) if c == e - s else np.flatnonzero(open_[s:e, col])
-                    f, env = _integrand(key, lambda *law: laws[law][rows])
-                    bad = ~np.isfinite(f)
-                    if bad.any():
+        for k in range(_HALVINGS + 1):
+            h = _H0 / 2**k
+            # each open integral's sums over the round's new nodes: those
+            # of even and of odd index in the grid of step h
+            even, odd, env_new = np.zeros((3, *tols.shape))
+            count = np.where(open_.any(axis=1), n + 1 if k == 0 else n << (k - 1), 0)
+            for relay_on in (True, False):
+                live = np.flatnonzero(count * (on_set == relay_on))
+                if not live.size:
+                    continue
+                c = count[live]
+                node_set = np.repeat(live, c)
+                # each node's index in its set's grid: all of them in the
+                # first round, the odd ones after
+                m = np.arange(node_set.size) - np.repeat(np.cumsum(c) - c, c)
+                if k:
+                    m = 2 * m + 1
+                y = np.exp(lo[node_set] + h * m)
+                bins = 2 * node_set + (m & 1)
+                # one set's rates as floats, several sets' as an array each
+                rates = sets[live[0]][0] if live.size == 1 else table[:, node_set]
+                laws = _Laws(relay_on, y, *rates)
+                envelopes = {}  # per law, its sum per set
+                for col in np.flatnonzero(open_[live].any(axis=0)).tolist():
+                    on_key = open_[:, col]
+                    # the nodes of the sets that the key's integral is open on
+                    rows = slice(None) if on_key[live].all() else on_key[node_set]
+                    f, e = _integrand(keys[col], lambda *law: laws[law][rows])
+                    sums = np.bincount(bins[rows], weights=f * y[rows], minlength=2 * len(sets))
+                    if not np.isfinite(sums).all():  # a set sums to inf or NaN where f is one
+                        bad = ~np.isfinite(f)
                         found = " and ".join(sorted(set(map(str, f[bad].tolist()))))
                         found += f", first at y = {float(y[rows][bad][0])!r}"
                         raise NumericError(f"quadrature failed: the integrand evaluates to {found}")
-                    if env not in envelopes:
-                        envelopes[env] = (_padded(laws[env], jac) @ _WK21)[: e - s]
-                    f = _padded(f, jac[rows])
-                    rk, rg = (f @ _WKG).T
-                    at = slice(s, e), col
-                    resk[at][rows], resg[at][rows] = rk[:c], rg[:c]
-                    resabs[at][rows] = envelopes[env][rows]
-                    resasc[at][rows] = (np.abs(f - 0.5 * rk[:, None]) @ _WK21)[:c]
-
-            # in place: the (row, key) arrays grow with the batch's open rows
-            half = half[:, None]
-            resabs *= half
-            resasc *= half
-            err = np.abs(np.subtract(resk, resg, out=resg), out=resg)
-            err *= half
-            val = np.multiply(resk, half, out=resk)
-            pos = resasc > 0.0
-            ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=pos)
-            np.minimum(1.0, np.power(ratio, 1.5, out=ratio), out=ratio)
-            np.copyto(err, np.multiply(resasc, ratio, out=ratio), where=pos)
-            floor = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
-            np.maximum(err, floor, out=err)
-
-            # each (row, key) entry's integral; each integral's sums run in
-            # row order, which is t order within a set
-            integral = rset[:, None] * width + np.arange(width)
-            owned = integral[open_]
-            open_count = np.bincount(owned, minlength=n)
-            evals += 21 * open_count
-            done = bound + np.bincount(owned, weights=err[open_], minlength=n) <= tols
-            share = np.maximum(tols.reshape(-1, width)[rset] * (hi - lo)[:, None], floor)
-            accept = open_ & (done.reshape(-1, width)[rset] | (err <= share))
-            taken = integral[accept]
-            value += np.bincount(taken, weights=val[accept], minlength=n)
-            bound += np.bincount(taken, weights=err[accept], minlength=n)
-            taken_count = np.bincount(taken, minlength=n)
-            kept += taken_count
-            if np.any(kept + 2 * (open_count - taken_count) > _QUAD_LIMIT):
-                raise NumericError(f"quadrature failed: more than {_QUAD_LIMIT} intervals needed")
-
-            open_ &= ~accept
-            halved = open_.any(axis=1)  # rows still open
-            if not halved.any():
+                    even[:, col], odd[:, col] = sums.reshape(-1, 2).T
+                    if e not in envelopes:
+                        envelopes[e] = np.bincount(node_set, weights=laws[e] * y, minlength=len(sets))
+                    env_new[:, col] = envelopes[e]  # read only where the integral is open
+            evals += open_ * count[:, None]
+            # 0 where closed, so a closed integral's sums stay as they were
+            coarse = total + even  # the sum at step 2h
+            total = coarse + odd
+            env += env_new
+            np.copyto(value, h * total, where=open_)
+            np.copyto(bound, h * np.abs(total - 2.0 * coarse) + 50.0 * _EPS * h * env, where=open_)
+            open_ &= ~(bound <= tols)
+            if not open_.any():
                 break
-            lo, mid, hi, rset, open_ = lo[halved], mid[halved], hi[halved], rset[halved], open_[halved]
-            if np.any((mid <= lo) | (mid >= hi)):
-                # the midpoint rounds onto an end: t cannot resolve the integrand
-                raise NumericError("quadrature failed: an interval is too short to halve")
-            halves = np.stack((lo, mid, mid, hi), axis=1)  # [lo, mid], [mid, hi] per row
-            lo, hi = halves[:, 0::2].ravel(), halves[:, 1::2].ravel()
-            rset, open_ = np.repeat(rset, 2), np.repeat(open_, 2, axis=0)
-    over = np.flatnonzero(~(bound <= tols))
-    if over.size:
-        k = over[0]
-        raise NumericError(
-            f"quadrature error bound {bound[k]:.3e} exceeds requested tolerance {tols[k]:.3e}"
-        )
-    value, bound, evals = (a.reshape(len(sets), width).tolist() for a in (value, bound, evals))
+        else:
+            s, col = np.argwhere(open_)[0]
+            raise NumericError(
+                f"quadrature error bound {bound[s, col]:.3e} exceeds requested tolerance {tols[s, col]:.3e}"
+            )
+    value, bound, evals = value.tolist(), bound.tolist(), evals.tolist()
     return [{key: (v[col], b[col], c[col]) for col, key in enumerate(keys) if key in todo}
             for (*_, todo), v, b, c in zip(sets, value, bound, evals)]
 
@@ -408,10 +298,10 @@ def _integral_keys(scheme: Scheme, csi: CsiMode, metric: Metric, relay_on: bool)
     return ((metric, "main", csi, relay_on, m, e), (metric, "eaves", csi, relay_on, m, e))
 
 
-# A density's mass sits at y ~ 1/rate, where 1 - t ~ rate: below this rate
-# (a mean SNR above ~150 dB) the map cannot place nodes on it, and the
-# integral would miss it silently.
-_MIN_RATE = 2.0 ** -50
+# Below about 1e-155 a rate, the product r1 r2 in ``fading.sum_exp_pdf``
+# underflows and the density's mass is lost: the integral would miss it
+# silently.  Links must be at least this fast (a mean SNR up to ~1505 dB).
+_MIN_RATE = 2.0 ** -500
 
 
 def _check_links(params: SystemParams, key) -> None:
@@ -420,16 +310,16 @@ def _check_links(params: SystemParams, key) -> None:
     part, relay_on = key[1], key[3]
     side = (params.beta_sd, params.beta_rd) if part == "main" else (params.alpha_se, params.alpha_re)
     if min(side[: 2 if relay_on else 1]) < _MIN_RATE:
-        raise NumericError(f"quadrature cannot resolve a link rate below 2^-50 at {params}")
+        raise NumericError(f"quadrature cannot resolve a link rate below 2^-500 at {params}")
 
 
 class _Laws(dict):
-    """The laws that a block's integrands read, each evaluated at its nodes
+    """The laws that a round's integrands read, each evaluated at its nodes
     ``y`` on first use: ``laws[name, side, mrc]`` is the destination's
     ("m") or the eavesdropper's ("e") SNR "pdf" (cut, :func:`_cut`), "cdf",
     "cdf_rho" (the CDF at rho (1 + y) - 1) or "log_pdf" (log1p(y) times
     the cut density) for the combiner ``mrc`` (see :func:`_snr_dist`), or
-    "log1p".  Each rate is a float or a column of one per row."""
+    "log1p".  Each rate is a float or an array of one per node."""
 
     def __init__(self, relay_on, y, rho, sd, rd, se, re):
         n = 2 if relay_on else 1  # a silent relay's laws read no relayed rate
@@ -489,8 +379,8 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
     advance in one :func:`_integrate` call, node set by node set, but for
     those ``shared``, a dict kept over one sweep's calls, holds for the same
     tag (no result depends on what else a batch holds).  Each cell's keys
-    are worked out once per call, and each node set's mesh once.  Each
-    branch's bound is within ``tol`` on its own, so each cell's is too.
+    are worked out once per call.  Each branch's bound is within ``tol`` on
+    its own, so each cell's is too.
     Returns per point one :class:`QuadratureResult` per cell, in order; its
     ``evaluations`` count every integral the cell reads, shared ones
     included.
@@ -522,8 +412,7 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
                         todo[key] = key_tol
                 if todo:
                     args = (params.rho, params.beta_sd, params.beta_rd, params.alpha_se, params.alpha_re)
-                    mesh = fading.shared_value(shared, ("mesh", relay_on), fields[1:], _mesh, fields[1:])
-                    sets[tag] = args, mesh, todo
+                    sets[tag] = args, _span(fields[1:]), todo
             branches.append((weight, relay_on, found[tag]))
         plans.append(branches)
     if sets:
@@ -547,12 +436,12 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL, shared=None):
 def quadrature_sop(
     params: SystemParams, scheme: Scheme, csi: CsiMode, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
-    """Outage probability by adaptive quadrature (one :func:`quadrature_cells` cell)."""
+    """Outage probability by quadrature (one :func:`quadrature_cells` cell)."""
     return quadrature_cells([params], ((scheme, csi, Metric.SOP),), tol)[0][0]
 
 
 def quadrature_esr(
     params: SystemParams, scheme: Scheme, csi: CsiMode, tol: float = DEFAULT_QUAD_TOL
 ) -> QuadratureResult:
-    """Ergodic secrecy rate (bpcu) by adaptive quadrature (one :func:`quadrature_cells` cell)."""
+    """Ergodic secrecy rate (bpcu) by quadrature (one :func:`quadrature_cells` cell)."""
     return quadrature_cells([params], ((scheme, csi, Metric.ESR),), tol)[0][0]

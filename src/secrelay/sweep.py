@@ -227,12 +227,12 @@ def _curve(spec: SweepSpec, cells, variant: Variant):
 
 # Points per quadrature batch: a --quad-tol sweep hands each curve's points
 # to ``oracles.quadrature_cells`` in slices of at most this many, which
-# share the integrator's per-round and per-block call overhead: a block of
-# nodes spans the slice's decode branches, and each law it reads is one
-# call.  Larger slices gain little (on a shared 2-vCPU container the six
-# presets at tol 1e-9 took 196 ms at one point per batch, 81 ms at 16 and
-# 75 ms at 32) while a batch's interval arrays grow with them (1.6 MiB at
-# 16 against 2.2 MiB at 32 on a 31-point curve).  A Monte Carlo sweep
+# share the integrator's per-round call overhead: a round evaluates each
+# law once per decode branch on the new nodes of all the slice's points.
+# Larger slices gain little (on a shared 2-vCPU container the six presets
+# at tol 1e-9 took 149 ms at one point per batch, 54 ms at 16 and 53 ms at
+# 32) while a batch's node arrays grow with them (1.2 MiB at 16 against
+# 2.3 MiB at 32 on a 31-point curve).  A Monte Carlo sweep
 # takes one point per slice, so ``--jobs`` spreads it point by point; a
 # sweep without an oracle takes one slice per curve, since its closed forms
 # are pure Python that worker threads never ran in parallel.

@@ -307,8 +307,7 @@ def test_sliced_quadrature_equals_one_point_calls(name, monkeypatch):
 
 def test_quadrature_sweep_memory_does_not_grow_with_the_axis(monkeypatch):
     # a 400-point sweep of all 16 cells: what a batch allocates beyond what
-    # was live when it started is bounded by the slice and block sizes, not
-    # by the axis
+    # was live when it started is bounded by the slice size, not by the axis
     peaks = []
     quadrature_cells = oracles.quadrature_cells
 
@@ -492,7 +491,7 @@ def test_cells_match_per_cell_calls():
 
 
 def test_quadrature_store_reads_back_only_its_own_fields(monkeypatch):
-    # at 40 dB relay hops the tolerance decides how far intervals are halved
+    # at 40 dB relay hops the tolerance decides how often the step is halved
     params = params_from_db(0.0, 3.0, 3.0, 40.0, 40.0, 3.0, 1.0)
     shared = {}
     (fresh,) = oracles.quadrature_cells([params], ALL_CELLS, 1e-9)

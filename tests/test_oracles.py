@@ -258,8 +258,8 @@ def test_quadrature_unreachable_tolerance_raises(base_params):
 
 
 def test_quadrature_bound_over_tolerance_raises(base_params):
-    # intervals at their round-off floor are accepted whatever their share
-    # of the tolerance; here they add up to a bound of ~1.1e-14
+    # the round-off floor, 50 eps times the envelope's integral, does not
+    # shrink as the step is halved; here it is a bound of ~1.1e-14
     from secrelay.errors import NumericError
 
     with pytest.raises(NumericError, match="exceeds requested tolerance"):
@@ -269,7 +269,10 @@ def test_quadrature_bound_over_tolerance_raises(base_params):
 # fig7 case I at 50 dB on the R-D link; fig4's 40 dB direct link with the
 # threshold at both ends of its sweep; equal destination and equal
 # eavesdropper rates at 30 dB; both rate pairs 1e-5 apart, where the
-# two-term sum-of-exponentials formula cancels to ~eps/gap.
+# two-term sum-of-exponentials formula cancels to ~eps/gap; links from -17
+# to 97 dB at a small target rate, where an adaptive Gauss-Kronrod rule
+# reported bounds of ~1e-10 on errors of up to 1.7e-4; unequal links at
+# 140 dB, whose outages are ~1e-27.
 _FIG7_BASE = params_from_db(0.0, 3.5, 3.0, 30.0, 50.0, 3.0, 1.0)
 _FIG4_BASE = params_from_db(0.0, 3.0, 40.0, 3.0, 3.0, 3.0, 1.0)
 _DEFAULT = params_from_db(0.0, 3.0, 3.0, 10.0, 10.0, 3.0, 1.0)
@@ -281,6 +284,8 @@ HONESTY_POINTS = {
     "near_equal_rates": _DEFAULT.with_(
         beta_rd=_DEFAULT.beta_sd * (1.0 + 1e-5), alpha_re=_DEFAULT.alpha_se * (1.0 + 1e-5)
     ),
+    "wide_links_small_rate": params_from_db(65.0, -13.0, 97.0, -17.0, 70.0, 15.0, 0.05),
+    "unequal_140db": params_from_db(0.0, 3.0, 140.0, 143.0, 138.0, 3.0, 0.5),
 }
 
 
@@ -298,11 +303,10 @@ def test_quadrature_bound_covers_mpmath_reference(point, tol):
 
 
 def test_quadrature_counts_integrand_evaluations(base_params):
-    # 21 Kronrod nodes per interval; the rate integrates two functions per
-    # decode branch, the outage one
+    # the nodes each integral evaluated; the rate integrates two functions
+    # per decode branch, the outage one
     sop_q = oracles.quadrature_sop(base_params, Scheme.MRC_SC, CsiMode.CSI)
     esr_q = oracles.quadrature_esr(base_params, Scheme.MRC_SC, CsiMode.CSI)
-    assert sop_q.evaluations % 21 == 0 and esr_q.evaluations % 21 == 0
     assert esr_q.evaluations > sop_q.evaluations > 0
     # one branch alone: the relay always decodes at gamma_th 0, never at inf
     on = oracles.quadrature_sop(base_params.with_(gamma_th=0.0), Scheme.MRC_SC, CsiMode.CSI)
@@ -320,28 +324,57 @@ def test_quadrature_integrates_slow_links_across_wide_gaps():
         assert abs(q.value - ref) <= q.abs_error_bound
 
 
-@pytest.mark.parametrize("db", [250.0, 300.0, 600.0])
+@pytest.mark.parametrize("db", [1600.0, 3000.0])
 @pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
-def test_quadrature_refuses_links_too_slow_for_the_map(db, metric):
-    # an eavesdropper link's mass at y ~ 10^(db/10) lies closer to t = 1 than
-    # the map resolves; the integral used to miss it (an outage of 2.5e-16
-    # against a true ~1 at 300 dB) instead of failing
-    from secrelay.errors import NumericError
-
+def test_quadrature_refuses_links_too_slow_for_the_laws(db, metric):
+    # below a rate of ~1e-155 the sum-of-exponentials density's r1 r2
+    # underflows; unguarded, 4 of 16 cells fell outside their bound at
+    # 1600 dB, and at 3000 dB the outages without CSI read 9e-18 against 1
     params = params_from_db(db, db, 10.0, 10.0, 10.0, 3.0, 0.5)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="2\\^-500"):
         oracles.quadrature_cells([params], ((Scheme.MRC_SC, CsiMode.NOCSI, metric),), 1e-9)
 
 
-def test_quadrature_refuses_more_intervals_than_its_limit(monkeypatch):
-    # at 40 dB relay hops a rate's decoding-branch integrals start on 30
-    # intervals and halve one: a limit of 32 holds them, one of 31 does not
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("db", [250.0, 600.0, 1500.0])
+@pytest.mark.parametrize("side", ["eavesdropper", "destination"])
+def test_quadrature_integrates_slow_links_within_its_bound(side, db, tol):
+    # a link's mass sits at u ~ -log(rate) wherever that is: the grid
+    # reaches it, up to the laws' limit of 2^-500
+    if side == "eavesdropper":
+        params = params_from_db(db, db, 10.0, 10.0, 10.0, 3.0, 0.5)
+    else:
+        params = params_from_db(0.0, 3.0, db, 10.0, db, 3.0, 0.5)
+    (batch,) = oracles.quadrature_cells([params], ALL_CELLS, tol)
+    for (scheme, csi, metric), q in zip(ALL_CELLS, batch, strict=True):
+        ref = mp_reference(params, scheme, csi, metric.value)
+        assert 0.0 < q.abs_error_bound <= tol
+        assert abs(q.value - ref) <= q.abs_error_bound, (scheme, csi, metric, q, ref)
+
+
+def test_quadrature_at_a_rate_of_1e308():
+    # the grid starts at log(1e-18) - log(rate), where log(1e-18 / rate)
+    # would be log(0): an SC eavesdropper's integrals reach their bound, and
+    # the MRC eavesdropper density's r1 r2 overflows, which is a
+    # NumericError, not a ValueError from the grid
+    params = params_from_db(-3080.0, -3080.0, 10.0, 10.0, 10.0, 3.0, 0.5)
+    cell = (Scheme.MRC_SC, CsiMode.NOCSI, Metric.SOP)
+    ((q,),) = oracles.quadrature_cells([params], [cell], 1e-9)
+    assert abs(q.value - mp_reference(params, *cell[:2], "sop")) <= q.abs_error_bound
+    with pytest.raises(NumericError, match="integrand evaluates to"):
+        oracles.quadrature_cells([params], ALL_CELLS, 1e-9)
+
+
+def test_quadrature_refuses_more_halvings_than_its_limit(monkeypatch):
+    # the first grid's bound, against the rule at twice its step, is
+    # ~6e-7 where the rate's integrals each get ~7e-10: the point needs one
+    # halving
     params = params_from_db(0.0, 3.0, 3.0, 40.0, 40.0, 3.0, 1.0)
     cell = (Scheme.MRC_SC, CsiMode.NOCSI, Metric.ESR)
-    monkeypatch.setattr(oracles, "_QUAD_LIMIT", 32)
+    monkeypatch.setattr(oracles, "_HALVINGS", 1)
     oracles.quadrature_cells([params], [cell], 1e-9)
-    monkeypatch.setattr(oracles, "_QUAD_LIMIT", 31)
-    with pytest.raises(NumericError, match="more than 31 intervals needed"):
+    monkeypatch.setattr(oracles, "_HALVINGS", 0)
+    with pytest.raises(NumericError, match="exceeds requested tolerance"):
         oracles.quadrature_cells([params], [cell], 1e-9)
 
 
@@ -400,7 +433,7 @@ def _node_set(params, relay_on, metrics):
         for key in oracles._integral_keys(scheme, csi, metric, relay_on)
     }
     args = (params.rho, params.beta_sd, params.beta_rd, params.alpha_se, params.alpha_re)
-    return args, oracles._mesh(fields[1:]), integrals
+    return args, oracles._span(fields[1:]), integrals
 
 
 def test_batch_leaves_each_node_set_unchanged():
@@ -454,11 +487,12 @@ _LAWS = ("exp_cdf", "exp_pdf", "sum_exp_cdf", "sum_exp_pdf", "max_exp_cdf", "max
 
 
 def test_a_node_set_evaluates_each_law_once(base_params, monkeypatch):
-    # the point converges in one round, one block per node set (decode
-    # branch): its 26 integrals read each (law, combiner, argument) once, 10
-    # with the relay on (each combiner's density and CDF at y at both
-    # receivers, and its CDF at rho (1 + y) - 1 at the destination) and 5
-    # with it off, the laws that the 16 cells read one at a time
+    # the point converges in two rounds, the first grid and its midpoints:
+    # in each, its 26 integrals read each (law, combiner, argument) once per
+    # node set (decode branch), 10 with the relay on (each combiner's
+    # density and CDF at y at both receivers, and its CDF at rho (1 + y) - 1
+    # at the destination) and 5 with it off, the laws that the 16 cells read
+    # one at a time
     calls = []
     for name in _LAWS:
 
@@ -471,7 +505,7 @@ def test_a_node_set_evaluates_each_law_once(base_params, monkeypatch):
     assert 0.0 < fading.decode_probability(base_params) < 1.0
     oracles.quadrature_cells([base_params], ALL_CELLS)
     batch = Counter(calls)
-    assert max(batch.values()) == 1 and len(batch) == 10 + 5
+    assert max(batch.values()) == 1 and len(batch) == 2 * (10 + 5)
     alone = set()
     for cell in ALL_CELLS:
         calls.clear()

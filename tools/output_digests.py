@@ -10,7 +10,10 @@ crosses ``beta_rd == beta_sd`` at 3 dB, which no preset does for every
 cell, and the quadrature ones put a point's 26 integrals into each batch
 of a slice of points, reading the integrals of earlier batches from the
 sweep's store, which neither the presets (SOP and ESR apart) nor
-``validate`` (one point per call, no store) do.  Each runs in a fresh
+``validate`` (one point per call, no store) do; and a ``--quad-tol 1e-9``
+sweep of all 16 cells on ``balanced-snr-db`` from 60 to 140 dB, at
+``--jobs 1`` and at ``--jobs 2``, whose links span the widest ranges, so
+the longest node grids, of any output here.  Each runs in a fresh
 interpreter on this tree's ``src``, and each line gives the digest, the
 exit code and the command.  Run it in two checkouts and diff what it
 prints to see whether a change moved any byte.
@@ -38,6 +41,8 @@ AD_HOC = [
     for how in (["--asymptote"], ["--quad-tol", "1e-9"])
     for axis in ("beta-rd-db", "balanced-snr-db")
 ]
+HIGH_SNR = ["sweep", "--axis", "balanced-snr-db", "--from-db", "60", "--to-db", "140", "--step-db", "5",
+            "--metric", "both", "--quad-tol", "1e-9"]
 
 
 def _digest(args):
@@ -49,7 +54,7 @@ def _digest(args):
 
 def main() -> int:
     runs = [["sweep", "--preset", name] for name in PRESET_NAMES]
-    pairs = [["sweep", "--preset", name, "--quad-tol", "1e-9"] for name in PRESET_NAMES] + [VALIDATE, *AD_HOC]
+    pairs = [["sweep", "--preset", name, "--quad-tol", "1e-9"] for name in PRESET_NAMES] + [VALIDATE, *AD_HOC, HIGH_SNR]
     differ = []
     for args in runs:
         print("%s %d %s" % (*_digest(args), " ".join(args)))
