@@ -43,7 +43,6 @@ from .fading import (
     check_cells,
     decode_branches,
     decode_probability,
-    shared_value,
 )
 
 __all__ = [
@@ -259,6 +258,16 @@ def _eiexp_dd2(s1, s2, a1, a2):
     ) / c
 
 
+def _stored(store: dict, ident, tag, compute, *args):
+    """``compute(*args)``, or the value ``store`` holds for ``ident`` if it
+    was computed for the same ``tag`` (the fields it read).  One slot per
+    identity, overwritten on a new tag, bounds the store."""
+    slot = store.get(ident)
+    if slot is None or slot[0] != tag:
+        slot = store[ident] = tag, compute(*args)
+    return slot[1]
+
+
 def _validate(params, cells):
     if not isinstance(params, SystemParams):
         raise DomainError(f"params must be SystemParams, got {type(params).__name__}")
@@ -316,7 +325,7 @@ def _functional(store, metric, csi, eaves, params):
         return lambda *m: 1.0 + _mixture(*m, phi, phi_dd)
 
     # E[ln(1 + X)] of a mixture is -sum_i c_i eiexp(s_i).
-    eiexp_at = shared_value(store, "eiexp", None, _memoized, lambda x: eiexp(x))
+    eiexp_at = _stored(store, "eiexp", None, _memoized, lambda x: eiexp(x))
     if csi is CsiMode.NOCSI:
         # The eavesdropper's term reads no destination rate: kept per curve.
         eaves_term = _memoized(lambda: _mixture(*eaves, eiexp_at, _eiexp_dd))
@@ -348,8 +357,7 @@ def _bound(store, metric, csi, params, scheme, relay_on):
     # mode and eavesdropper combiner.
     eaves = _receivers(params, scheme, relay_on)[1]
     tag = (params.rate_rs, params.alpha_se, params.alpha_re)
-    return shared_value(store, (metric, csi, eaves[0]), tag, _functional, store, metric, csi, eaves,
-                        params)
+    return _stored(store, (metric, csi, eaves[0]), tag, _functional, store, metric, csi, eaves, params)
 
 
 def _conditional(bracket, metric, params, scheme, csi, relay_on):
@@ -406,25 +414,25 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
 # ---------------------------------------------------------------------------
 
 
-def cells(points, cells, shared=None) -> list[list[float]]:
+def cells(points, cells) -> list[list[float]]:
     """Closed-form value of each (scheme, csi, metric) cell
     (:func:`fading.check_cells`) at each of ``points``: one list per point,
     in order.
 
     Each cell mixes the values of the decode branches of
-    :func:`fading.decode_branches` with their weights.  ``shared``, a dict
-    kept over one sweep's calls, has a slot per branch, read back while its
-    ``fields`` (with the relay silent, not the scheme) are unchanged
-    (:func:`fading.shared_value`), one per :func:`_functional` and one
-    ``eiexp`` cache; each functional's ``phi`` and ``phi[s1, s2]`` and the
-    ``eiexp`` cache keep their :data:`_MEMO_SIZE` most recently used
-    arguments (``functools.lru_cache``).  The cells are checked, and each
-    cell's slots and functionals bound, once per call (and again at a point
-    whose ``rate_rs`` or eavesdropper links differ from the last), so a
-    sweep passes it a whole curve.
+    :func:`fading.decode_branches` with their weights.  The call keeps a
+    store with a slot per branch, read back while its ``fields`` (with the
+    relay silent, not the scheme) are unchanged (:func:`_stored`), one per
+    :func:`_functional` and one ``eiexp`` cache; each functional's ``phi``
+    and ``phi[s1, s2]`` and the ``eiexp`` cache keep their
+    :data:`_MEMO_SIZE` most recently used arguments
+    (``functools.lru_cache``).  The cells are checked, and each cell's slots
+    and functionals bound, once per call (and again at a point whose
+    ``rate_rs`` or eavesdropper links differ from the last), so a sweep
+    passes it all its points, curve by curve.
     """
-    check_cells(cells)
-    shared = {} if shared is None else shared
+    cells = check_cells(cells)
+    store = {}
     tag, out = None, []
     for params in points:
         _validate(params, ())
@@ -435,7 +443,7 @@ def cells(points, cells, shared=None) -> list[list[float]]:
             bound = [
                 (scheme, csi, metric, [
                     ((metric, csi, on, scheme if on else None),
-                     _bound(shared, metric, csi, params, scheme, on))
+                     _bound(store, metric, csi, params, scheme, on))
                     for on in (False, True)
                 ])
                 for scheme, csi, metric in cells
@@ -446,8 +454,8 @@ def cells(points, cells, shared=None) -> list[list[float]]:
             value = 0.0
             for weight, relay_on, fields in branches:
                 ident, bracket = sides[relay_on]
-                value += weight * shared_value(
-                    shared, ident, fields, _conditional, bracket, metric, params, scheme, csi, relay_on
+                value += weight * _stored(
+                    store, ident, fields, _conditional, bracket, metric, params, scheme, csi, relay_on
                 )
             values.append(min(1.0, max(0.0, value)) if metric is Metric.SOP else value)
         out.append(values)

@@ -97,17 +97,26 @@ class Metric(Enum):
 SCHEME_ORDER = (Scheme.MRC_SC, Scheme.MRC_MRC, Scheme.SC_SC, Scheme.SC_MRC)
 
 
-def check_cells(cells) -> None:
-    """:class:`DomainError` unless each cell is a (Scheme, CsiMode, Metric) triple of members."""
+def check_cells(cells) -> tuple:
+    """The cells as a tuple, so that an iterator of them is read once;
+    :class:`DomainError` unless each is a (Scheme, CsiMode, Metric) triple
+    of members."""
+    cells = tuple(cells)
     for cell in cells:
         if not (len(cell) == 3 and all(map(isinstance, cell, (Scheme, CsiMode, Metric)))):
             raise DomainError(f"a cell is (Scheme, CsiMode, Metric) members, got {cell!r}")
+    return cells
+
+
+def _is_real(value) -> bool:
+    # an int or a float, but not a bool, which is an int to isinstance
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def check_tolerance(value, name: str, zero: bool = False) -> None:
     """:class:`DomainError` unless ``value`` is a finite real number above 0
     (at least 0 where ``zero``)."""
-    ok = isinstance(value, (int, float)) and (value >= 0.0 if zero else value > 0.0)
+    ok = _is_real(value) and (value >= 0.0 if zero else value > 0.0)
     if not (ok and math.isfinite(value)):
         raise DomainError(f"{name} must be {'>= 0' if zero else 'positive'} and finite, got {value!r}")
 
@@ -134,12 +143,12 @@ class SystemParams:
     def __post_init__(self):
         for name in ("alpha_se", "alpha_re", "beta_sd", "beta_sr", "beta_rd"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0.0 and math.isfinite(v)):
+            if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
                 raise DomainError(f"{name} must be a positive finite rate, got {v!r}")
-        if not (isinstance(self.gamma_th, (int, float)) and self.gamma_th >= 0.0):
+        if not (_is_real(self.gamma_th) and self.gamma_th >= 0.0):
             raise DomainError(f"gamma_th must be >= 0, got {self.gamma_th!r}")
         # rho = 2^(2 rate_rs) overflows a double from rate_rs = 512 on.
-        if not (isinstance(self.rate_rs, (int, float)) and 0.0 <= self.rate_rs < 512.0):
+        if not (_is_real(self.rate_rs) and 0.0 <= self.rate_rs < 512.0):
             raise DomainError(
                 f"rate_rs must be >= 0 and below 512 (finite rho), got {self.rate_rs!r}"
             )
@@ -382,17 +391,6 @@ def decode_branches(params: SystemParams) -> list[tuple[float, bool, tuple[float
     on = (p_on, True, (p.rate_rs, p.alpha_se, p.alpha_re, p.beta_sd, p.beta_rd))
     off = (1.0 - p_on, False, (p.rate_rs, p.alpha_se, p.beta_sd))
     return [branch for branch in (on, off) if branch[0] != 0.0]
-
-
-def shared_value(shared: dict, ident, tag, compute, *args):
-    """``compute(*args)``, or the value ``shared`` holds for ``ident`` if it
-    was computed for the same ``tag`` (the fields it read).  One slot per
-    identity, overwritten on a new tag, bounds the store; only finished
-    values go in, so threads may share it."""
-    slot = shared.get(ident)
-    if slot is None or slot[0] != tag:
-        slot = shared[ident] = tag, compute(*args)
-    return slot[1]
 
 
 # ---------------------------------------------------------------------------

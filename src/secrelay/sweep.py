@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, EnumMeta
-from functools import partial
 from typing import Iterable, NamedTuple, Optional, TextIO, Union
 
 from . import asymptotics, closed_form
@@ -193,14 +192,21 @@ def _estimate(mc, scheme, csi, metric):
     return mc.sop(scheme, csi) if metric is Metric.SOP else mc.esr(scheme, csi)
 
 
-def _map(fn, items, n_jobs):
-    """``[fn(x) for x in items]``, on ``n_jobs`` worker threads if above 1;
-    results come back in ``items`` order."""
-    if n_jobs > 1 and len(items) > 1:
+def _monte_carlo(points, trials, seed, n_jobs):
+    """``oracles.monte_carlo_all`` at each of ``points``, keyed by its index,
+    on ``n_jobs`` worker threads if above 1 (the numpy kernel releases the
+    GIL); results come back in ``points`` order.  The oracle is looked up at
+    each call, so a wrapper installed in its module takes effect."""
+    from . import oracles
+
+    def run(i):
+        return oracles.monte_carlo_all(points[i], trials, seed, point=i)
+
+    if n_jobs > 1 and len(points) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+            return list(pool.map(run, range(len(points))))
+    return [run(i) for i in range(len(points))]
 
 
 _FLOOR_CELL = (Scheme.MRC_MRC, CsiMode.NOCSI, Metric.SOP)
@@ -225,60 +231,37 @@ def _curve(spec: SweepSpec, cells, variant: Variant):
     return variant, axis, params, shared
 
 
-# Points per quadrature batch: a --quad-tol sweep hands each curve's points
-# to ``oracles.quadrature_cells`` in slices of at most this many, which
-# share the integrator's per-round call overhead: a round evaluates each
-# law once per decode branch on the new nodes of all the slice's points.
-# Larger slices gain little (on a shared 2-vCPU container the six presets
-# at tol 1e-9 took 149 ms at one point per batch, 54 ms at 16 and 53 ms at
-# 32) while a batch's node arrays grow with them (1.2 MiB at 16 against
-# 2.3 MiB at 32 on a 31-point curve).  A Monte Carlo sweep
-# takes one point per slice, so ``--jobs`` spreads it point by point; a
-# sweep without an oracle takes one slice per curve, since its closed forms
-# are pure Python that worker threads never ran in parallel.
-QUAD_SLICE = 16
-
-
-def _slices(spec: SweepSpec, curves):
-    """``(index of the first point, curve, its (axis value, parameters)
-    pairs)`` per slice, each a run of one curve's points; points are
-    indexed curve-major."""
+def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
+    """Evaluate a sweep; rows come back in deterministic axis-major order
+    (variant, then axis value, then metric/mode, scheme fastest) regardless
+    of the worker count.  The closed forms of all points, curve by curve,
+    run in one :func:`closed_form.cells` call, then the oracle column: the
+    quadratures in one ``quadrature_cells`` call, or one Monte Carlo run
+    per point on ``n_jobs`` worker threads; then each point's rows and
+    lines.  Each call keeps its decode-branch results for the call, so a
+    branch the axis does not reach is computed once per curve, not once
+    per point."""
+    spec.validate()
+    cells = _cells(spec.metrics, spec.modes, spec.schemes)
+    curves = [_curve(spec, cells, variant) for variant in spec.variants]
     values = spec.axis_values()
-    if isinstance(spec.oracle, QuadOracle):
-        size = QUAD_SLICE
-    elif isinstance(spec.oracle, McOracle):
-        size = 1
-    else:
-        size = len(values)
-    slices = []
-    for c, curve in enumerate(curves):
-        _, axis, params, _ = curve
-        points = [(value_db, _apply_axis(params, axis, value_db)) for value_db in values]
-        slices += [(c * len(values) + i, curve, points[i:i + size]) for i in range(0, len(values), size)]
-    return slices
-
-
-def _slice_rows(spec: SweepSpec, cells, cf_store, quad_store, item):
-    """One slice's rows: an oracle column pair per cell of each point (the
-    slice's quadratures in one call), then the slice's closed forms in one
-    call, then per point the curve's columns.  The stores are the sweep's."""
-    first, (variant, axis, _, shared), points = item
+    points = [(curve, value_db) for curve in curves for value_db in values]  # curve-major
+    grid = [_apply_axis(params, axis, value_db) for (_, axis, params, _), value_db in points]
+    cf_values = closed_form.cells(grid, cells)
     oracle = spec.oracle
-    if oracle is not None:
-        from . import oracles
     if isinstance(oracle, QuadOracle):
-        quads = oracles.quadrature_cells([p for _, p in points], cells, oracle.tol, quad_store)
-        columns = [[(q.value, None) for q in quad] for quad in quads]
+        from . import oracles
+        columns = [[(q.value, None) for q in quad]
+                   for quad in oracles.quadrature_cells(grid, cells, oracle.tol)]
     elif isinstance(oracle, McOracle):
-        columns = []
-        for i, (_, params) in enumerate(points):
-            mc = oracles.monte_carlo_all(params, oracle.trials, oracle.seed, point=first + i)
-            columns.append([(e.value, e.stderr) for e in (_estimate(mc, *cell) for cell in cells)])
+        columns = [[(e.value, e.stderr) for e in (_estimate(mc, *cell) for cell in cells)]
+                   for mc in _monte_carlo(grid, oracle.trials, oracle.seed, n_jobs)]
     else:
         columns = [[(None, None)] * len(cells)] * len(points)
-    values = closed_form.cells([params for _, params in points], cells, cf_store)
     rows = []
-    for (value_db, _), point_values, point_columns in zip(points, values, columns):
+    for ((variant, axis, _, shared), value_db), point_values, point_columns in zip(
+        points, cf_values, columns
+    ):
         for cell, value, column, (asym, *floors) in zip(cells, point_values, point_columns, shared):
             # Only a line reads the swept rate, so no other cell converts it.
             if isinstance(asym, asymptotics.Asymptote):
@@ -287,25 +270,6 @@ def _slice_rows(spec: SweepSpec, cells, cf_store, quad_store, item):
                 SweepRow(axis, value_db, variant.label, *cell, _METHOD, value, *column, asym, *floors)
             )
     return rows
-
-
-def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
-    """Evaluate a sweep; rows come back in deterministic axis-major order
-    (variant, then axis value, then metric/mode, scheme fastest) regardless
-    of the worker count.  The workers take one slice of a curve's points
-    at a time (:func:`_slices`).  The closed forms and the quadrature
-    oracle each keep a store of decode-branch results for this call, so a
-    branch the axis does not reach is computed once per curve, not once
-    per point."""
-    spec.validate()
-    cells = _cells(spec.metrics, spec.modes, spec.schemes)
-    curves = [_curve(spec, cells, variant) for variant in spec.variants]
-    # The oracles are numpy code: a closed-form sweep does not load them, and
-    # a sweep with an oracle loads them here, before any worker thread runs.
-    if spec.oracle is not None:
-        from . import oracles  # noqa: F401
-    chunks = _map(partial(_slice_rows, spec, cells, {}, {}), _slices(spec, curves), n_jobs)
-    return [row for chunk in chunks for row in chunk]
 
 
 def _fmt(value) -> str:
@@ -507,7 +471,11 @@ def run_validation(
     ``mc_sigmas * stderr + MC_ABS_FLOOR`` of the Monte Carlo estimate.
     Tolerances that make the check vacuous (a negative or infinite band)
     or unpassable (a zero band) raise :class:`DomainError` before any point
-    is evaluated.
+    is evaluated.  The grid's closed forms run in one
+    :func:`closed_form.cells` call, then its quadratures in one
+    ``quadrature_cells`` call, then one Monte Carlo run per point on
+    ``n_jobs`` worker threads, so a failing closed form raises before any
+    trial is drawn.
     """
     check_tolerance(quad_tol, "quad_tol")
     check_tolerance(tol_quad_abs, "tol_quad_abs")
@@ -517,23 +485,19 @@ def run_validation(
     grid = sample_grid(grid_size, seed)
     cells = _cells(Metric, CsiMode, SCHEME_ORDER)
     note_cell = cells.index((Scheme.MRC_SC, CsiMode.CSI, Metric.ESR))
-
-    def evaluate_point(item):
-        # Every closed form of the point is evaluated before any quadrature,
-        # so where both fail the closed form's fault is the one raised.
-        i, params = item
-        mc = oracles.monte_carlo_all(params, mc_trials, seed, point=i)
-        (cfs,) = closed_form.cells([params], cells)
-        quads = [q.value for q in oracles.quadrature_cells([params], cells, quad_tol)[0]]
+    cf_values = closed_form.cells(grid, cells)
+    quad_values = oracles.quadrature_cells(grid, cells, quad_tol)
+    mcs = _monte_carlo(grid, mc_trials, seed, n_jobs)
+    results = []
+    for params, cfs, quad, mc in zip(grid, cf_values, quad_values, mcs):
+        quads = [q.value for q in quad]
         diffs = []
         for cell, cf, q in zip(cells, cfs, quads):
             est = _estimate(mc, *cell)
             allowed = mc_sigmas * est.stderr + MC_ABS_FLOOR
             diffs += (abs(cf - q), abs(cf - est.value) / allowed)
         variant = closed_form.esr_mrc_sc_csi_variant(params)
-        return diffs + [abs(variant - quads[note_cell]), abs(cfs[note_cell] - quads[note_cell])]
-
-    results = _map(evaluate_point, list(enumerate(grid)), n_jobs)
+        results.append(diffs + [abs(variant - quads[note_cell]), abs(cfs[note_cell] - quads[note_cell])])
     # Each column's worst over the grid: every cell's |cf - quad| and
     # |cf - mc| / allowed, then the note's variant and shipped differences.
     # A NaN anywhere makes its column's worst NaN, which fails the row (a

@@ -1,16 +1,14 @@
-"""Tests for the per-sweep store of decode-branch results.
+"""Tests for the decode-branch results each evaluator call keeps.
 
-``run_sweep`` gives the closed forms (``closed_form.cells``) and the
-quadrature oracle (``oracles.quadrature_cells``) each a store that lives for
-one call; a branch value or integral whose fields the swept axis does not
-reach is computed once per curve.  The rows must be the bits of fresh,
-unshared calls at every point.
+``run_sweep`` hands all its points to one ``closed_form.cells`` call and,
+with a quadrature oracle, to one ``oracles.quadrature_cells`` call; each
+keeps the results of its decode branches for the call, so a branch value or
+integral whose fields the swept axis does not reach is computed once per
+curve.  The rows must be the bits of fresh calls at every point.
 """
 
-import concurrent.futures
 import dataclasses
 import io
-import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -23,14 +21,15 @@ from secrelay.errors import DomainError, NumericError
 from secrelay.fading import SCHEME_ORDER, CsiMode, Scheme, params_from_db
 from secrelay.sweep import (
     PRESET_NAMES,
-    QUAD_SLICE,
     Axis,
+    McOracle,
     Metric,
     QuadOracle,
     SweepSpec,
     Variant,
     figure_preset,
     run_sweep,
+    run_validation,
     write_csv,
 )
 
@@ -60,7 +59,7 @@ def _point(params, axis, value_db):
 
 def _unshared(spec, rows):
     """``rows`` with the value and oracle columns recomputed by per-cell
-    ``closed_form.sop``/``esr`` calls and one store-less
+    ``closed_form.sop``/``esr`` calls and one one-point
     ``quadrature_cells`` call per point."""
     variants = {v.label: v for v in spec.variants}
     points = {}
@@ -111,29 +110,6 @@ def test_shared_quadrature_is_thread_invariant(name, capsys):
     assert rows == _unshared(spec, rows)
 
 
-@pytest.mark.parametrize("oracle", [None, QuadOracle(1e-6)], ids=["closed_form", "quad"])
-def test_store_slots_shared_by_racing_threads(oracle):
-    # 8 curves of 3 points each on 8 threads, switching every microsecond:
-    # each silent-relay slot flips between the curves' direct links while
-    # other threads read it, the curves' rate cells share the store's eiexp
-    # cache, and every row must still be its own bits
-    spec = SweepSpec(
-        Axis.GAMMA_TH_DB, 0.0, 4.0, 2.0, BASE, metrics=(Metric.SOP, Metric.ESR), oracle=oracle,
-        variants=tuple(Variant(f"sd{k}", (("beta_sd", 0.25 * (k + 1)),)) for k in range(8)),
-    )
-    expected = run_sweep(spec)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            runs = [pool.submit(run_sweep, spec, 8) for _ in range(2)]
-            results = [f.result(timeout=120) for f in runs]
-    finally:
-        sys.setswitchinterval(interval)
-    assert results == [expected, expected]
-    assert expected == _unshared(spec, expected)
-
-
 def _counted_integrate(monkeypatch):
     batches = []
     integrate = oracles._integrate
@@ -149,12 +125,13 @@ def _counted_integrate(monkeypatch):
 def test_threshold_curves_integrate_at_their_first_point_only(monkeypatch):
     # fig4 sweeps gamma_th, which no integral reads: each of its 2 curves
     # integrates its 4 integrals (2 CSI modes x 2 branches) at its first
-    # point, and its other 40 points only mix them
+    # point, and its other 40 points only mix them; both curves' node sets
+    # go to the integrator in one batch
     batches = _counted_integrate(monkeypatch)
     spec = dataclasses.replace(figure_preset("fig4"), oracle=QuadOracle(1e-9))
     rows = run_sweep(spec)
     assert len(rows) == 2 * 41 * 2
-    assert batches == [4, 4]
+    assert batches == [2 * 4]
 
 
 def _counted_branches(monkeypatch):
@@ -184,10 +161,10 @@ def test_balanced_curves_share_the_silent_relay_branch(monkeypatch):
     )
     assert len(run_sweep(spec)) == 2 * 5 * 16
     assert calls == {False: 2 * 4, True: 2 * 5 * 16}
-    # one batch per curve (its 5 points are one slice): per point 20
-    # decoding-branch integrals, and the 6 silent-relay ones (2 outages,
-    # 2 + 2 rate sides) once
-    assert batches == [5 * 20 + 6] * 2
+    # one batch of the 2 curves' 12 node sets: per point 20 decoding-branch
+    # integrals, and per curve the 6 silent-relay ones (2 outages, 2 + 2
+    # rate sides) once
+    assert batches == [2 * (5 * 20 + 6)]
 
 
 def _entries(value, seen=None):
@@ -209,23 +186,18 @@ def _entries(value, seen=None):
     return n + sum(_entries(v, seen) for v in reached if v is not None)
 
 
-def _store_sizes(monkeypatch):
-    sizes = {}
-    cells, quadrature_cells = closed_form.cells, oracles.quadrature_cells
+def _stores(monkeypatch):
+    """The closed-form stores that calls read a slot of; a store only
+    grows, so its size after the call is its largest."""
+    stores = {}
+    stored = closed_form._stored
 
-    def cf_counted(params, cells_, shared=None):
-        out = cells(params, cells_, shared)
-        sizes["closed_form"] = max(sizes.get("closed_form", 0), _entries(shared))
-        return out
+    def recorded(store, *args):
+        stores[id(store)] = store
+        return stored(store, *args)
 
-    def quad_counted(points, cells_, tol, shared=None):
-        out = quadrature_cells(points, cells_, tol, shared)
-        sizes["quadrature"] = max(sizes.get("quadrature", 0), len(shared))
-        return out
-
-    monkeypatch.setattr(closed_form, "cells", cf_counted)
-    monkeypatch.setattr(oracles, "quadrature_cells", quad_counted)
-    return sizes
+    monkeypatch.setattr(closed_form, "_stored", recorded)
+    return stores
 
 
 def test_store_size_does_not_grow_with_the_axis(monkeypatch):
@@ -234,19 +206,18 @@ def test_store_size_does_not_grow_with_the_axis(monkeypatch):
     # included; 50 points fill every cache, and both axes cross
     # beta_rd == beta_sd at 3 dB, where the sum combiners fill their
     # phi[s1, s2] caches
-    sizes = _store_sizes(monkeypatch)
+    stores = _stores(monkeypatch)
     spec = SweepSpec(
         Axis.BALANCED_SNR_DB, 0.0, 4.9, 0.1, BASE, modes=(CsiMode.NOCSI, CsiMode.CSI),
-        metrics=(Metric.SOP, Metric.ESR), oracle=QuadOracle(1e-6),
+        metrics=(Metric.SOP, Metric.ESR),
     )
     assert len(run_sweep(spec)) == 50 * 16
-    short = dict(sizes)
-    sizes.clear()
+    (short,) = map(_entries, stores.values())
+    stores.clear()
     long_spec = dataclasses.replace(spec, stop_db=39.9)
     assert len(run_sweep(long_spec)) == 400 * 16
-    assert short.keys() == sizes.keys() == {"closed_form", "quadrature"}
-    assert sizes["closed_form"] <= short["closed_form"]
-    assert sizes["quadrature"] <= short["quadrature"]
+    (long,) = map(_entries, stores.values())
+    assert 0 < long <= short
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -267,7 +238,7 @@ def test_equal_rate_sweep_is_the_bits_of_one_cell_calls(jobs):
 _SLICED_SPECS = {
     **{name: dataclasses.replace(figure_preset(name), oracle=QuadOracle(1e-9))
        for name in PRESET_NAMES},
-    # 41 points of all 16 cells: a full slice and a short one
+    # 41 points of all 16 cells: 42 node sets, two full batches and a short one
     "beta_rd_41": SweepSpec(
         Axis.BETA_RD_DB, -10.0, 70.0, 2.0, BASE, metrics=(Metric.SOP, Metric.ESR),
         oracle=QuadOracle(1e-9),
@@ -279,8 +250,8 @@ def _recorded_batches(monkeypatch):
     batches = []
     quadrature_cells = oracles.quadrature_cells
 
-    def recorded(points, cells, tol, shared=None):
-        out = quadrature_cells(points, cells, tol, shared)
+    def recorded(points, cells, tol):
+        out = quadrature_cells(points, cells, tol)
         batches.append((points, cells, tol, out))
         return out
 
@@ -290,45 +261,48 @@ def _recorded_batches(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(_SLICED_SPECS))
 def test_sliced_quadrature_equals_one_point_calls(name, monkeypatch):
-    # at every point of every slice, each cell's value, bound and evaluation
-    # count are those of a one-point call without a store
+    # the sweep makes one quadrature call, which integrates its node sets
+    # in batches of at most 16; at every point each cell's value, bound and
+    # evaluation count are those of a one-point call
     batches = _recorded_batches(monkeypatch)
+    set_counts = []
+    integrate = oracles._integrate
+    monkeypatch.setattr(oracles, "_integrate", lambda sets: set_counts.append(len(sets)) or integrate(sets))
     spec = _SLICED_SPECS[name]
     run_sweep(spec)
     monkeypatch.undo()
-    axis = len(spec.axis_values())
-    sizes = [len(points) for points, *_ in batches]
-    assert sum(sizes) == axis * len(spec.variants)
-    assert max(sizes) == min(QUAD_SLICE, axis)
-    for points, cells, tol, out in batches:
-        for params, results in zip(points, out, strict=True):
-            assert results == oracles.quadrature_cells([params], cells, tol)[0]
+    ((points, cells, tol, out),) = batches
+    assert len(points) == len(spec.axis_values()) * len(spec.variants)
+    assert max(set_counts) <= oracles._BATCH_SETS
+    assert set_counts[:-1] == [oracles._BATCH_SETS] * (len(set_counts) - 1)
+    for params, results in zip(points, out, strict=True):
+        assert results == oracles.quadrature_cells([params], cells, tol)[0]
 
 
 def test_quadrature_sweep_memory_does_not_grow_with_the_axis(monkeypatch):
-    # a 400-point sweep of all 16 cells: what a batch allocates beyond what
-    # was live when it started is bounded by the slice size, not by the axis
+    # a 400-point quadrature call of all 16 cells: what each integrator
+    # batch allocates beyond what was live when it started is bounded by
+    # the batch size, not by the axis
     peaks = []
-    quadrature_cells = oracles.quadrature_cells
+    integrate = oracles._integrate
 
-    def measured(points, cells, tol, shared=None):
+    def measured(sets):
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = quadrature_cells(points, cells, tol, shared)
+        out = integrate(sets)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
         return out
 
-    monkeypatch.setattr(oracles, "quadrature_cells", measured)
-    spec = SweepSpec(
-        Axis.BALANCED_SNR_DB, 0.0, 39.9, 0.1, BASE, metrics=(Metric.SOP, Metric.ESR),
-        oracle=QuadOracle(1e-9),
-    )
+    monkeypatch.setattr(oracles, "_integrate", measured)
+    points = [BASE.with_(beta_sr=10.0 ** (-k / 100.0), beta_rd=10.0 ** (-k / 100.0))
+              for k in range(400)]
     tracemalloc.start()
     try:
-        assert len(run_sweep(spec)) == 400 * 16
+        assert len(oracles.quadrature_cells(points, ALL_CELLS, 1e-9)) == 400
     finally:
         tracemalloc.stop()
-    assert len(peaks) == -(-400 // QUAD_SLICE)
+    # 400 decoding-branch node sets and one silent-relay one
+    assert len(peaks) == -(-401 // oracles._BATCH_SETS)
     assert max(peaks) < 3 * 2**20
 
 
@@ -358,25 +332,30 @@ def test_fault_in_a_shared_branch_is_the_first_points(jobs, capsys):
 
 def test_non_finite_integrand_is_named_without_warnings(capsys):
     # the same shared branch under the quadrature oracle: its integrand
-    # overflows, then turns NaN, and the run names both without letting
-    # numpy's RuntimeWarnings through
+    # overflows, then turns NaN, and the oracle names both without letting
+    # numpy's RuntimeWarnings through; a --quad-tol run evaluates its
+    # closed forms first, so it prints the closed form's fault
+    first_point = params_from_db(-3000.0, -3000.0, 10.0, 10.0, 3.0, 0.0, 3.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        with pytest.raises(NumericError) as raised:
+            oracles.quadrature_cells([first_point], [(Scheme.SC_MRC, CsiMode.NOCSI, Metric.SOP)])
         assert main(_SHARED_FAULT + ["--quad-tol", "1e-9"]) == 3
     assert [str(w.message) for w in caught] == []
+    assert str(raised.value).startswith(
+        "quadrature failed: the integrand evaluates to inf and nan, first at y = "
+    )
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "secrelay: numeric failure: quadrature failed: the integrand evaluates to inf and nan, "
-        "first at y = "
-    )
+    assert captured.err == _SHARED_FAULT_ERR
 
 
 def test_faults_raise_in_cell_order(monkeypatch):
-    # a slice's closed forms run in one call, point by point in cell order,
-    # before any of its asymptote lines: a closed form failing at a later
-    # cell or point raises before a line failing at the first cell of the
-    # first point, and the earlier of two failing cells wins
+    # a sweep's closed forms run in one call, point by point in cell order,
+    # before its oracle and any of its asymptote lines: a closed form
+    # failing at a later cell or point raises before a line failing at the
+    # first cell of the first point, and the earlier of two failing cells
+    # wins
     monkeypatch.setattr(
         asymptotics, "sop_asymptote_balanced",
         lambda params, scheme, csi: asymptotics.Asymptote(0.0, 1e308),
@@ -394,15 +373,21 @@ def test_faults_raise_in_cell_order(monkeypatch):
     monkeypatch.setattr(closed_form, "_conditional", failing)
     with pytest.raises(NumericError, match="sc_sc cell"):
         run_sweep(spec)
-    # one closed-form call per slice, with no cell-by-cell rerun on a fault
+    # one closed-form call per sweep, with no cell-by-cell rerun on a fault,
+    # and no Monte Carlo trial drawn
     calls = []
     cells = closed_form.cells
     monkeypatch.setattr(closed_form, "cells", lambda *args: calls.append(1) or cells(*args))
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("drew trials before the closed forms failed")
+
+    monkeypatch.setattr(oracles, "monte_carlo_all", no_trials)
     with pytest.raises(NumericError, match="sc_sc cell"):
-        run_sweep(dataclasses.replace(spec, asymptote=False))
+        run_sweep(dataclasses.replace(spec, asymptote=False, oracle=McOracle(1000)), n_jobs=2)
     assert len(calls) == 1
-    # a curve of two points (-10 and 10 dB) is one slice: its second
-    # point's closed form fails before the first point's line
+    # of two points (-10 and 10 dB), the second point's closed form fails
+    # before the first point's line
     def failing_above_0_db(store, metric, params, *rest):
         fn = failing if params.beta_rd < 1.0 else conditional
         return fn(store, metric, params, *rest)
@@ -424,15 +409,14 @@ _CURVE_SPECS = {
 
 @pytest.mark.parametrize("name", sorted(_CURVE_SPECS))
 def test_curve_batch_equals_one_point_calls(name, monkeypatch):
-    # a sweep without an oracle hands each curve's points to closed_form.cells
-    # in one call with the sweep's store; every point's values are the bits
-    # of a one-point call, and so are those of one store-less batch, of a
-    # list or of a generator
+    # a sweep hands all its points, curve by curve, to closed_form.cells in
+    # one call; every point's values are the bits of a one-point call, and
+    # so are those of a batch of a list or of a generator
     batches = []
     cells = closed_form.cells
 
-    def recorded(points, cells_, shared=None):
-        out = cells(points, cells_, shared)
+    def recorded(points, cells_):
+        out = cells(points, cells_)
         batches.append((points, cells_, out))
         return out
 
@@ -440,41 +424,47 @@ def test_curve_batch_equals_one_point_calls(name, monkeypatch):
     spec = _CURVE_SPECS[name]
     run_sweep(spec)
     monkeypatch.undo()
-    assert [len(points) for points, *_ in batches] == [len(spec.axis_values())] * len(
-        spec.variants
-    )
-    for points, cells_, out in batches:
-        one_point = [cells([params], cells_)[0] for params in points]
-        assert out == one_point
-        assert cells(points, cells_) == one_point
-        assert cells(iter(points), cells_) == one_point
+    ((points, cells_, out),) = batches
+    assert len(points) == len(spec.axis_values()) * len(spec.variants)
+    one_point = [cells([params], cells_)[0] for params in points]
+    assert out == one_point
+    assert cells(points, cells_) == one_point
+    assert cells(iter(points), cells_) == one_point
 
 
-def test_slice_quadratures_fail_before_its_closed_forms(monkeypatch):
-    # the closed forms fail at every point, the quadrature only at the
-    # second: the slice integrates all its points first, so the quadrature's
-    # fault is the one raised
-    def failing_cells(params, cells, shared=None):
-        raise NumericError("closed form fails")
+def test_closed_forms_fail_before_the_quadrature(monkeypatch):
+    # the closed forms fail where a call has two points, the quadrature at
+    # every point: a sweep evaluates all its closed forms first, and a
+    # validation its closed forms, then its quadratures, then its Monte
+    # Carlo runs, so the earliest stage's fault is the one raised
+    cells = closed_form.cells
 
-    quadrature_cells = oracles.quadrature_cells
-
-    def failing_quadrature(points, cells, tol, shared=None):
+    def failing_cells(points, cells_):
         if len(points) > 1:
-            raise NumericError("quadrature fails")
-        return quadrature_cells(points, cells, tol, shared)
+            raise NumericError("closed form fails")
+        return cells(points, cells_)
+
+    def failing_quadrature(points, cells_, tol):
+        raise NumericError("quadrature fails")
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("drew trials before the quadrature failed")
 
     monkeypatch.setattr(closed_form, "cells", failing_cells)
     monkeypatch.setattr(oracles, "quadrature_cells", failing_quadrature)
+    monkeypatch.setattr(oracles, "monte_carlo_all", no_trials)
     spec = SweepSpec(Axis.BALANCED_SNR_DB, 0.0, 2.0, 2.0, BASE, oracle=QuadOracle(1e-6))
-    with pytest.raises(NumericError, match="quadrature fails"):
-        run_sweep(spec)
     with pytest.raises(NumericError, match="closed form fails"):
+        run_sweep(spec)
+    with pytest.raises(NumericError, match="quadrature fails"):
         run_sweep(dataclasses.replace(spec, stop_db=0.0))
+    with pytest.raises(NumericError, match="closed form fails"):
+        run_validation(grid_size=2, seed=5, mc_trials=1000, n_jobs=2)
+    with pytest.raises(NumericError, match="quadrature fails"):
+        run_validation(grid_size=1, seed=5, mc_trials=1000)
 
 
 def test_cells_match_per_cell_calls():
-    shared = {}
     for gamma_db in (-10.0, 3.0, 40.0, 400.0):
         params = BASE.with_(gamma_th=10.0 ** (gamma_db / 10.0))
         expected = [
@@ -482,27 +472,35 @@ def test_cells_match_per_cell_calls():
             for s, c, m in ALL_CELLS
         ]
         assert closed_form.cells([params], ALL_CELLS)[0] == expected
-        assert closed_form.cells([params], ALL_CELLS, shared)[0] == expected
-        assert closed_form.cells([params], ALL_CELLS[::-1], shared)[0][::-1] == expected
+        # a point whose branches the call already holds reads them back
+        assert closed_form.cells([params, params], ALL_CELLS) == [expected, expected]
+        assert closed_form.cells([params], ALL_CELLS[::-1])[0][::-1] == expected
     for cell in BAD_CELLS:
         with pytest.raises(DomainError):
             closed_form.cells([BASE], [ALL_CELLS[0], cell])
     assert closed_form.cells([BASE], [])[0] == []
 
 
-def test_quadrature_store_reads_back_only_its_own_fields(monkeypatch):
-    # at 40 dB relay hops the tolerance decides how often the step is halved
-    params = params_from_db(0.0, 3.0, 3.0, 40.0, 40.0, 3.0, 1.0)
-    shared = {}
-    (fresh,) = oracles.quadrature_cells([params], ALL_CELLS, 1e-9)
-    assert oracles.quadrature_cells([params], ALL_CELLS, 1e-6, shared) != [fresh]
-    batches = _counted_integrate(monkeypatch)
-    # a new tolerance integrates everything again; the same point reads back
-    assert oracles.quadrature_cells([params], ALL_CELLS, 1e-9, shared) == [fresh]
-    assert oracles.quadrature_cells([params], ALL_CELLS[::-1], 1e-9, shared)[0][::-1] == fresh
-    # a new threshold only reweights the branches
-    other = params.with_(gamma_th=0.5)
-    assert oracles.quadrature_cells([other], ALL_CELLS, 1e-9, shared) == (
-        oracles.quadrature_cells([other], ALL_CELLS, 1e-9)
+def test_an_iterator_of_cells_gives_the_lists_values():
+    points = [BASE, BASE.with_(beta_rd=0.5)]
+    assert closed_form.cells(points, iter(ALL_CELLS)) == closed_form.cells(points, ALL_CELLS)
+    assert oracles.quadrature_cells(points, iter(ALL_CELLS), 1e-6) == (
+        oracles.quadrature_cells(points, ALL_CELLS, 1e-6)
     )
-    assert batches == [26, 26]
+
+
+def test_quadrature_store_reads_back_only_its_own_fields(monkeypatch):
+    # within one call, a point whose fields an earlier point had reads its
+    # integrals back, whatever its threshold, and a new hop integrates its
+    # decoding branch; at 40 dB relay hops the tolerance decides how often
+    # the step is halved, so each result is that of its own tolerance
+    params = params_from_db(0.0, 3.0, 3.0, 40.0, 40.0, 3.0, 1.0)
+    other = params.with_(gamma_th=0.5)
+    hop = params.with_(beta_rd=0.5)
+    fresh = [oracles.quadrature_cells([p], ALL_CELLS, 1e-9)[0] for p in (params, other, hop)]
+    assert oracles.quadrature_cells([params], ALL_CELLS, 1e-6) != fresh[:1]
+    batches = _counted_integrate(monkeypatch)
+    out = oracles.quadrature_cells([params, other, params, hop], ALL_CELLS, 1e-9)
+    assert out == [fresh[0], fresh[1], fresh[0], fresh[2]]
+    # the first point's 26 integrals, and the new hop's 20 decoding-branch ones
+    assert batches == [26 + 20]

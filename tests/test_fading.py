@@ -73,6 +73,12 @@ def test_params_validation():
         SystemParams(1.0, 1.0, 1.0, 1.0, 1.0, -0.5, 1.0)
     with pytest.raises(DomainError):
         SystemParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, math.nan)
+    # a bool is an int to isinstance, but not a number of the model
+    with pytest.raises(DomainError):
+        SystemParams(True, 1.0, 1.0, 1.0, 1.0, True, True)
+    for k in range(7):
+        with pytest.raises(DomainError):
+            SystemParams(*(True if i == k else 1.0 for i in range(7)))
     # an infinite threshold is the wiretap limit and is allowed
     p = SystemParams(1.0, 1.0, 1.0, 1.0, 1.0, math.inf, 1.0)
     assert decode_probability(p) == 0.0

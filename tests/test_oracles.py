@@ -244,8 +244,9 @@ def test_quadrature_tolerance_validation(base_params):
             oracles.quadrature_esr(
                 base_params.with_(gamma_th=0.0), Scheme.SC_SC, CsiMode.NOCSI, tol
             )
-    # a malformed tolerance used to raise TypeError from the comparison
-    for tol in ("1e-9", None):
+    # a malformed tolerance used to raise TypeError from the comparison, and
+    # a bool passed as the number 1
+    for tol in ("1e-9", None, True):
         with pytest.raises(DomainError, match="tol"):
             oracles.quadrature_cells([base_params], [(Scheme.MRC_SC, CsiMode.CSI, Metric.SOP)], tol)
 

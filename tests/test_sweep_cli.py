@@ -111,6 +111,30 @@ def test_sweep_deterministic_and_thread_invariant():
     assert a.splitlines()[0] == CSV_HEADER
 
 
+def test_threads_run_only_monte_carlo(monkeypatch):
+    # a closed-form and a quadrature sweep run on the calling thread at any
+    # worker count; a Monte Carlo sweep spreads its points over the workers
+    # and gives the rows of one thread
+    # two curves of 21 points: more than one curve and more than 16 points
+    spec = SweepSpec(
+        Axis.BALANCED_SNR_DB, 0.0, 20.0, 1.0, BASE, metrics=(Metric.SOP, Metric.ESR),
+        asymptote=True, variants=(Variant("a"), Variant("b", (("alpha_se", 2.0),))),
+    )
+    mc_spec = dataclasses.replace(spec, oracle=McOracle(trials=20_000, seed=4))
+    mc_rows = run_sweep(mc_spec, n_jobs=1)
+    assert run_sweep(mc_spec, n_jobs=4) == mc_rows
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool outside Monte Carlo")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    for oracle in (None, QuadOracle(1e-9)):
+        rows = run_sweep(dataclasses.replace(spec, oracle=oracle), n_jobs=4)
+        assert [r.value for r in rows] == [r.value for r in mc_rows]
+    with pytest.raises(AssertionError, match="outside Monte Carlo"):
+        run_sweep(mc_spec, n_jobs=4)
+
+
 def test_quadrature_sweep_identical_across_jobs():
     spec = dataclasses.replace(figure_preset("fig7"), oracle=QuadOracle(1e-9))
     a = csv_text(run_sweep(spec, n_jobs=1))
@@ -119,8 +143,8 @@ def test_quadrature_sweep_identical_across_jobs():
     assert a == b == c
 
 
-def test_quadrature_sweep_takes_one_batch_per_slice(monkeypatch, capsys):
-    # 31 points of one curve go to the oracle in slices of QUAD_SLICE points
+def test_quadrature_sweep_takes_one_batch(monkeypatch, capsys):
+    # the 31 points of one curve go to the oracle in one call
     args = ["sweep", "--axis", "balanced-snr-db", "--from-db", "0", "--to-db", "60",
             "--step-db", "2", "--metric", "both", "--quad-tol", "1e-9"]
     batches = []
@@ -133,7 +157,7 @@ def test_quadrature_sweep_takes_one_batch_per_slice(monkeypatch, capsys):
     monkeypatch.setattr(oracles, "quadrature_cells", counted)
     assert main(args) == 0
     one_job = capsys.readouterr().out
-    assert batches == [(min(sweep.QUAD_SLICE, 31 - i), 16) for i in range(0, 31, sweep.QUAD_SLICE)]
+    assert batches == [(31, 16)]
     assert main(args + ["--jobs", "4"]) == 0
     assert capsys.readouterr().out == one_job
     # each cell's oracle value is that of its own quadrature call
@@ -386,6 +410,8 @@ def test_validation_zero_tolerance_fails():
         # a string or None used to raise TypeError from the comparison
         {"tol_quad_abs": "1e-6"},
         {"mc_sigmas": None},
+        # a bool used to pass as the number 1
+        {"mc_sigmas": True},
         # the quadrature's tolerance used to be rejected only by the
         # quadrature, after a point's Monte Carlo had run
         {"quad_tol": 0.0},
@@ -409,13 +435,13 @@ def _nan_for_sc_sc_sop(monkeypatch):
     """Make every SC-SC outage closed form NaN."""
     shipped = closed_form.cells
 
-    def nan_for_sc_sc(points, cells, shared=None):
+    def nan_for_sc_sc(points, cells):
         return [
             [
                 math.nan if (scheme, metric) == (Scheme.SC_SC, Metric.SOP) else v
                 for (scheme, _, metric), v in zip(cells, values)
             ]
-            for values in shipped(points, cells, shared)
+            for values in shipped(points, cells)
         ]
 
     monkeypatch.setattr(closed_form, "cells", nan_for_sc_sc)
@@ -430,13 +456,13 @@ def test_validation_fails_on_a_nan_closed_form(monkeypatch):
     assert "overall: FAIL" in report.render()
 
 
-def test_validation_runs_one_batch_per_point(monkeypatch):
+def test_validation_runs_one_batch(monkeypatch):
     calls = []
 
     def counted(fn):
-        def wrapper(params, cells, *args):
-            calls.append((fn.__name__, len(cells)))
-            return fn(params, cells, *args)
+        def wrapper(points, cells, *args):
+            calls.append((fn.__name__, len(points), len(cells)))
+            return fn(points, cells, *args)
 
         return wrapper
 
@@ -444,7 +470,7 @@ def test_validation_runs_one_batch_per_point(monkeypatch):
     monkeypatch.setattr(oracles, "quadrature_cells", counted(oracles.quadrature_cells))
     report = run_validation(grid_size=2, seed=5, mc_trials=1000)
     assert report.grid_size == 2
-    assert sorted(calls) == [("cells", 16)] * 2 + [("quadrature_cells", 16)] * 2
+    assert calls == [("cells", 2, 16), ("quadrature_cells", 2, 16)]
 
 
 def test_validation_report_holds_the_per_cell_values():
@@ -850,7 +876,7 @@ def test_cli_quadrature_over_tolerance_exit_code(capsys):
 
 
 def test_cli_validate_numeric_failure_exit_code(monkeypatch, capsys):
-    def failing_cells(params, cells, shared=None):
+    def failing_cells(points, cells):
         raise NumericError("sop fails")
 
     monkeypatch.setattr(closed_form, "cells", failing_cells)
@@ -966,8 +992,8 @@ def test_import_time_lists_the_submodules():
     ids=[axis.value for axis in Axis] + ["fig7"],
 )
 def test_closed_form_sweep_bytes_do_not_depend_on_jobs(argv, capsys):
-    # a closed-form sweep's slice is a whole curve: the worker count only
-    # decides which thread evaluates it
+    # a closed-form sweep runs on the calling thread whatever the worker
+    # count
     assert main(["sweep", *argv, "--jobs", "1"]) == 0
     one_job = capsys.readouterr().out
     assert main(["sweep", *argv, "--jobs", "3"]) == 0

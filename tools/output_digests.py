@@ -1,24 +1,26 @@
 """Print the SHA-256 of the standard outputs of the CLI in this tree.
 
-The outputs are the six figure presets as shipped, the six with
-``--quad-tol 1e-9`` at ``--jobs 1`` and at ``--jobs 2``,
-``validate --grid-size 3 --mc-trials 20000`` at ``--jobs 1`` and at
-``--jobs 2``, and two sweeps of all 16 cells, on ``beta-rd-db`` and on
-``balanced-snr-db`` from -10 to 50 dB, at ``--jobs 1`` and at ``--jobs 2``,
-once closed-form with asymptotes and once with ``--quad-tol 1e-9``: each
-crosses ``beta_rd == beta_sd`` at 3 dB, which no preset does for every
-cell, and the quadrature ones put a point's 26 integrals into each batch
-of a slice of points, reading the integrals of earlier batches from the
-sweep's store, which neither the presets (SOP and ESR apart) nor
-``validate`` (one point per call, no store) do; and a ``--quad-tol 1e-9``
-sweep of all 16 cells on ``balanced-snr-db`` from 60 to 140 dB, at
-``--jobs 1`` and at ``--jobs 2``, whose links span the widest ranges, so
-the longest node grids, of any output here.  Each runs in a fresh
-interpreter on this tree's ``src``, and each line gives the digest, the
-exit code and the command.  Run it in two checkouts and diff what it
-prints to see whether a change moved any byte.
-The script exits 1 if a ``--jobs 2`` output differs from its ``--jobs 1``
-output.
+The outputs are:
+
+- the six figure presets as shipped;
+- the six with ``--quad-tol 1e-9``;
+- ``validate --grid-size 3 --mc-trials 20000``;
+- two sweeps of all 16 cells from -10 to 50 dB, on ``beta-rd-db`` and on
+  ``balanced-snr-db``, once closed-form with asymptotes and once with
+  ``--quad-tol 1e-9``.  Each crosses ``beta_rd == beta_sd`` at 3 dB, which
+  no preset does for every cell, and the quadrature ones hand their 61
+  points' node sets to the integrator in several batches;
+- a ``--quad-tol 1e-9`` sweep of all 16 cells on ``balanced-snr-db`` from
+  60 to 140 dB, whose links span the widest ranges, so the longest node
+  grids, of any output here;
+- ``sweep --preset fig5 --mc-trials 20000``, the Monte Carlo sweep, whose
+  points are the only ones worker threads run.
+
+All but the shipped presets run at ``--jobs 1`` and at ``--jobs 2``.  Each
+runs in a fresh interpreter on this tree's ``src``, and each line gives the
+digest, the exit code and the command.  Run it in two checkouts and diff
+what it prints to see whether a change moved any byte.  The script exits 1
+if a ``--jobs 2`` output differs from its ``--jobs 1`` output.
 
     python tools/output_digests.py
 """
@@ -43,6 +45,7 @@ AD_HOC = [
 ]
 HIGH_SNR = ["sweep", "--axis", "balanced-snr-db", "--from-db", "60", "--to-db", "140", "--step-db", "5",
             "--metric", "both", "--quad-tol", "1e-9"]
+MONTE_CARLO = ["sweep", "--preset", "fig5", "--mc-trials", "20000"]
 
 
 def _digest(args):
@@ -54,7 +57,7 @@ def _digest(args):
 
 def main() -> int:
     runs = [["sweep", "--preset", name] for name in PRESET_NAMES]
-    pairs = [["sweep", "--preset", name, "--quad-tol", "1e-9"] for name in PRESET_NAMES] + [VALIDATE, *AD_HOC, HIGH_SNR]
+    pairs = [["sweep", "--preset", name, "--quad-tol", "1e-9"] for name in PRESET_NAMES] + [VALIDATE, *AD_HOC, HIGH_SNR, MONTE_CARLO]
     differ = []
     for args in runs:
         print("%s %d %s" % (*_digest(args), " ".join(args)))
