@@ -40,8 +40,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VALIDATION = 4
 
-# Most worker threads --jobs may ask for; the pools take one task per slice of
-# a sweep curve's points or per validation grid point.
+# Most worker threads --jobs may ask for; the pool takes one task per Monte
+# Carlo point of a sweep or a validation.
 MAX_JOBS = 256
 
 _AXIS_BY_FLAG = {axis.value.replace("_", "-"): axis for axis in Axis}

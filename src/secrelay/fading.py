@@ -113,6 +113,11 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int but not a bool (a count or an index)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_tolerance(value, name: str, zero: bool = False) -> None:
     """:class:`DomainError` unless ``value`` is a finite real number above 0
     (at least 0 where ``zero``)."""
@@ -206,7 +211,7 @@ def params_from_db(
         ("rate_rs", rate_rs),
     ):
         try:
-            finite = isinstance(v, (int, float)) and math.isfinite(v)
+            finite = _is_real(v) and math.isfinite(v)
         except OverflowError:  # an int beyond the double range
             finite = False
         if not finite:
@@ -418,11 +423,11 @@ def stream(seed: int, point: int = 0, purpose: int = PURPOSE_TRIALS, chunk: int 
     """Independent deterministic stream for (seed, purpose, point, chunk)."""
     import numpy as np
     from numpy.random import Generator, Philox
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+    if not (is_integer(seed) and 0 <= seed < 2**64):
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not (isinstance(point, int) and 0 <= point < POINT_LIMIT):
+    if not (is_integer(point) and 0 <= point < POINT_LIMIT):
         raise DomainError(f"point must be an integer in [0, 2^{_POINT_BITS}), got {point!r}")
-    if not (isinstance(chunk, int) and 0 <= chunk < CHUNK_LIMIT):
+    if not (is_integer(chunk) and 0 <= chunk < CHUNK_LIMIT):
         raise DomainError(f"chunk must be an integer in [0, 2^{_CHUNK_BITS}), got {chunk!r}")
     word = (purpose << (_POINT_BITS + _CHUNK_BITS)) | (point << _CHUNK_BITS) | chunk
     key = np.array([seed, word], dtype=np.uint64)

@@ -9,16 +9,16 @@ geometrically on these integrands (Trefethen & Weideman, "The
 exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014), with
 its step halved until each integral's bound is within its tolerance.
 ``quadrature_cells`` takes every cell of a sequence of parameter points:
-an outage is one integral per decode branch, a rate the destination's and
-the eavesdropper's integrals per branch, and an integral that several
-cells or points read is integrated once.  The integrals of one decode
-branch of one point form a node set, and those of a batch of node sets
-advance together, one round at a time: each round evaluates each law
-they read (a density, a CDF, ``log1p``) once per decode branch on the new
-nodes of every set, and each integral builds its own integrand from
-those.  ``quadrature_sop`` and ``quadrature_esr`` are one-cell, one-point
-calls of it.  One decode branch alone is the point at ``gamma_th`` = 0
-(the relay always decodes) or ``gamma_th`` = inf (it never does).
+a cell is one integral per decode branch (a rate in its by-parts form, of
+the two receivers' CDFs), and an integral that several cells or points
+read is integrated once.  The integrals of one decode branch of one point
+form a node set, and those of a batch of node sets advance together, one
+round at a time: each round evaluates each law they read (a density, a
+CDF, 1 / (1 + y)) once per decode branch on the new nodes of every set,
+and each integral builds its own integrand from those.
+``quadrature_sop`` and ``quadrature_esr`` are one-cell, one-point calls
+of it.  One decode branch alone is the point at ``gamma_th`` = 0 (the
+relay always decodes) or ``gamma_th`` = inf (it never does).
 ``QuadratureResult.abs_error_bound`` is the difference from the rule at
 twice the step plus a round-off floor, and ``evaluations`` counts the
 nodes evaluated.
@@ -93,6 +93,7 @@ class McResults:
         self.trials = trials
 
     def sop(self, scheme: Scheme, csi: CsiMode) -> Estimate:
+        fading.check_cells([(scheme, csi, Metric.SOP)])
         k = SCHEME_ORDER.index(scheme)
         count = self._t[0][k] if csi is CsiMode.NOCSI else self._t[1][k]
         n = self.trials
@@ -100,6 +101,7 @@ class McResults:
         return Estimate(p, math.sqrt(p * (1.0 - p) / n), n)
 
     def esr(self, scheme: Scheme, csi: CsiMode) -> Estimate:
+        fading.check_cells([(scheme, csi, Metric.ESR)])
         k = SCHEME_ORDER.index(scheme)
         if csi is CsiMode.NOCSI:
             s, s2 = self._t[2][k], self._t[3][k]
@@ -123,7 +125,7 @@ def monte_carlo_all(params: SystemParams, n: int, seed: int, *, point: int = 0) 
     the raw log-ratio mean, which may be negative; with CSI zeroed on
     trials where the eavesdropper's combined SNR wins).
     """
-    if not (isinstance(n, int) and n >= 1):
+    if not (fading.is_integer(n) and n >= 1):
         raise DomainError(f"trial count must be a positive integer, got {n!r}")
     limit = CHUNK_TRIALS * fading.CHUNK_LIMIT  # trials the stream keys can address
     if n > limit:
@@ -177,7 +179,7 @@ def _integrate(sets):
     ``sets`` are node sets, one per decode branch of a point, each
     ``(args, span, integrals)``: ``args`` its (rho, beta_sd, beta_rd,
     alpha_se, alpha_re), ``span`` its first grid (:func:`_span`) and
-    ``integrals`` a dict, integral key (see :func:`_integral_keys`) ->
+    ``integrals`` a dict, integral key (see :func:`_integral_key`) ->
     tolerance.  An integral is the trapezoid sum T_h = h sum(g(y) y) over
     a grid of step h in u = log y.  All integrals advance together, one
     round at a time: the first round evaluates each set's grid of step
@@ -201,7 +203,7 @@ def _integrate(sets):
     table = np.array([args for args, _, _ in sets]).T  # a row per rate, a column per set
     lo = np.array([span[0] for _, span, _ in sets])
     n = np.array([span[1] for _, span, _ in sets])
-    on_set = np.array([next(iter(todo))[3] for *_, todo in sets])
+    on_set = np.array([next(iter(todo))[2] for *_, todo in sets])
     # per integral: its sum over the nodes so far, and its envelope's
     total, env, value, bound = np.zeros((4, *tols.shape))
     evals = np.zeros(tols.shape, dtype=np.int64)
@@ -283,20 +285,14 @@ def _cut(d):
     return np.where(d < PDF_FLOOR, 0.0, d)
 
 
-def _integral_keys(scheme: Scheme, csi: CsiMode, metric: Metric, relay_on: bool):
-    """The integrals one cell needs on one decode branch, each keyed by what
-    it reads: (metric, part, CSI mode, decode branch, destination combiner,
-    eavesdropper combiner), a combiner None where the integrand does not
-    read it (a silent relay leaves no combiner to read).  An outage is one
-    integral over the eavesdropper SNR; a rate is the destination's
-    ("main") minus the eavesdropper's log-SNR integral."""
+def _integral_key(scheme: Scheme, csi: CsiMode, metric: Metric, relay_on: bool):
+    """The integral one cell needs on one decode branch, keyed by what it
+    reads: (metric, CSI mode, decode branch, destination combiner,
+    eavesdropper combiner), a combiner None where the relay is silent and
+    leaves no combiner to read."""
     m = scheme.mrc_at_destination if relay_on else None
     e = scheme.mrc_at_eavesdropper if relay_on else None
-    if metric is Metric.SOP:
-        return ((metric, "eaves", csi, relay_on, m, e),)
-    if csi is CsiMode.NOCSI:
-        return ((metric, "main", csi, relay_on, m, None), (metric, "eaves", csi, relay_on, None, e))
-    return ((metric, "main", csi, relay_on, m, e), (metric, "eaves", csi, relay_on, m, e))
+    return metric, csi, relay_on, m, e
 
 
 # Below about 1e-155 a rate, the product r1 r2 in ``fading.sum_exp_pdf``
@@ -306,21 +302,22 @@ _MIN_RATE = 2.0 ** -500
 
 
 def _check_links(params: SystemParams, key) -> None:
-    """:class:`NumericError` where a link of the density that the integral
-    ``key`` integrates is below ``_MIN_RATE``."""
-    part, relay_on = key[1], key[3]
-    side = (params.beta_sd, params.beta_rd) if part == "main" else (params.alpha_se, params.alpha_re)
-    if min(side[: 2 if relay_on else 1]) < _MIN_RATE:
+    """:class:`NumericError` where the integral ``key`` is an outage and a
+    link of the eavesdropper density it integrates is below ``_MIN_RATE``
+    (a rate reads no density)."""
+    metric, _, relay_on, *_ = key
+    side = (params.alpha_se, params.alpha_re)[: 2 if relay_on else 1]
+    if metric is Metric.SOP and min(side) < _MIN_RATE:
         raise NumericError(f"quadrature cannot resolve a link rate below 2^-500 at {params}")
 
 
 class _Laws(dict):
     """The laws that a round's integrands read, each evaluated at its nodes
     ``y`` on first use: ``laws[name, side, mrc]`` is the destination's
-    ("m") or the eavesdropper's ("e") SNR "pdf" (cut, :func:`_cut`), "cdf",
-    "cdf_rho" (the CDF at rho (1 + y) - 1) or "log_pdf" (log1p(y) times
-    the cut density) for the combiner ``mrc`` (see :func:`_snr_dist`), or
-    "log1p".  Each rate is a float or an array of one per node."""
+    ("m") or the eavesdropper's ("e") SNR "pdf" (cut, :func:`_cut`), "cdf"
+    or "cdf_rho" (the CDF at rho (1 + y) - 1) for the combiner ``mrc`` (see
+    :func:`_snr_dist`), or "inv1p", 1 / (1 + y).  Each rate is a float or
+    an array of one per node."""
 
     def __init__(self, relay_on, y, rho, sd, rd, se, re):
         n = 2 if relay_on else 1  # a silent relay's laws read no relayed rate
@@ -330,10 +327,8 @@ class _Laws(dict):
     def __missing__(self, law):
         name, side, mrc = law
         y = self.y
-        if name == "log1p":
-            v = np.log1p(y)
-        elif name == "log_pdf":
-            v = self["log1p", None, None] * self["pdf", side, mrc]
+        if name == "inv1p":
+            v = 1.0 / (1.0 + y)
         else:
             cdf, pdf = _snr_dist(self.relay_on, mrc)
             z = self.rho * (1.0 + y) - 1.0 if name == "cdf_rho" else y
@@ -344,27 +339,25 @@ class _Laws(dict):
 
 def _integrand(key, law):
     """The integrand of the integrals keyed ``key`` (see
-    :func:`_integral_keys`) from the laws ``law(name, side, mrc)`` (see
-    :class:`_Laws`), and the law that is its envelope: the density times a
-    bound on the factor it multiplies (1 for a probability, log(1 + SNR)
-    for a rate).  The probabilities are computed to a few ulps absolute,
-    not relative, so the envelope, not |integrand|, scales the round-off
-    floor."""
-    metric, part, csi, _, mrc_m, mrc_e = key
+    :func:`_integral_key`) from the laws ``law(name, side, mrc)`` (see
+    :class:`_Laws`), and the law that is its envelope.  An outage is
+    f_E(y) (F_M(rho (1 + y) - 1) - [CSI] F_M(y)), enveloped by f_E; a rate,
+    E[log(1 + SNR)] by parts in nats, is (F_E(y) - F_M(y)) / (1 + y), or
+    F_E(y) (1 - F_M(y)) / (1 + y) with CSI, enveloped by 1 / (1 + y).  The
+    probabilities are computed to a few ulps absolute, not relative, so the
+    envelope, not |integrand|, scales the round-off floor."""
+    metric, csi, _, mrc_m, mrc_e = key
     nocsi = csi is CsiMode.NOCSI
     if metric is Metric.SOP:
         d = "pdf", "e", mrc_e
         f = law("cdf_rho", "m", mrc_m)
         return (f if nocsi else f - law("cdf", "m", mrc_m)) * law(*d), d
-    if part == "main":
-        g = "log_pdf", "m", mrc_m
-        return (law(*g) if nocsi else law("cdf", "e", mrc_e) * law(*g)), g
-    g = "log_pdf", "e", mrc_e
-    return (law(*g) if nocsi else (1.0 - law("cdf", "m", mrc_m)) * law(*g)), g
+    k = "inv1p", None, None
+    f_m, f_e = law("cdf", "m", mrc_m), law("cdf", "e", mrc_e)
+    return (f_e - f_m if nocsi else f_e * (1.0 - f_m)) * law(*k), k
 
 
-# What a cell's signed sum of integrals is multiplied by: nats to bpcu for
-# a rate.
+# What a cell's integral is multiplied by: nats to bpcu for a rate.
 _METRIC_FACTOR = {Metric.SOP: 1.0, Metric.ESR: HALF_LOG2E}
 
 
@@ -383,24 +376,24 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL):
 
     Each cell mixes the decode branches of :func:`fading.decode_branches`
     with their weights, so ``gamma_th`` = 0 or inf leaves one branch alone.
-    An integral is its key (see :func:`_integral_keys`) on its branch's
-    ``fields``, which are its node set: one that several cells or points
-    read is integrated once, and the node sets go to :func:`_integrate`
-    :data:`_BATCH_SETS` at a time, in the order of their first points (no
-    result depends on what else a batch holds).  Each cell's keys are
-    worked out once per call.  Each branch's bound is within ``tol`` on its
-    own, so each cell's is too.
+    A cell reads one integral per branch: its key (see
+    :func:`_integral_key`) on the branch's ``fields``, which are its node
+    set.  One that several cells or points read is integrated once, and
+    the node sets go to :func:`_integrate` :data:`_BATCH_SETS` at a time,
+    in the order of their first points (no result depends on what else a
+    batch holds).  Each cell's keys are worked out once per call.  Each
+    branch's bound is within ``tol`` on its own, so each cell's is too.
     Returns per point one :class:`QuadratureResult` per cell, in order; its
     ``evaluations`` count every integral the cell reads, shared ones
     included.
     """
     fading.check_tolerance(tol, "tol")
     cells = fading.check_cells(cells)
-    # per cell, its factor and, per decode branch, the keys it reads
-    reads = [(_METRIC_FACTOR[m], {on: _integral_keys(s, c, m, on) for on in (True, False)})
+    # per cell, its factor and, per decode branch, the key it reads
+    reads = [(_METRIC_FACTOR[m], {on: _integral_key(s, c, m, on) for on in (True, False)})
              for s, c, m in cells]
     # per decode branch, each key the cells read and its tolerance
-    tols = {on: {k: tol / (f * len(ks[on])) for f, ks in reads for k in ks[on]} for on in (True, False)}
+    tols = {on: {keys[on]: tol / f for f, keys in reads} for on in (True, False)}
     found = {}  # per branch's fields, (value, bound, evaluations) per integral key
     sets = []  # (fields, node set) per branch's fields whose cells read an integral
     plans = []  # per point, (weight, relay_on, its fields' results) per decode branch
@@ -422,17 +415,17 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL):
         for (fields, _), results in zip(batch, _integrate([node_set for _, node_set in batch])):
             found[fields].update(results)
 
-    def result(factor, keys_on, branches):
+    def result(factor, keys, branches):
         value = bound = 0.0
         count = 0
         for weight, relay_on, known in branches:
-            parts = [known[k] for k in keys_on[relay_on]]  # (value, bound, evaluations)
-            value += weight * (factor * (parts[0][0] - sum([p[0] for p in parts[1:]])))
-            bound += weight * (factor * sum([p[1] for p in parts]))
-            count += sum([p[2] for p in parts])
+            v, b, c = known[keys[relay_on]]
+            value += weight * (factor * v)
+            bound += weight * (factor * b)
+            count += c
         return QuadratureResult(value, bound, count)
 
-    return [[result(factor, keys_on, branches) for factor, keys_on in reads] for branches in plans]
+    return [[result(factor, keys, branches) for factor, keys in reads] for branches in plans]
 
 
 def quadrature_sop(

@@ -18,6 +18,7 @@ from .fading import (
     SystemParams,
     check_tolerance,
     db_to_linear,
+    is_integer,
     params_from_db,
     stream,
     PURPOSE_GRID,
@@ -384,7 +385,7 @@ _RS_LO, _RS_HI = 0.1, 2.0
 def sample_grid(grid_size: int, seed: int) -> list[SystemParams]:
     """Deterministic random parameter grid for the agreement suite, of at
     most :data:`MAX_AXIS_POINTS` points."""
-    if not (isinstance(grid_size, int) and 1 <= grid_size <= MAX_AXIS_POINTS):
+    if not (is_integer(grid_size) and 1 <= grid_size <= MAX_AXIS_POINTS):
         raise DomainError(f"grid_size must be in [1, {MAX_AXIS_POINTS}], got {grid_size!r}")
     gen = stream(seed, point=0, purpose=PURPOSE_GRID)
     log_span = math.log(_RATE_HI / _RATE_LO)

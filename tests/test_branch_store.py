@@ -98,7 +98,7 @@ def test_preset_rows_are_the_bits_of_unshared_calls(name, quad):
 
 
 @pytest.mark.parametrize("name", ["fig4", "fig5"])
-def test_shared_quadrature_is_thread_invariant(name, capsys):
+def test_quadrature_sweep_is_thread_invariant(name, capsys):
     args = ["sweep", "--preset", name, "--quad-tol", "1e-9"]
     assert main(args + ["--jobs", "1"]) == 0
     one_job = capsys.readouterr().out
@@ -161,10 +161,10 @@ def test_balanced_curves_share_the_silent_relay_branch(monkeypatch):
     )
     assert len(run_sweep(spec)) == 2 * 5 * 16
     assert calls == {False: 2 * 4, True: 2 * 5 * 16}
-    # one batch of the 2 curves' 12 node sets: per point 20 decoding-branch
-    # integrals, and per curve the 6 silent-relay ones (2 outages, 2 + 2
-    # rate sides) once
-    assert batches == [2 * (5 * 20 + 6)]
+    # one batch of the 2 curves' 12 node sets: per point 16 decoding-branch
+    # integrals, and per curve the 4 silent-relay ones (2 outages, 2 rates)
+    # once
+    assert batches == [2 * (5 * 16 + 4)]
 
 
 def _entries(value, seen=None):
@@ -235,7 +235,7 @@ def test_equal_rate_sweep_is_the_bits_of_one_cell_calls(jobs):
     assert rows == _unshared(spec, rows)
 
 
-_SLICED_SPECS = {
+_QUAD_SPECS = {
     **{name: dataclasses.replace(figure_preset(name), oracle=QuadOracle(1e-9))
        for name in PRESET_NAMES},
     # 41 points of all 16 cells: 42 node sets, two full batches and a short one
@@ -259,7 +259,7 @@ def _recorded_batches(monkeypatch):
     return batches
 
 
-@pytest.mark.parametrize("name", sorted(_SLICED_SPECS))
+@pytest.mark.parametrize("name", sorted(_QUAD_SPECS))
 def test_sliced_quadrature_equals_one_point_calls(name, monkeypatch):
     # the sweep makes one quadrature call, which integrates its node sets
     # in batches of at most 16; at every point each cell's value, bound and
@@ -268,7 +268,7 @@ def test_sliced_quadrature_equals_one_point_calls(name, monkeypatch):
     set_counts = []
     integrate = oracles._integrate
     monkeypatch.setattr(oracles, "_integrate", lambda sets: set_counts.append(len(sets)) or integrate(sets))
-    spec = _SLICED_SPECS[name]
+    spec = _QUAD_SPECS[name]
     run_sweep(spec)
     monkeypatch.undo()
     ((points, cells, tol, out),) = batches
@@ -502,5 +502,5 @@ def test_quadrature_store_reads_back_only_its_own_fields(monkeypatch):
     batches = _counted_integrate(monkeypatch)
     out = oracles.quadrature_cells([params, other, params, hop], ALL_CELLS, 1e-9)
     assert out == [fresh[0], fresh[1], fresh[0], fresh[2]]
-    # the first point's 26 integrals, and the new hop's 20 decoding-branch ones
-    assert batches == [26 + 20]
+    # the first point's 20 integrals, and the new hop's 16 decoding-branch ones
+    assert batches == [20 + 16]

@@ -52,7 +52,7 @@ def test_params_rho_exact():
 
 
 @pytest.mark.parametrize(
-    "bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int_past_double")]
+    "bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int_past_double"), True]
 )
 def test_params_from_db_rejects_nonfinite(bad):
     with pytest.raises(DomainError):
@@ -420,6 +420,10 @@ def test_stream_key_validation():
         trial_stream(0, point=-3)
     with pytest.raises(DomainError):
         trial_stream(0, chunk=2**30)
+    # a bool is an int to isinstance, but not a seed or an index
+    for key in (dict(seed=True), dict(seed=0, point=True), dict(seed=0, chunk=True)):
+        with pytest.raises(DomainError):
+            trial_stream(**key)
 
 
 def test_params_from_db_rejects_negative_rate():

@@ -161,6 +161,22 @@ def test_esr_estimate_matches_closed_form_reference_point():
 def test_trial_count_validation(base_params):
     with pytest.raises(DomainError):
         oracles.monte_carlo_all(base_params, 0, seed=1)
+    # a bool is an int to isinstance, but not a count or an index
+    with pytest.raises(DomainError, match="trial count"):
+        oracles.monte_carlo_all(base_params, True, seed=1)
+    with pytest.raises(DomainError, match="point"):
+        oracles.monte_carlo_all(base_params, 10, seed=1, point=True)
+
+
+def test_estimates_reject_cells_that_are_not_members(base_params):
+    # the name of a CSI mode used to read the CSI tallies, and the name of
+    # a scheme raised a bare ValueError from tuple.index
+    mc = oracles.monte_carlo_all(base_params, 1000, seed=1)
+    for read in (mc.sop, mc.esr):
+        with pytest.raises(DomainError):
+            read(Scheme.MRC_SC, "nocsi")
+        with pytest.raises(DomainError):
+            read("mrc_sc", CsiMode.CSI)
 
 
 def test_trial_count_beyond_the_stream_key_fails_before_drawing(base_params, monkeypatch):
@@ -304,11 +320,11 @@ def test_quadrature_bound_covers_mpmath_reference(point, tol):
 
 
 def test_quadrature_counts_integrand_evaluations(base_params):
-    # the nodes each integral evaluated; the rate integrates two functions
-    # per decode branch, the outage one
+    # the nodes each integral evaluated; the rate and the outage each
+    # integrate one function per decode branch
     sop_q = oracles.quadrature_sop(base_params, Scheme.MRC_SC, CsiMode.CSI)
     esr_q = oracles.quadrature_esr(base_params, Scheme.MRC_SC, CsiMode.CSI)
-    assert esr_q.evaluations > sop_q.evaluations > 0
+    assert esr_q.evaluations == sop_q.evaluations > 0
     # one branch alone: the relay always decodes at gamma_th 0, never at inf
     on = oracles.quadrature_sop(base_params.with_(gamma_th=0.0), Scheme.MRC_SC, CsiMode.CSI)
     off = oracles.quadrature_sop(base_params.with_(gamma_th=math.inf), Scheme.MRC_SC, CsiMode.CSI)
@@ -326,14 +342,27 @@ def test_quadrature_integrates_slow_links_across_wide_gaps():
 
 
 @pytest.mark.parametrize("db", [1600.0, 3000.0])
-@pytest.mark.parametrize("metric", list(Metric), ids=lambda m: m.value)
-def test_quadrature_refuses_links_too_slow_for_the_laws(db, metric):
+def test_quadrature_refuses_links_too_slow_for_the_laws(db):
     # below a rate of ~1e-155 the sum-of-exponentials density's r1 r2
     # underflows; unguarded, 4 of 16 cells fell outside their bound at
     # 1600 dB, and at 3000 dB the outages without CSI read 9e-18 against 1
     params = params_from_db(db, db, 10.0, 10.0, 10.0, 3.0, 0.5)
     with pytest.raises(NumericError, match="2\\^-500"):
-        oracles.quadrature_cells([params], ((Scheme.MRC_SC, CsiMode.NOCSI, metric),), 1e-9)
+        oracles.quadrature_cells([params], ((Scheme.MRC_SC, CsiMode.NOCSI, Metric.SOP),), 1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("db", [1600.0, 3000.0])
+def test_quadrature_rates_integrate_links_too_slow_for_the_density(db, tol):
+    # a rate integrates the receivers' CDFs and reads no density, so the
+    # outage's guard does not hold it back
+    params = params_from_db(db, db, 10.0, 10.0, 10.0, 3.0, 0.5)
+    cells = [cell for cell in ALL_CELLS if cell[2] is Metric.ESR]
+    (batch,) = oracles.quadrature_cells([params], cells, tol)
+    for (scheme, csi, _), q in zip(cells, batch, strict=True):
+        ref = mp_reference(params, scheme, csi, "esr")
+        assert 0.0 < q.abs_error_bound <= tol
+        assert abs(q.value - ref) <= q.abs_error_bound, (scheme, csi, q, ref)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
@@ -367,16 +396,16 @@ def test_quadrature_at_a_rate_of_1e308():
 
 
 def test_quadrature_refuses_more_halvings_than_its_limit(monkeypatch):
-    # the first grid's bound, against the rule at twice its step, is
-    # ~6e-7 where the rate's integrals each get ~7e-10: the point needs one
-    # halving
+    # the first grid's bound, against the rule at twice its step, is above
+    # these tolerances: each cell needs one halving
     params = params_from_db(0.0, 3.0, 3.0, 40.0, 40.0, 3.0, 1.0)
-    cell = (Scheme.MRC_SC, CsiMode.NOCSI, Metric.ESR)
-    monkeypatch.setattr(oracles, "_HALVINGS", 1)
-    oracles.quadrature_cells([params], [cell], 1e-9)
-    monkeypatch.setattr(oracles, "_HALVINGS", 0)
-    with pytest.raises(NumericError, match="exceeds requested tolerance"):
-        oracles.quadrature_cells([params], [cell], 1e-9)
+    for metric, tol in ((Metric.SOP, 1e-9), (Metric.ESR, 1e-11)):
+        cell = (Scheme.MRC_SC, CsiMode.NOCSI, metric)
+        monkeypatch.setattr(oracles, "_HALVINGS", 1)
+        oracles.quadrature_cells([params], [cell], tol)
+        monkeypatch.setattr(oracles, "_HALVINGS", 0)
+        with pytest.raises(NumericError, match="exceeds requested tolerance"):
+            oracles.quadrature_cells([params], [cell], tol)
 
 
 def test_three_way_agreement_spot_check():
@@ -429,9 +458,8 @@ def _node_set(params, relay_on, metrics):
     integrals of every cell of ``metrics``, as ``quadrature_cells`` builds it."""
     (fields,) = [f for _, on, f in fading.decode_branches(params) if on is relay_on]
     integrals = {
-        key: 1e-9 if metric is Metric.SOP else 5e-10
+        oracles._integral_key(scheme, csi, metric, relay_on): 1e-9 / oracles._METRIC_FACTOR[metric]
         for scheme, csi, metric in ALL_CELLS if metric in metrics
-        for key in oracles._integral_keys(scheme, csi, metric, relay_on)
     }
     args = (params.rho, params.beta_sd, params.beta_rd, params.alpha_se, params.alpha_re)
     return args, oracles._span(fields[1:]), integrals
@@ -447,7 +475,7 @@ def test_batch_leaves_each_node_set_unchanged():
         _node_set(a, False, tuple(Metric)),
     ]
     batch = oracles._integrate(sets)
-    assert [len(r) for r in batch] == [20, 8, 6]
+    assert [len(r) for r in batch] == [16, 8, 4]
     for node_set, results in zip(sets, batch, strict=True):
         (alone,) = oracles._integrate([node_set])
         assert results.keys() == node_set[2].keys()
@@ -469,19 +497,18 @@ def test_full_point_integrates_each_distinct_integral_once(base_params, monkeypa
     monkeypatch.setattr(oracles, "_integrate", counted)
     assert 0.0 < fading.decode_probability(base_params) < 1.0
     oracles.quadrature_cells([base_params], ALL_CELLS)
-    # per decode branch, relay on / off: 8 / 2 outages, 4 / 2 rates without
-    # CSI (one side's combiner each), 8 / 2 rates with CSI
-    assert batches == [26]
-    # one cell at a time integrates 48
+    # per decode branch, relay on / off: 8 / 2 outages and 8 / 2 rates
+    assert batches == [20]
+    # one cell at a time integrates 32
     for scheme, csi, metric in ALL_CELLS:
         fn = oracles.quadrature_sop if metric is Metric.SOP else oracles.quadrature_esr
         fn(base_params, scheme, csi)
-    assert sum(batches[1:]) == 48 and len(batches) == 17
+    assert sum(batches[1:]) == 32 and len(batches) == 17
     # a zero-weight branch is left out
     batches.clear()
     oracles.quadrature_cells([base_params.with_(gamma_th=math.inf)], ALL_CELLS)
     oracles.quadrature_cells([base_params.with_(gamma_th=0.0)], ALL_CELLS)
-    assert batches == [6, 20]
+    assert batches == [4, 16]
 
 
 _LAWS = ("exp_cdf", "exp_pdf", "sum_exp_cdf", "sum_exp_pdf", "max_exp_cdf", "max_exp_pdf")
@@ -489,11 +516,11 @@ _LAWS = ("exp_cdf", "exp_pdf", "sum_exp_cdf", "sum_exp_pdf", "max_exp_cdf", "max
 
 def test_a_node_set_evaluates_each_law_once(base_params, monkeypatch):
     # the point converges in two rounds, the first grid and its midpoints:
-    # in each, its 26 integrals read each (law, combiner, argument) once per
-    # node set (decode branch), 10 with the relay on (each combiner's
-    # density and CDF at y at both receivers, and its CDF at rho (1 + y) - 1
-    # at the destination) and 5 with it off, the laws that the 16 cells read
-    # one at a time
+    # in each, its 20 integrals read each (law, combiner, argument) once per
+    # node set (decode branch), 8 with the relay on (each combiner's CDF at
+    # y at both receivers, its CDF at rho (1 + y) - 1 at the destination
+    # and its density at the eavesdropper) and 4 with it off, the laws that
+    # the 16 cells read one at a time
     calls = []
     for name in _LAWS:
 
@@ -506,7 +533,7 @@ def test_a_node_set_evaluates_each_law_once(base_params, monkeypatch):
     assert 0.0 < fading.decode_probability(base_params) < 1.0
     oracles.quadrature_cells([base_params], ALL_CELLS)
     batch = Counter(calls)
-    assert max(batch.values()) == 1 and len(batch) == 2 * (10 + 5)
+    assert max(batch.values()) == 1 and len(batch) == 2 * (8 + 4)
     alone = set()
     for cell in ALL_CELLS:
         calls.clear()

@@ -1,0 +1,43 @@
+"""The closed-form outputs' bytes, checked against committed digests.
+
+The six figure presets as shipped and ``tools/output_digests.py``'s two
+``--asymptote`` sweeps read only CPython and libm, so their CSV bytes do
+not depend on numpy.  Each is written in-process with ``run_sweep`` and
+``write_csv``, which gives the bytes ``secrelay sweep`` prints.  A change
+that moves one of them updates its digest here and says why.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from secrelay import cli
+from secrelay.sweep import run_sweep, write_csv
+
+# SHA-256 of the standard output of the command each entry names.
+DIGESTS = {
+    "sweep --preset fig2": "962b9bae6dd159edcad9a8e47765a1ef16c564ca0c44c19aca6d0ae38be0b647",
+    "sweep --preset fig3": "442c3d3c9a94f0c007580e0f6fb254ff9f05b20a7553d8115cd078c2e570f2f1",
+    "sweep --preset fig4": "9ab992dec5408f9ce7634b629c19a961f6e4ca5b3438fec35e4e527fdf889d19",
+    "sweep --preset fig5": "ca7561b257093696b321b21f5cc65a53bb2398c0f38dcc982031aeb59e05afac",
+    "sweep --preset fig6": "3eac8fcd5cb0b33d3fa443490faa7a50bf1bc6c3625ff26e0e6a59762fa7abfd",
+    "sweep --preset fig7": "479a831f3c717dad8cc0468454873ae0d1e1964b7c5cb0ef2fe9e35b2a6c5905",
+    "sweep --axis beta-rd-db --from-db -10 --to-db 50 --step-db 1 --metric both --asymptote":
+        "b07474b429b49a038d7ef7614ebf1b4cdf417f9e5c924a22c7024d2fdc8596a1",
+    "sweep --axis balanced-snr-db --from-db -10 --to-db 50 --step-db 1 --metric both --asymptote":
+        "14b80b8102272e81b929343361871db3d39ec21233dd835e6f67a84bf3db1633",
+}
+
+
+def _spec(command):
+    # the spec the CLI builds for the command
+    parser = cli._build_parser()
+    return cli._spec_from_args(parser, parser.parse_args(command.split()))
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_closed_form_outputs_keep_their_bytes(command):
+    out = io.StringIO()
+    write_csv(run_sweep(_spec(command)), out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[command]

@@ -535,8 +535,9 @@ def test_grid_beyond_the_stream_key_fails_before_sampling(monkeypatch):
     # shares the axis cap; up to 2^32 points used to be accepted
     with pytest.raises(DomainError, match="grid_size"):
         sample_grid(sweep.MAX_AXIS_POINTS + 1, seed=1)
-    # a float or a string used to raise TypeError from range or the comparison
-    for grid_size in (2.5, "3"):
+    # a float or a string used to raise TypeError from range or the comparison,
+    # and a bool passed as one point
+    for grid_size in (2.5, "3", True):
         with pytest.raises(DomainError, match="grid_size"):
             sample_grid(grid_size, seed=7)
 
