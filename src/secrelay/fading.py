@@ -146,17 +146,8 @@ class SystemParams:
     rate_rs: float
 
     def __post_init__(self):
-        for name in ("alpha_se", "alpha_re", "beta_sd", "beta_sr", "beta_rd"):
-            v = getattr(self, name)
-            if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
-                raise DomainError(f"{name} must be a positive finite rate, got {v!r}")
-        if not (_is_real(self.gamma_th) and self.gamma_th >= 0.0):
-            raise DomainError(f"gamma_th must be >= 0, got {self.gamma_th!r}")
-        # rho = 2^(2 rate_rs) overflows a double from rate_rs = 512 on.
-        if not (_is_real(self.rate_rs) and 0.0 <= self.rate_rs < 512.0):
-            raise DomainError(
-                f"rate_rs must be >= 0 and below 512 (finite rho), got {self.rate_rs!r}"
-            )
+        for name in _PARAM_FIELDS:
+            _check_field(name, getattr(self, name))
 
     @property
     def rho(self) -> float:
@@ -164,18 +155,32 @@ class SystemParams:
         return 2.0 ** (2.0 * self.rate_rs)
 
     def with_(self, **changes) -> "SystemParams":
-        """A copy with ``changes``, checked as the constructor checks them
-        but without ``dataclasses.replace``'s cost per sweep point."""
-        unknown = changes.keys() - _PARAM_FIELDS
-        if unknown:
-            raise TypeError(f"SystemParams has no field {min(unknown)!r}")
+        """A copy with ``changes``, checked as the constructor checks them (in
+        field order), without ``dataclasses.replace``'s cost per sweep point."""
         new = object.__new__(SystemParams)
         new.__dict__.update(self.__dict__, **changes)
-        new.__post_init__()
+        if len(new.__dict__) > len(_PARAM_FIELDS):
+            unknown = min(changes.keys() - set(_PARAM_FIELDS))
+            raise TypeError(f"SystemParams has no field {unknown!r}")
+        for name in _PARAM_FIELDS:
+            if name in changes:
+                _check_field(name, changes[name])
         return new
 
 
-_PARAM_FIELDS = frozenset(f.name for f in fields(SystemParams))
+_PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
+
+
+def _check_field(name: str, v) -> None:
+    """:class:`DomainError` unless ``v`` may be the :class:`SystemParams` field ``name``."""
+    if name == "gamma_th":
+        ok, must = _is_real(v) and v >= 0.0, ">= 0"
+    elif name == "rate_rs":  # rho = 2^(2 rate_rs) overflows a double from rate_rs = 512 on
+        ok, must = _is_real(v) and 0.0 <= v < 512.0, ">= 0 and below 512 (finite rho)"
+    else:
+        ok, must = _is_real(v) and v > 0.0 and math.isfinite(v), "a positive finite rate"
+    if not ok:
+        raise DomainError(f"{name} must be {must}, got {v!r}")
 
 
 def db_to_linear(db: float, name: str = "value") -> float:

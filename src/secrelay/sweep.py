@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum, EnumMeta
+from enum import Enum
 from typing import Iterable, NamedTuple, Optional, TextIO, Union
 
 from . import asymptotics, closed_form
@@ -152,15 +152,18 @@ CSV_HEADER = ",".join(SweepRow._fields)
 
 
 def _apply_axis(params: SystemParams, axis: Axis, value_db: float) -> SystemParams:
-    name = f"axis value {value_db!r} dB"
+    db = value_db if axis is Axis.GAMMA_TH_DB else -value_db
+    try:
+        linear = db_to_linear(db)
+    except DomainError:  # raised again naming the value, whose repr costs more than the power
+        linear = db_to_linear(db, f"axis value {value_db!r} dB")
     if axis is Axis.GAMMA_TH_DB:
-        return params.with_(gamma_th=db_to_linear(value_db, name))
-    rate = db_to_linear(-value_db, name)
+        return params.with_(gamma_th=linear)
     if axis is Axis.BALANCED_SNR_DB:
-        return params.with_(beta_sr=rate, beta_rd=rate)
+        return params.with_(beta_sr=linear, beta_rd=linear)
     if axis is Axis.BETA_RD_DB:
-        return params.with_(beta_rd=rate)
-    return params.with_(beta_sr=rate)
+        return params.with_(beta_rd=linear)
+    return params.with_(beta_sr=linear)
 
 
 _UNBALANCED_CASE = {
@@ -214,10 +217,10 @@ _FLOOR_CELL = (Scheme.MRC_MRC, CsiMode.NOCSI, Metric.SOP)
 
 
 def _curve(spec: SweepSpec, cells, variant: Variant):
-    """One variant's curve: its axis, its fixed parameters, and per cell the
-    columns every point of it shares (the asymptote and the two threshold
-    floors).  None of them reads the swept field, so each is computed once
-    per curve rather than once per point."""
+    """One variant's curve: its label, axis and fixed parameters, and per
+    cell the columns every point of it shares (the cell, the asymptote and
+    the two threshold floors).  None of them reads the swept field, so each is
+    computed once per curve rather than once per point."""
     axis = variant.axis or spec.axis
     params = spec.fixed.with_(**dict(variant.overrides))
     shared = []
@@ -228,8 +231,8 @@ def _curve(spec: SweepSpec, cells, variant: Variant):
         floors = (None, None)
         if axis is Axis.GAMMA_TH_DB and (scheme, csi, metric) == _FLOOR_CELL:
             floors = (asymptotics.sop_perfect_decoding(params), asymptotics.sop_wiretap(params))
-        shared.append((asym, *floors))
-    return variant, axis, params, shared
+        shared.append((scheme, csi, metric, asym, *floors))
+    return variant.label, axis, params, shared
 
 
 def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
@@ -260,35 +263,44 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     else:
         columns = [[(None, None)] * len(cells)] * len(points)
     rows = []
-    for ((variant, axis, _, shared), value_db), point_values, point_columns in zip(
+    new_row = tuple.__new__  # a SweepRow without NamedTuple's Python __new__
+    for ((label, axis, _, shared), value_db), point_values, point_columns in zip(
         points, cf_values, columns
     ):
-        for cell, value, column, (asym, *floors) in zip(cells, point_values, point_columns, shared):
-            # Only a line reads the swept rate, so no other cell converts it.
-            if isinstance(asym, asymptotics.Asymptote):
-                asym = asym.predict(db_to_linear(-value_db))
-            rows.append(
-                SweepRow(axis, value_db, variant.label, *cell, _METHOD, value, *column, asym, *floors)
-            )
+        rate = None
+        for (scheme, csi, metric, asym, low, high), value, (oracle, stderr) in zip(
+            shared, point_values, point_columns
+        ):
+            if isinstance(asym, asymptotics.Asymptote):  # only a line reads the swept rate
+                rate = rate or db_to_linear(-value_db)
+                asym = asym.predict(rate)
+            rows.append(new_row(SweepRow, (
+                axis, value_db, label, scheme, csi, metric, _METHOD, value, oracle, stderr, asym,
+                low, high)))
     return rows
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    # An Enum member, tested through its class (isinstance(value, Enum) and
-    # the ``value`` property each cost a slow path per field).
-    if isinstance(type(value), EnumMeta):
-        return value._value_
-    return "%.17g" % value
+class _RowFormats(dict):
+    """Row %-formats by the optional columns' classes; ``%.0s`` prints a None as nothing."""
+
+    def __missing__(self, kinds):
+        optional = ["%.0s" if k is type(None) else "%s" if issubclass(k, str) else "%.17g"
+                    for k in kinds]
+        fmt = self[kinds] = ",".join(["%s,%s,%s,%s,%s,%s,%s,%.17g", *optional]) + "\n"
+        return fmt
 
 
 def write_csv(rows: Iterable[SweepRow], out: TextIO) -> None:
     out.write(CSV_HEADER + "\n")
-    for r in rows:
-        out.write(",".join(map(_fmt, r)) + "\n")
+    formats = _RowFormats()
+    last_db = axis_text = None
+    for (axis, value_db, label, scheme, csi, metric, method, value,
+         oracle, stderr, asym, low, high) in rows:
+        if value_db is not last_db:  # a point's rows share its axis value
+            last_db, axis_text = value_db, "%.17g" % value_db
+        out.write(formats[type(oracle), type(stderr), type(asym), type(low), type(high)] % (
+            axis._value_, axis_text, label, scheme._value_, csi._value_, metric._value_, method,
+            value, oracle, stderr, asym, low, high))
 
 
 # ---------------------------------------------------------------------------

@@ -260,7 +260,7 @@ def _recorded_batches(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(_QUAD_SPECS))
-def test_sliced_quadrature_equals_one_point_calls(name, monkeypatch):
+def test_quadrature_sweep_equals_one_point_calls(name, monkeypatch):
     # the sweep makes one quadrature call, which integrates its node sets
     # in batches of at most 16; at every point each cell's value, bound and
     # evaluation count are those of a one-point call

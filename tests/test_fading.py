@@ -92,7 +92,10 @@ _RATE_FIELDS = ("alpha_se", "alpha_re", "beta_sd", "beta_sr", "beta_rd")
     [{name: v} for name in _RATE_FIELDS for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
     + [{"gamma_th": -0.5}, {"gamma_th": math.nan}, {"rate_rs": 512.0}, {"rate_rs": -1.0},
        {"beta_rd": 2.0, "gamma_th": -1.0}, {"gamma_th": "3"}, {"gamma_th": None},
-       {"rate_rs": None}, {"rate_rs": "0.5"}],
+       {"rate_rs": None}, {"rate_rs": "0.5"},
+       # two bad fields: the constructor's field order names the first
+       {"rate_rs": -1.0, "alpha_se": -1.0}, {"gamma_th": -1.0, "beta_sd": 0.0},
+       {"beta_rd": -1.0, "alpha_se": -1.0}],
 )
 def test_with_rejects_what_the_constructor_rejects(change):
     p = SystemParams(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5)

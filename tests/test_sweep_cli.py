@@ -9,11 +9,12 @@ import os
 import pkgutil
 import subprocess
 import sys
+from enum import EnumMeta
 from pathlib import Path
 
 import pytest
 
-from secrelay import asymptotics, closed_form, oracles, sweep
+from secrelay import asymptotics, cli, closed_form, oracles, sweep
 from secrelay.cli import MAX_JOBS, main
 from secrelay.errors import DomainError, NumericError
 from secrelay.fading import (
@@ -343,6 +344,44 @@ def test_csv_columns_are_the_row_fields():
     ]
 
 
+def _field_text(value) -> str:
+    # the field-by-field formatter write_csv used before it formatted a row
+    # at once, kept here as the reference for its bytes
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(type(value), EnumMeta):
+        return value._value_
+    return "%.17g" % value
+
+
+@pytest.mark.parametrize(
+    "command, kinds",
+    [
+        # a Monte Carlo estimate is a numpy.float64
+        ("--preset fig2 --mc-trials 1000",
+         {("oracle_value", "float64"), ("oracle_stderr", "float")}),
+        ("--preset fig6 --quad-tol 1e-9",
+         {("oracle_value", "float"), ("oracle_stderr", "NoneType")}),
+        # SOP lines and ESR markers
+        ("--axis beta-rd-db --from-db -10 --to-db 50 --step-db 5 --metric both --asymptote",
+         {("asymptote_value", "float"), ("asymptote_value", "str")}),
+        ("--preset fig4", {("floor_gamma_zero", "float"), ("floor_gamma_inf", "float"),
+                           ("floor_gamma_zero", "NoneType"), ("floor_gamma_inf", "NoneType")}),
+    ],
+)
+def test_csv_bytes_are_those_of_the_field_formatter(command, kinds):
+    parser = cli._build_parser()
+    rows = run_sweep(cli._spec_from_args(parser, parser.parse_args(["sweep", *command.split()])))
+    assert kinds <= {
+        (name, type(v).__name__) for r in rows for name, v in zip(r._fields[8:], r[8:])
+    }
+    assert csv_text(rows) == "".join(
+        line + "\n" for line in [CSV_HEADER, *(",".join(map(_field_text, r)) for r in rows)]
+    )
+
+
 def test_case2_rate_floor_every_cell():
     # the case-II rate floor is the decode-success rate; the rate differs
     # from it by the decode-failure weight 1 - exp(-gamma_th beta_sr) times
@@ -617,6 +656,19 @@ def test_cli_usage_errors(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2, args
+
+
+@pytest.mark.parametrize(
+    "axis, db", [("gamma-th-db", "4000"), ("beta-rd-db", "-4000")]
+)
+def test_cli_axis_overflow_names_the_axis_value(axis, db, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--axis", axis, "--from-db", db, "--to-db", db])
+    assert exc.value.code == 2
+    assert (
+        f"axis value {float(db)!r} dB is out of range: 10^(4000.0/10) overflows a double"
+        in capsys.readouterr().err
+    )
 
 
 def test_cli_axis_needs_a_range(capsys):
@@ -1081,6 +1133,26 @@ def test_cli_sweep_stops_quietly_when_stdout_closes():
         cmd, env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
     )
     try:
+        assert proc.stdout.readline().rstrip("\n") == CSV_HEADER
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, "")
+
+
+def test_cli_preset_stops_quietly_when_stdout_closes_after_the_header():
+    # fig2's ~20 kB of rows would fit a default pipe, so the pipe is cut to
+    # one page: the command is still writing when the reader goes away
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set here")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "secrelay.cli", "sweep", "--preset", "fig2"],
+        env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        fcntl.fcntl(proc.stdout.fileno(), fcntl.F_SETPIPE_SZ, 4096)
         assert proc.stdout.readline().rstrip("\n") == CSV_HEADER
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
