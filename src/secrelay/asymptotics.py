@@ -25,7 +25,7 @@ from enum import Enum
 from . import closed_form
 from .errors import NumericError
 from .expint import eiexp  # noqa: F401 - module attribute perfbench/spans.py wraps
-from .fading import CsiMode, Scheme, SystemParams, decode_probability
+from .fading import CsiMode, Scheme, SystemParams, decode_weights
 
 __all__ = [
     "UnbalancedCase",
@@ -86,9 +86,9 @@ def sop_asymptote_unbalanced(
     """
     off = _off_bracket(params, csi)
     if case is UnbalancedCase.I:
-        p_on = decode_probability(params)
+        p_on, p_off = decode_weights(params)
         slope = closed_form.sop_relay_slope(params, scheme, csi)
-        return Asymptote((1.0 - p_on) * off, p_on * slope)
+        return Asymptote(p_off * off, p_on * slope)
     on = closed_form.sop_conditional(params, scheme, csi, relay_on=True)
     return Asymptote(on, params.gamma_th * (off - on))
 

@@ -42,7 +42,7 @@ from .fading import (
     SystemParams,
     check_cells,
     decode_branches,
-    decode_probability,
+    decode_weights,
 )
 
 __all__ = [
@@ -82,7 +82,7 @@ class _Combiner(Enum):
     SUM = "mrc"
     MAX = "sc"
 
-    __hash__ = object.__hash__  # C's hash in every store key (fading.Scheme)
+    __hash__ = object.__hash__  # C's hash in every functional key (fading.Scheme)
 
 
 # A sum-combiner pair closer than this, relative to the smaller rate, takes
@@ -108,16 +108,14 @@ def _mixture(comb, r1, r2, phi, phi_dd):
     return r1 * phi_dd(r1, r2) - phi(r1)
 
 
-# Each scheme's (destination, eavesdropper) combiners, read off its name
-# (mrc_sc): a Scheme property would cost a Python call per branch.
-_COMBINERS = {s: tuple(map(_Combiner, s.value.split("_"))) for s in Scheme}
-
-
-def _receivers(params: SystemParams, scheme: Scheme, relay_on: bool):
-    # (kind, r1, r2) of the destination's and the eavesdropper's combiners;
-    # a silent relay leaves each its direct link alone (r2 is not read).
-    m, e = _COMBINERS[scheme] if relay_on else (_Combiner.SINGLE, _Combiner.SINGLE)
-    return (m, params.beta_sd, params.beta_rd), (e, params.alpha_se, params.alpha_re)
+# Each decode branch's (destination, eavesdropper) combiners: with the relay
+# on, its scheme's, read off the name (mrc_sc); with the relay silent, each
+# side's direct link alone (r2 is not read).
+_COMBINERS = {
+    (s, on): tuple(map(_Combiner, s.value.split("_"))) if on else (_Combiner.SINGLE,) * 2
+    for s in Scheme
+    for on in (False, True)
+}
 
 
 def _pole_dd(a, t1, t2):
@@ -132,7 +130,7 @@ def _pole_dd2(a, t0, t1, t2):
 
 def _eaves_laplace(comb, a1, a2):
     """Laplace transform ``L(t)`` of the density of the eavesdropper's
-    combiner ``comb`` with rates ``a1``, ``a2`` (:func:`_receivers`), and its
+    combiner ``comb`` with rates ``a1``, ``a2`` (:func:`_functional`), and its
     divided differences ``L[t1, t2]`` and ``L[t0, t1, t2]``.
 
     Written directly per combiner rather than through the CDF mixture: the
@@ -258,16 +256,6 @@ def _eiexp_dd2(s1, s2, a1, a2):
     ) / c
 
 
-def _stored(store: dict, ident, tag, compute, *args):
-    """``compute(*args)``, or the value ``store`` holds for ``ident`` if it
-    was computed for the same ``tag`` (the fields it read).  One slot per
-    identity, overwritten on a new tag, bounds the store."""
-    slot = store.get(ident)
-    if slot is None or slot[0] != tag:
-        slot = store[ident] = tag, compute(*args)
-    return slot[1]
-
-
 def _validate(params, cells):
     if not isinstance(params, SystemParams):
         raise DomainError(f"params must be SystemParams, got {type(params).__name__}")
@@ -293,16 +281,16 @@ def _checked(what, params, evaluate, *args):
     return value
 
 
-def _branch_name(_bracket, _params, scheme, csi, relay_on):
+def _branch_name(_side, _params, scheme, csi, relay_on):
     return f"{scheme.value}/{csi.value} with the relay {'on' if relay_on else 'off'}"
 
 
-def _at_destination(bracket, params, scheme, _csi, relay_on):
-    comb = _COMBINERS[scheme][0] if relay_on else _Combiner.SINGLE
+def _at_destination(side, params, *_):
+    bracket, comb = side
     return bracket(comb, params.beta_sd, params.beta_rd)
 
 
-# Each functional's phi and phi[s1, s2], and the store's one eiexp cache,
+# Each functional's phi and phi[s1, s2], and a cells call's one eiexp cache,
 # keep their 16 most recently used arguments (lru_cache): a point's
 # destination rates and, for eiexp, the CSI rate's cross terms with alpha_se,
 # alpha_re and their sum.  beta_sd, which no axis moves, stays.
@@ -310,13 +298,14 @@ _MEMO_SIZE = 16
 _memoized = lru_cache(maxsize=_MEMO_SIZE)
 
 
-def _functional(store, metric, csi, eaves, params):
-    """``bracket(comb, r1, r2)`` of one metric and CSI mode against a branch's
-    eavesdropper combiner ``eaves``: the branch value for the destination's
-    combiner (the outage before its clamp, the rate in nats).  Its ``phi``
-    and ``phi[s1, s2]`` each keep their :data:`_MEMO_SIZE` most recently used
-    arguments (``lru_cache``); rates share the store's one ``eiexp`` cache,
-    which looks ``eiexp`` up at call time."""
+def _functional(metric, csi, comb, params, eiexp_at):
+    """``bracket(comb, r1, r2)`` of one metric and CSI mode against the
+    eavesdropper's combiner ``comb`` on ``alpha_se`` and ``alpha_re``: the
+    branch value for the destination's combiner (the outage before its
+    clamp, the rate in nats).  Its ``phi`` and ``phi[s1, s2]`` each keep
+    their :data:`_MEMO_SIZE` most recently used arguments (``lru_cache``);
+    rates read ``eiexp`` through ``eiexp_at``, the caller's cache of it."""
+    eaves = comb, params.alpha_se, params.alpha_re
     if metric is Metric.SOP:
         phi, phi_dd, _ = _outage_functional(params.rho, csi, eaves)
         phi, phi_dd = _memoized(phi), _memoized(phi_dd)
@@ -325,9 +314,8 @@ def _functional(store, metric, csi, eaves, params):
         return lambda *m: 1.0 + _mixture(*m, phi, phi_dd)
 
     # E[ln(1 + X)] of a mixture is -sum_i c_i eiexp(s_i).
-    eiexp_at = _stored(store, "eiexp", None, _memoized, lambda x: eiexp(x))
     if csi is CsiMode.NOCSI:
-        # The eavesdropper's term reads no destination rate: kept per curve.
+        # The eavesdropper's term reads no destination rate: kept per binding.
         eaves_term = _memoized(lambda: _mixture(*eaves, eiexp_at, _eiexp_dd))
         return lambda *m: _mixture(*m, eiexp_at, _eiexp_dd) - eaves_term()
 
@@ -336,8 +324,8 @@ def _functional(store, metric, csi, eaves, params):
     # destination mixture of phi(s) = eiexp(s) + (eavesdropper mixture of
     # a -> eiexp(s + a)).  Its divided difference in s is the same pattern
     # one order up, with the mixed second difference at close pairs.  The
-    # cross terms eiexp(s + a) go through the store's eiexp cache too, which
-    # every eavesdropper combiner shares.
+    # cross terms eiexp(s + a) go through the eiexp cache too, which every
+    # eavesdropper combiner shares.
     def phi(s):
         return eiexp_at(s) + _mixture(
             *eaves, lambda a: eiexp_at(s + a), lambda a1, a2: _eiexp_dd(s + a1, s + a2)
@@ -352,26 +340,20 @@ def _functional(store, metric, csi, eaves, params):
     return lambda *m: _mixture(*m, phi, phi_dd)
 
 
-def _bound(store, metric, csi, params, scheme, relay_on):
-    # A functional reads no field an axis moves: one per curve, metric, CSI
-    # mode and eavesdropper combiner.
-    eaves = _receivers(params, scheme, relay_on)[1]
-    tag = (params.rate_rs, params.alpha_se, params.alpha_re)
-    return _stored(store, (metric, csi, eaves[0]), tag, _functional, store, metric, csi, eaves, params)
-
-
-def _conditional(bracket, metric, params, scheme, csi, relay_on):
+def _conditional(side, metric, params, scheme, csi, relay_on):
     """One decode branch's outage, clamped to [0, 1], or rate in bpcu:
-    ``bracket``, the :func:`_functional` of its eavesdropper combiner, at
-    its destination combiner; :class:`NumericError` where not finite."""
-    value = _checked(_branch_name, params, _at_destination, bracket, params, scheme, csi, relay_on)
+    ``side``, the :func:`_functional` of its eavesdropper combiner and its
+    destination combiner, at the destination's rates; :class:`NumericError`
+    where not finite."""
+    value = _checked(_branch_name, params, _at_destination, side, params, scheme, csi, relay_on)
     return min(1.0, max(0.0, value)) if metric is Metric.SOP else HALF_LOG2E * value
 
 
 def _public_conditional(metric, params, scheme, csi, relay_on):
     _validate(params, ((scheme, csi, metric),))
-    bracket = _bound({}, metric, csi, params, scheme, relay_on)
-    return _conditional(bracket, metric, params, scheme, csi, relay_on)
+    dest, eaves = _COMBINERS[scheme, relay_on]
+    bracket = _functional(metric, csi, eaves, params, _memoized(lambda x: eiexp(x)))
+    return _conditional((bracket, dest), metric, params, scheme, csi, relay_on)
 
 
 def sop_conditional(params: SystemParams, scheme: Scheme, csi: CsiMode, relay_on: bool) -> float:
@@ -397,7 +379,8 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
     100 dB direct link.
     """
     _validate(params, ((scheme, csi, Metric.SOP),))
-    _, _, phi_dd2 = _outage_functional(params.rho, csi, _receivers(params, scheme, True)[1])
+    eaves = _COMBINERS[scheme, True][1], params.alpha_se, params.alpha_re
+    _, _, phi_dd2 = _outage_functional(params.rho, csi, eaves)
     b = params.beta_sd
 
     def slope():
@@ -420,43 +403,48 @@ def cells(points, cells) -> list[list[float]]:
     in order.
 
     Each cell mixes the values of the decode branches of
-    :func:`fading.decode_branches` with their weights.  The call keeps a
-    store with a slot per branch, read back while its ``fields`` (with the
-    relay silent, not the scheme) are unchanged (:func:`_stored`), one per
-    :func:`_functional` and one ``eiexp`` cache; each functional's ``phi``
-    and ``phi[s1, s2]`` and the ``eiexp`` cache keep their
-    :data:`_MEMO_SIZE` most recently used arguments
-    (``functools.lru_cache``).  The cells are checked, and each cell's slots
-    and functionals bound, once per call (and again at a point whose
-    ``rate_rs`` or eavesdropper links differ from the last), so a sweep
-    passes it all its points, curve by curve.
+    :func:`fading.decode_branches` with their weights.  For the call, it
+    keeps one ``eiexp`` cache and the last ``(fields, value)`` of each
+    branch identity (with the relay silent, not the scheme), read back while
+    the ``fields`` are unchanged.  For each binding, a run of points with
+    the same ``rate_rs``, ``alpha_se`` and ``alpha_re``, it keeps one
+    :func:`_functional` per metric, CSI mode and eavesdropper combiner, and
+    binds each cell's branches to them and to their destination combiners.
+    The functionals' ``phi`` and ``phi[s1, s2]`` and the ``eiexp`` cache
+    keep their :data:`_MEMO_SIZE` most recently used arguments
+    (``functools.lru_cache``).  The cells are checked once per call, so a
+    sweep passes it all its points, curve by curve.
     """
     cells = check_cells(cells)
-    store = {}
+    eiexp_at = _memoized(lambda x: eiexp(x))
+    slots = {}
     tag, out = None, []
     for params in points:
         _validate(params, ())
         if tag != (params.rate_rs, params.alpha_se, params.alpha_re):
-            # per cell, indexed by relay_on: each branch's slot identity and
-            # functional, which no axis moves
+            # per cell, indexed by relay_on: each branch's slot identity,
+            # functional and destination combiner
             tag = (params.rate_rs, params.alpha_se, params.alpha_re)
-            bound = [
-                (scheme, csi, metric, [
-                    ((metric, csi, on, scheme if on else None),
-                     _bound(store, metric, csi, params, scheme, on))
-                    for on in (False, True)
-                ])
-                for scheme, csi, metric in cells
-            ]
+            functionals, bound = {}, []
+            for scheme, csi, metric in cells:
+                sides = []
+                for on in (False, True):
+                    dest, eaves = _COMBINERS[scheme, on]
+                    key = metric, csi, eaves
+                    if key not in functionals:
+                        functionals[key] = _functional(metric, csi, eaves, params, eiexp_at)
+                    sides.append(((metric, csi, on, scheme if on else None), (functionals[key], dest)))
+                bound.append((scheme, csi, metric, sides))
         branches = decode_branches(params)
         values = []
         for scheme, csi, metric, sides in bound:
             value = 0.0
             for weight, relay_on, fields in branches:
-                ident, bracket = sides[relay_on]
-                value += weight * _stored(
-                    store, ident, fields, _conditional, bracket, metric, params, scheme, csi, relay_on
-                )
+                ident, side = sides[relay_on]
+                slot = slots.get(ident)
+                if slot is None or slot[0] != fields:
+                    slot = slots[ident] = fields, _conditional(side, metric, params, scheme, csi, relay_on)
+                value += weight * slot[1]
             values.append(min(1.0, max(0.0, value)) if metric is Metric.SOP else value)
         out.append(values)
     return out
@@ -491,8 +479,8 @@ def esr_mrc_sc_csi_variant(params: SystemParams) -> float:
         raise DomainError("variant is undefined at equal destination rates")
     shipped_first = b_rd * eiexp(b_sd) / (b_sd - b_rd)
     variant_first = b_rd * math.exp(b_sd) * math.exp(-b_rd) * eiexp(b_rd) / (b_sd - b_rd)
-    p_on = decode_probability(params)
+    p_on, p_off = decode_weights(params)
     on = esr_conditional(params, Scheme.MRC_SC, CsiMode.CSI, True)
     off = esr_conditional(params, Scheme.MRC_SC, CsiMode.CSI, False)
     on_variant = on + HALF_LOG2E * (variant_first - shipped_first)
-    return p_on * on_variant + (1.0 - p_on) * off
+    return p_on * on_variant + p_off * off

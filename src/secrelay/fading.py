@@ -392,14 +392,20 @@ def decode_probability(params: SystemParams) -> float:
     return math.exp(-params.beta_sr * params.gamma_th)
 
 
+def decode_weights(params: SystemParams) -> tuple[float, float]:
+    """Weights of the relay decoding and of the relay staying silent."""
+    p_on = decode_probability(params)
+    return p_on, 1.0 - p_on
+
+
 def decode_branches(params: SystemParams) -> list[tuple[float, bool, tuple[float, ...]]]:
     """``(weight, relay_on, fields)`` per decode branch of nonzero weight, the
     relay decoding first; ``fields`` are ``rate_rs`` and the links the branch
     reads.  ``beta_sr`` and ``gamma_th`` only weight the branches."""
-    p_on = decode_probability(params)
+    p_on, p_off = decode_weights(params)
     p = params
     on = (p_on, True, (p.rate_rs, p.alpha_se, p.alpha_re, p.beta_sd, p.beta_rd))
-    off = (1.0 - p_on, False, (p.rate_rs, p.alpha_se, p.beta_sd))
+    off = (p_off, False, (p.rate_rs, p.alpha_se, p.beta_sd))
     return [branch for branch in (on, off) if branch[0] != 0.0]
 
 

@@ -13,9 +13,9 @@ from secrelay.asymptotics import (
     sop_perfect_decoding,
     sop_wiretap,
 )
-from secrelay.closed_form import esr, sop, sop_relay_slope
+from secrelay.closed_form import esr, sop, sop_conditional, sop_relay_slope
 from secrelay.errors import NumericError
-from secrelay.fading import CsiMode, SCHEME_ORDER, Scheme, params_from_db
+from secrelay.fading import CsiMode, SCHEME_ORDER, Scheme, decode_branches, params_from_db
 from secrelay.sweep import sample_grid
 
 from mp_reference import mp_relay_slope
@@ -80,6 +80,10 @@ def test_case1_constant_shared_across_schemes():
         ]
         assert len(set(consts)) == 1
         assert 0.0 <= consts[0] <= 1.0
+        # the floor is the silent-relay branch of the mixture, to the bit
+        (off_weight,) = [w for w, relay_on, _ in decode_branches(FIG5_PARAMS) if not relay_on]
+        off = sop_conditional(FIG5_PARAMS, Scheme.MRC_MRC, csi, relay_on=False)
+        assert consts[0] == off_weight * off
     nocsi = sop_asymptote_unbalanced(
         FIG5_PARAMS, Scheme.MRC_MRC, CsiMode.NOCSI, UnbalancedCase.I
     ).constant_term

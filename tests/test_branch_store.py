@@ -9,6 +9,7 @@ curve.  The rows must be the bits of fresh calls at every point.
 
 import dataclasses
 import io
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -140,9 +141,9 @@ def _counted_branches(monkeypatch):
     calls = Counter()
     conditional = closed_form._conditional
 
-    def counted(store, metric, params, scheme, csi, relay_on):
+    def counted(side, metric, params, scheme, csi, relay_on):
         calls[relay_on] += 1
-        return conditional(store, metric, params, scheme, csi, relay_on)
+        return conditional(side, metric, params, scheme, csi, relay_on)
 
     monkeypatch.setattr(closed_form, "_conditional", counted)
     return calls
@@ -168,15 +169,16 @@ def test_balanced_curves_share_the_silent_relay_branch(monkeypatch):
 
 
 def _entries(value, seen=None):
-    """Values a store holds, with the values kept by every ``lru_cache`` its
-    slots reach through ``__wrapped__`` and closures, each cache once."""
+    """Values a structure holds, with the values kept by every
+    ``lru_cache`` its entries reach through ``__wrapped__`` and closures,
+    each cache once."""
     seen = set() if seen is None else seen
     if id(value) in seen:
         return 0
     seen.add(id(value))
     if isinstance(value, dict):
         return sum(1 + _entries(v, seen) for v in value.values())
-    if isinstance(value, tuple):
+    if isinstance(value, tuple | list):
         return sum(_entries(v, seen) for v in value)
     if not callable(value):
         return 0
@@ -186,38 +188,62 @@ def _entries(value, seen=None):
     return n + sum(_entries(v, seen) for v in reached if v is not None)
 
 
-def _stores(monkeypatch):
-    """The closed-form stores that calls read a slot of; a store only
-    grows, so its size after the call is its largest."""
-    stores = {}
-    stored = closed_form._stored
+# what a closed_form.cells call keeps: its branch slots, its binding's
+# functionals and its eiexp cache
+_CALL_STRUCTURES = ("slots", "functionals", "eiexp_at")
 
-    def recorded(store, *args):
-        stores[id(store)] = store
-        return stored(store, *args)
 
-    monkeypatch.setattr(closed_form, "_stored", recorded)
-    return stores
+def _held(monkeypatch):
+    """The structures of each ``closed_form.cells`` call, read off its
+    frame at each branch evaluation; the slots only grow and one binding's
+    functionals only fill their caches, so their size after the call is
+    their largest."""
+    held = {}
+    conditional = closed_form._conditional
+
+    def recorded(*args):
+        frame = sys._getframe(1)
+        assert frame.f_code is closed_form.cells.__code__
+        held[id(frame)] = [frame.f_locals[name] for name in _CALL_STRUCTURES]
+        return conditional(*args)
+
+    monkeypatch.setattr(closed_form, "_conditional", recorded)
+    return held
 
 
 def test_store_size_does_not_grow_with_the_axis(monkeypatch):
-    # the closed-form store's branch values, functionals and the values
-    # their caches keep, the CSI rate's cross terms in the eiexp cache
-    # included; 50 points fill every cache, and both axes cross
-    # beta_rd == beta_sd at 3 dB, where the sum combiners fill their
-    # phi[s1, s2] caches
-    stores = _stores(monkeypatch)
+    # the closed-form call's branch slots, functionals and the values their
+    # caches keep, the CSI rate's cross terms in the eiexp cache included;
+    # 50 points fill every cache, and both axes cross beta_rd == beta_sd at
+    # 3 dB, where the sum combiners fill their phi[s1, s2] caches
+    held = _held(monkeypatch)
     spec = SweepSpec(
         Axis.BALANCED_SNR_DB, 0.0, 4.9, 0.1, BASE, modes=(CsiMode.NOCSI, CsiMode.CSI),
         metrics=(Metric.SOP, Metric.ESR),
     )
     assert len(run_sweep(spec)) == 50 * 16
-    (short,) = map(_entries, stores.values())
-    stores.clear()
+    (short,) = map(_entries, held.values())
+    held.clear()
     long_spec = dataclasses.replace(spec, stop_db=39.9)
     assert len(run_sweep(long_spec)) == 400 * 16
-    (long,) = map(_entries, stores.values())
+    (long,) = map(_entries, held.values())
     assert 0 < long <= short
+
+
+def test_rebinding_keeps_the_bits_and_the_silent_relay_slot(monkeypatch):
+    # one call over bindings A -> B -> A -> C: B moves alpha_re only, which
+    # the silent-relay branch does not read, so its slots survive B and the
+    # return to A; C moves rate_rs, which it reads
+    a = BASE.with_(beta_rd=0.5)
+    b = a.with_(alpha_re=2.0)
+    c = a.with_(rate_rs=0.5)
+    points = [a, a.with_(beta_rd=0.25), b, a, c]
+    one_point = [closed_form.cells([params], ALL_CELLS)[0] for params in points]
+    calls = _counted_branches(monkeypatch)
+    assert closed_form.cells(points, ALL_CELLS) == one_point
+    # 4 silent-relay values at A and 4 at C; 16 decoding ones at every point
+    assert calls == {False: 2 * 4, True: 5 * 16}
+    assert closed_form.cells(iter(points), ALL_CELLS) == one_point
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -362,10 +388,10 @@ def test_faults_raise_in_cell_order(monkeypatch):
     )
     conditional = closed_form._conditional
 
-    def failing(store, metric, params, scheme, csi, relay_on):
+    def failing(side, metric, params, scheme, csi, relay_on):
         if scheme in (Scheme.SC_SC, Scheme.SC_MRC):
             raise NumericError(f"{scheme.value} cell")
-        return conditional(store, metric, params, scheme, csi, relay_on)
+        return conditional(side, metric, params, scheme, csi, relay_on)
 
     spec = SweepSpec(Axis.BALANCED_SNR_DB, -10.0, -10.0, 1.0, BASE, asymptote=True)
     with pytest.raises(NumericError, match="Asymptote"):
@@ -388,9 +414,9 @@ def test_faults_raise_in_cell_order(monkeypatch):
     assert len(calls) == 1
     # of two points (-10 and 10 dB), the second point's closed form fails
     # before the first point's line
-    def failing_above_0_db(store, metric, params, *rest):
+    def failing_above_0_db(side, metric, params, *rest):
         fn = failing if params.beta_rd < 1.0 else conditional
-        return fn(store, metric, params, *rest)
+        return fn(side, metric, params, *rest)
 
     monkeypatch.setattr(closed_form, "cells", cells)
     monkeypatch.setattr(closed_form, "_conditional", failing_above_0_db)

@@ -10,6 +10,7 @@ from secrelay import oracles
 from secrelay.closed_form import (
     _TAYLOR_GAP,
     Method,
+    cells,
     esr,
     esr_conditional,
     esr_mrc_sc_csi_variant,
@@ -18,7 +19,15 @@ from secrelay.closed_form import (
 )
 from secrelay.errors import DomainError, NumericError
 from secrelay.expint import eiexp
-from secrelay.fading import CsiMode, SCHEME_ORDER, Scheme, SystemParams, params_from_db
+from secrelay.fading import (
+    SCHEME_ORDER,
+    CsiMode,
+    Metric,
+    Scheme,
+    SystemParams,
+    decode_branches,
+    params_from_db,
+)
 from secrelay.sweep import BASE_DB, sample_grid
 
 from mp_reference import mp_reference
@@ -291,6 +300,21 @@ def test_zero_threshold_drops_direct_only_branch(base_params):
             assert sop(p, scheme, csi).value == pytest.approx(
                 sop_conditional(p, scheme, csi, relay_on=True), abs=1e-15
             )
+
+
+def test_cells_are_their_weighted_branches_to_the_bit():
+    # each cell is the sum over the decode branches of weight times the
+    # public conditional, the outage clamped to [0, 1]
+    all_cells = [(s, c, m) for m in Metric for c in ALL_MODES for s in SCHEME_ORDER]
+    points = sample_grid(50, 3)
+    for params, values in zip(points, cells(points, all_cells), strict=True):
+        branches = decode_branches(params)
+        for (scheme, csi, metric), value in zip(all_cells, values, strict=True):
+            conditional = sop_conditional if metric is Metric.SOP else esr_conditional
+            mixed = sum(w * conditional(params, scheme, csi, on) for w, on, _ in branches)
+            if metric is Metric.SOP:
+                mixed = min(1.0, max(0.0, mixed))
+            assert value == mixed, (params, scheme, csi, metric)
 
 
 def test_conditional_brackets_match_branch_quadrature():
