@@ -117,7 +117,7 @@ def _spec_from_args(parser, args) -> SweepSpec:
     if args.seed is not None and args.mc_trials is None:
         parser.error("--seed seeds the Monte Carlo oracle; it needs --mc-trials")
 
-    # The oracles check their own trial count and tolerance (DomainError).
+    # SweepSpec.validate checks the oracle's settings (DomainError) first.
     oracle = None
     if args.mc_trials is not None:
         oracle = McOracle(args.mc_trials, args.seed or 0)

@@ -41,6 +41,7 @@ from .fading import (
     Scheme,
     SystemParams,
     check_cells,
+    check_points,
     decode_branches,
     decode_weights,
 )
@@ -257,8 +258,7 @@ def _eiexp_dd2(s1, s2, a1, a2):
 
 
 def _validate(params, cells):
-    if not isinstance(params, SystemParams):
-        raise DomainError(f"params must be SystemParams, got {type(params).__name__}")
+    check_points((params,))
     check_cells(cells)
 
 
@@ -399,8 +399,8 @@ def sop_relay_slope(params: SystemParams, scheme: Scheme, csi: CsiMode) -> float
 
 def cells(points, cells) -> list[list[float]]:
     """Closed-form value of each (scheme, csi, metric) cell
-    (:func:`fading.check_cells`) at each of ``points``: one list per point,
-    in order.
+    (:func:`fading.check_cells`) at each of ``points``
+    (:func:`fading.check_points`): one list per point, in order.
 
     Each cell mixes the values of the decode branches of
     :func:`fading.decode_branches` with their weights.  For the call, it
@@ -412,15 +412,15 @@ def cells(points, cells) -> list[list[float]]:
     binds each cell's branches to them and to their destination combiners.
     The functionals' ``phi`` and ``phi[s1, s2]`` and the ``eiexp`` cache
     keep their :data:`_MEMO_SIZE` most recently used arguments
-    (``functools.lru_cache``).  The cells are checked once per call, so a
-    sweep passes it all its points, curve by curve.
+    (``functools.lru_cache``).  The cells and points are checked first, once
+    per call, so a sweep passes it all its points, curve by curve.
     """
     cells = check_cells(cells)
+    points = check_points(points)
     eiexp_at = _memoized(lambda x: eiexp(x))
     slots = {}
     tag, out = None, []
     for params in points:
-        _validate(params, ())
         if tag != (params.rate_rs, params.alpha_se, params.alpha_re):
             # per cell, indexed by relay_on: each branch's slot identity,
             # functional and destination combiner

@@ -171,6 +171,16 @@ class SystemParams:
 _PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
 
 
+def check_points(points) -> tuple:
+    """The points as a tuple, so that an iterator of them is read once;
+    :class:`DomainError` unless each is a :class:`SystemParams`."""
+    points = tuple(points)
+    for params in points:
+        if not isinstance(params, SystemParams):
+            raise DomainError(f"params must be SystemParams, got {type(params).__name__}")
+    return points
+
+
 def _check_field(name: str, v) -> None:
     """:class:`DomainError` unless ``v`` may be the :class:`SystemParams` field ``name``."""
     if name == "gamma_th":
@@ -430,12 +440,17 @@ POINT_LIMIT = 2**_POINT_BITS
 CHUNK_LIMIT = 2**_CHUNK_BITS
 
 
+def check_seed(seed) -> None:
+    """:class:`DomainError` unless ``seed`` is a stream seed, an integer in [0, 2^64)."""
+    if not (is_integer(seed) and 0 <= seed < 2**64):
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+
 def stream(seed: int, point: int = 0, purpose: int = PURPOSE_TRIALS, chunk: int = 0) -> Generator:
     """Independent deterministic stream for (seed, purpose, point, chunk)."""
     import numpy as np
     from numpy.random import Generator, Philox
-    if not (is_integer(seed) and 0 <= seed < 2**64):
-        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    check_seed(seed)
     if not (is_integer(point) and 0 <= point < POINT_LIMIT):
         raise DomainError(f"point must be an integer in [0, 2^{_POINT_BITS}), got {point!r}")
     if not (is_integer(chunk) and 0 <= chunk < CHUNK_LIMIT):

@@ -37,7 +37,6 @@ from .fading import DEFAULT_QUAD_TOL, HALF_LOG2E, CsiMode, Metric, Scheme, SCHEM
 __all__ = [
     "Estimate",
     "QuadratureResult",
-    "McResults",
     "monte_carlo_all",
     "quadrature_cells",
     "quadrature_sop",
@@ -81,55 +80,20 @@ class QuadratureResult:
 # ---------------------------------------------------------------------------
 
 
-class McResults:
-    """All sixteen estimates from one batch of trials.
-
-    A single set of draws serves every scheme/CSI combination, so the
-    per-combination accessors are exact marginals of the same simulation.
-    """
-
-    def __init__(self, tallies, trials: int):
-        self._t = tallies
-        self.trials = trials
-
-    def sop(self, scheme: Scheme, csi: CsiMode) -> Estimate:
-        fading.check_cells([(scheme, csi, Metric.SOP)])
-        k = SCHEME_ORDER.index(scheme)
-        count = self._t[0][k] if csi is CsiMode.NOCSI else self._t[1][k]
-        n = self.trials
-        p = count / n
-        return Estimate(p, math.sqrt(p * (1.0 - p) / n), n)
-
-    def esr(self, scheme: Scheme, csi: CsiMode) -> Estimate:
-        fading.check_cells([(scheme, csi, Metric.ESR)])
-        k = SCHEME_ORDER.index(scheme)
-        if csi is CsiMode.NOCSI:
-            s, s2 = self._t[2][k], self._t[3][k]
-        else:
-            s, s2 = self._t[4][k], self._t[5][k]
-        n = self.trials
-        mean = s / n
-        var = max(0.0, (s2 - n * mean * mean) / (n - 1)) if n > 1 else 0.0
-        return Estimate(mean, math.sqrt(var / n), n)
-
-
-def monte_carlo_all(params: SystemParams, n: int, seed: int, *, point: int = 0) -> McResults:
-    """Simulate ``n`` trials once and tally every scheme/CSI combination.
-
-    Deterministic for a fixed (seed, point, n): blocks of
-    :data:`CHUNK_TRIALS` trials are drawn from their own counter offsets,
-    each in sub-blocks of :data:`SUB_BLOCK_TRIALS` trials merged into the
-    block's tally, and the block tallies are merged in block order.  Read
-    a cell with ``.sop(scheme, csi)`` or ``.esr(scheme, csi)``: the outage
-    frequency, or the mean per-trial secrecy-rate statistic (without CSI
-    the raw log-ratio mean, which may be negative; with CSI zeroed on
-    trials where the eavesdropper's combined SNR wins).
-    """
+def check_trials(n, seed) -> None:
+    """:class:`DomainError` unless ``n`` is a trial count that the stream
+    keys can address and ``seed`` a stream seed (:func:`fading.check_seed`)."""
     if not (fading.is_integer(n) and n >= 1):
         raise DomainError(f"trial count must be a positive integer, got {n!r}")
     limit = CHUNK_TRIALS * fading.CHUNK_LIMIT  # trials the stream keys can address
     if n > limit:
         raise DomainError(f"trial count must be at most {limit}, got {n!r}")
+    fading.check_seed(seed)
+
+
+def _tallies(params: SystemParams, n: int, seed: int, point: int):
+    """The (6, 4) tallies of ``n`` trials at ``params``, chunk by chunk from
+    the streams keyed (seed, point, chunk) and sub-block by sub-block."""
     rates = (params.beta_sd, params.beta_sr, params.beta_rd, params.alpha_se, params.alpha_re)
     gamma_th, rho = params.gamma_th, params.rho
     totals = None
@@ -142,7 +106,43 @@ def monte_carlo_all(params: SystemParams, n: int, seed: int, *, point: int = 0) 
             part = kernels.reduce_trials(u, rates, gamma_th, rho)
             tallies = part if tallies is None else tallies + part
         totals = tallies if totals is None else totals + tallies
-    return McResults(totals, n)
+    return totals
+
+
+def _estimate(tallies, n: int, scheme: Scheme, csi: CsiMode, metric: Metric) -> Estimate:
+    """A cell's estimate from ``n`` trials' tallies: the outage frequency, or
+    the mean per-trial secrecy rate (without CSI the raw log-ratio mean, which
+    may be negative; with CSI zeroed where the eavesdropper's SNR wins)."""
+    k, row = SCHEME_ORDER.index(scheme), 0 if csi is CsiMode.NOCSI else 1
+    if metric is Metric.SOP:
+        p = tallies[row][k] / n
+        return Estimate(p, math.sqrt(p * (1.0 - p) / n), n)
+    s, s2 = tallies[2 + 2 * row][k], tallies[3 + 2 * row][k]
+    mean = s / n
+    var = max(0.0, (s2 - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+    return Estimate(mean, math.sqrt(var / n), n)
+
+
+def monte_carlo_all(points, cells, n: int, seed: int, n_jobs: int = 1) -> list[list[Estimate]]:
+    """Monte Carlo estimate of every (scheme, csi, metric) cell at each of
+    ``points``, checked before any draw (:func:`fading.check_cells`,
+    :func:`fading.check_points`, :func:`check_trials`): per point one
+    :class:`Estimate` per cell, in order, from point ``i``'s :func:`_tallies`
+    at key ``i``.  The points run on ``n_jobs`` worker threads if above 1
+    (the numpy kernel releases the GIL); no estimate depends on it."""
+    cells = fading.check_cells(cells)
+    points = fading.check_points(points)
+    check_trials(n, seed)
+
+    def run(i):
+        tallies = _tallies(points[i], n, seed, i)
+        return [_estimate(tallies, n, *cell) for cell in cells]
+
+    if n_jobs > 1 and len(points) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            return list(pool.map(run, range(len(points))))
+    return [run(i) for i in range(len(points))]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +371,8 @@ _BATCH_SETS = 16
 
 
 def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL):
-    """Quadrature of every (scheme, csi, metric) cell at each of ``points``
-    (:class:`SystemParams`), in one call (:func:`fading.check_cells`).
+    """Quadrature of every (scheme, csi, metric) cell at each of ``points``,
+    in one call (:func:`fading.check_cells`, :func:`fading.check_points`).
 
     Each cell mixes the decode branches of :func:`fading.decode_branches`
     with their weights, so ``gamma_th`` = 0 or inf leaves one branch alone.
@@ -389,6 +389,7 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL):
     """
     fading.check_tolerance(tol, "tol")
     cells = fading.check_cells(cells)
+    points = fading.check_points(points)
     # per cell, its factor and, per decode branch, the key it reads
     reads = [(_METRIC_FACTOR[m], {on: _integral_key(s, c, m, on) for on in (True, False)})
              for s, c, m in cells]

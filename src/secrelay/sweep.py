@@ -128,6 +128,11 @@ class SweepSpec:
             if len(set(items)) != len(items):
                 shown = [getattr(x, "value", x) for x in items]
                 raise DomainError(f"{name} must not repeat, got {shown!r}")
+        if isinstance(self.oracle, QuadOracle):  # the oracle's settings, before any closed form
+            check_tolerance(self.oracle.tol, "tol")
+        elif isinstance(self.oracle, McOracle):
+            from . import oracles
+            oracles.check_trials(self.oracle.trials, self.oracle.seed)
 
 
 class SweepRow(NamedTuple):
@@ -192,27 +197,6 @@ def _cells(metrics, modes, schemes):
     return [(scheme, csi, metric) for metric in metrics for csi in modes for scheme in schemes]
 
 
-def _estimate(mc, scheme, csi, metric):
-    return mc.sop(scheme, csi) if metric is Metric.SOP else mc.esr(scheme, csi)
-
-
-def _monte_carlo(points, trials, seed, n_jobs):
-    """``oracles.monte_carlo_all`` at each of ``points``, keyed by its index,
-    on ``n_jobs`` worker threads if above 1 (the numpy kernel releases the
-    GIL); results come back in ``points`` order.  The oracle is looked up at
-    each call, so a wrapper installed in its module takes effect."""
-    from . import oracles
-
-    def run(i):
-        return oracles.monte_carlo_all(points[i], trials, seed, point=i)
-
-    if n_jobs > 1 and len(points) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(run, range(len(points))))
-    return [run(i) for i in range(len(points))]
-
-
 _FLOOR_CELL = (Scheme.MRC_MRC, CsiMode.NOCSI, Metric.SOP)
 
 
@@ -239,9 +223,9 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
     """Evaluate a sweep; rows come back in deterministic axis-major order
     (variant, then axis value, then metric/mode, scheme fastest) regardless
     of the worker count.  The closed forms of all points, curve by curve,
-    run in one :func:`closed_form.cells` call, then the oracle column: the
-    quadratures in one ``quadrature_cells`` call, or one Monte Carlo run
-    per point on ``n_jobs`` worker threads; then each point's rows and
+    run in one :func:`closed_form.cells` call, then the oracle column in
+    one ``quadrature_cells`` call or one ``monte_carlo_all`` call, whose
+    points run on ``n_jobs`` worker threads; then each point's rows and
     lines.  Each call keeps its decode-branch results for the call, so a
     branch the axis does not reach is computed once per curve, not once
     per point."""
@@ -258,8 +242,9 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> list[SweepRow]:
         columns = [[(q.value, None) for q in quad]
                    for quad in oracles.quadrature_cells(grid, cells, oracle.tol)]
     elif isinstance(oracle, McOracle):
-        columns = [[(e.value, e.stderr) for e in (_estimate(mc, *cell) for cell in cells)]
-                   for mc in _monte_carlo(grid, oracle.trials, oracle.seed, n_jobs)]
+        from . import oracles
+        columns = [[(e.value, e.stderr) for e in estimates] for estimates in
+                   oracles.monte_carlo_all(grid, cells, oracle.trials, oracle.seed, n_jobs)]
     else:
         columns = [[(None, None)] * len(cells)] * len(points)
     rows = []
@@ -404,18 +389,9 @@ def sample_grid(grid_size: int, seed: int) -> list[SystemParams]:
     grid = []
     for _ in range(grid_size):
         u = gen.random(7)
-        rates = [_RATE_LO * math.exp(log_span * x) for x in u[:5]]
-        grid.append(
-            SystemParams(
-                alpha_se=rates[0],
-                alpha_re=rates[1],
-                beta_sd=rates[2],
-                beta_sr=rates[3],
-                beta_rd=rates[4],
-                gamma_th=_GAMMA_TH_HI * u[5],
-                rate_rs=_RS_LO + (_RS_HI - _RS_LO) * u[6],
-            )
-        )
+        rates = [_RATE_LO * math.exp(log_span * x) for x in u[:5]]  # the links, in field order
+        grid.append(SystemParams(*rates, gamma_th=_GAMMA_TH_HI * u[5],
+                                 rate_rs=_RS_LO + (_RS_HI - _RS_LO) * u[6]))
     return grid
 
 
@@ -483,30 +459,30 @@ def run_validation(
     form must sit within ``tol_quad_abs`` of quadrature and within
     ``mc_sigmas * stderr + MC_ABS_FLOOR`` of the Monte Carlo estimate.
     Tolerances that make the check vacuous (a negative or infinite band)
-    or unpassable (a zero band) raise :class:`DomainError` before any point
-    is evaluated.  The grid's closed forms run in one
-    :func:`closed_form.cells` call, then its quadratures in one
-    ``quadrature_cells`` call, then one Monte Carlo run per point on
-    ``n_jobs`` worker threads, so a failing closed form raises before any
-    trial is drawn.
+    or unpassable (a zero band), and an invalid trial count, raise
+    :class:`DomainError` before any point is evaluated.  The grid's closed
+    forms run in one :func:`closed_form.cells` call, then its quadratures
+    in one ``quadrature_cells`` call, then its Monte Carlo in one
+    ``monte_carlo_all`` call, whose points run on ``n_jobs`` worker
+    threads, so a failing closed form raises before any trial is drawn.
     """
+    from . import oracles
     check_tolerance(quad_tol, "quad_tol")
     check_tolerance(tol_quad_abs, "tol_quad_abs")
     check_tolerance(mc_sigmas, "mc_sigmas", zero=True)
-    from . import oracles
+    oracles.check_trials(mc_trials, seed)
 
     grid = sample_grid(grid_size, seed)
     cells = _cells(Metric, CsiMode, SCHEME_ORDER)
     note_cell = cells.index((Scheme.MRC_SC, CsiMode.CSI, Metric.ESR))
     cf_values = closed_form.cells(grid, cells)
     quad_values = oracles.quadrature_cells(grid, cells, quad_tol)
-    mcs = _monte_carlo(grid, mc_trials, seed, n_jobs)
+    mc_values = oracles.monte_carlo_all(grid, cells, mc_trials, seed, n_jobs)
     results = []
-    for params, cfs, quad, mc in zip(grid, cf_values, quad_values, mcs):
+    for params, cfs, quad, estimates in zip(grid, cf_values, quad_values, mc_values):
         quads = [q.value for q in quad]
         diffs = []
-        for cell, cf, q in zip(cells, cfs, quads):
-            est = _estimate(mc, *cell)
+        for cf, q, est in zip(cfs, quads, estimates):
             allowed = mc_sigmas * est.stderr + MC_ABS_FLOOR
             diffs += (abs(cf - q), abs(cf - est.value) / allowed)
         variant = closed_form.esr_mrc_sc_csi_variant(params)

@@ -15,7 +15,7 @@ from secrelay.asymptotics import (
 )
 from secrelay.closed_form import esr, sop, sop_conditional, sop_relay_slope
 from secrelay.errors import NumericError
-from secrelay.fading import CsiMode, SCHEME_ORDER, Scheme, decode_branches, params_from_db
+from secrelay.fading import CsiMode, Metric, SCHEME_ORDER, Scheme, decode_branches, params_from_db
 from secrelay.sweep import sample_grid
 
 from mp_reference import mp_relay_slope
@@ -166,7 +166,7 @@ def test_perfect_decoding_ignores_first_hop():
 def test_perfect_decoding_matches_monte_carlo():
     # strong direct link, weak relayed hop, threshold removed
     p = params_from_db(0.0, 3.0, 40.0, 10.0, 3.0, 3.0, 1.0).with_(gamma_th=0.0)
-    est = oracles.monte_carlo_all(p, 10**7, seed=6).sop(Scheme.MRC_MRC, CsiMode.NOCSI)
+    [[est]] = oracles.monte_carlo_all([p], [(Scheme.MRC_MRC, CsiMode.NOCSI, Metric.SOP)], 10**7, seed=6)
     assert abs(sop_perfect_decoding(p) - est.value) <= 3.0 * est.stderr
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from secrelay import fading, kernels, oracles
+from secrelay import closed_form, fading, kernels, oracles
 from secrelay.closed_form import sop
 from secrelay.errors import DomainError, NumericError
 from secrelay.fading import (
@@ -28,12 +28,24 @@ from trial_model import combine, sample_trial, secrecy_rate
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+ALL_CELLS = [
+    (scheme, csi, metric)
+    for metric in Metric
+    for csi in (CsiMode.NOCSI, CsiMode.CSI)
+    for scheme in SCHEME_ORDER
+]
+
+
+def _mc(params, scheme, csi, metric, n, seed):
+    """The one cell's estimate at the one point ``params``."""
+    return oracles.monte_carlo_all([params], [(scheme, csi, metric)], n, seed)[0][0]
+
 
 def test_estimates_reproducible(base_params):
-    a = oracles.monte_carlo_all(base_params, 200_000, seed=1).sop(Scheme.MRC_SC, CsiMode.CSI)
-    b = oracles.monte_carlo_all(base_params, 200_000, seed=1).sop(Scheme.MRC_SC, CsiMode.CSI)
+    a = _mc(base_params, Scheme.MRC_SC, CsiMode.CSI, Metric.SOP, 200_000, seed=1)
+    b = _mc(base_params, Scheme.MRC_SC, CsiMode.CSI, Metric.SOP, 200_000, seed=1)
     assert a == b
-    c = oracles.monte_carlo_all(base_params, 200_000, seed=2).sop(Scheme.MRC_SC, CsiMode.CSI)
+    c = _mc(base_params, Scheme.MRC_SC, CsiMode.CSI, Metric.SOP, 200_000, seed=2)
     assert a != c
 
 
@@ -86,12 +98,13 @@ def test_sub_blocked_tallies_match_whole_chunk_reference(base_params):
         _whole_block_tallies(base_params, trial_stream(4, 1, chunk=c).random((m, DRAWS_PER_TRIAL)))
         for c, m in enumerate((oracles.CHUNK_TRIALS, n - oracles.CHUNK_TRIALS))
     )
-    mc = oracles.monte_carlo_all(base_params, n, seed=4, point=1)
+    # point 1 of two draws from the streams keyed (4, 1, chunk)
+    mc = dict(zip(ALL_CELLS, oracles.monte_carlo_all([base_params] * 2, ALL_CELLS, n, seed=4)[1]))
     for k, scheme in enumerate(SCHEME_ORDER):
-        assert mc.sop(scheme, CsiMode.NOCSI).value == ref[0, k] / n
-        assert mc.sop(scheme, CsiMode.CSI).value == ref[1, k] / n
+        assert mc[scheme, CsiMode.NOCSI, Metric.SOP].value == ref[0, k] / n
+        assert mc[scheme, CsiMode.CSI, Metric.SOP].value == ref[1, k] / n
         for csi, row in ((CsiMode.NOCSI, 2), (CsiMode.CSI, 4)):
-            est = mc.esr(scheme, csi)
+            est = mc[scheme, csi, Metric.ESR]
             mean = ref[row, k] / n
             var = (ref[row + 1, k] - n * mean * mean) / (n - 1)
             np.testing.assert_allclose(est.value, mean, rtol=1e-12)
@@ -113,15 +126,15 @@ def test_batch_matches_scalar_sampling(base_params):
                 counts[s] += 1
             if gm > ge:
                 csums[s] += secrecy_rate(gm, ge)
-    mc = oracles.monte_carlo_all(base_params, n, seed=21)
+    mc = dict(zip(ALL_CELLS, oracles.monte_carlo_all([base_params], ALL_CELLS, n, seed=21)[0]))
     for s in SCHEME_ORDER:
-        est = mc.sop(s, CsiMode.NOCSI)
+        est = mc[s, CsiMode.NOCSI, Metric.SOP]
         assert est.value * n == counts[s]
-        assert mc.esr(s, CsiMode.CSI).value * n == pytest.approx(csums[s], rel=1e-10)
+        assert mc[s, CsiMode.CSI, Metric.ESR].value * n == pytest.approx(csums[s], rel=1e-10)
 
 
 def test_sop_estimate_stderr_formula(base_params):
-    est = oracles.monte_carlo_all(base_params, 10**5, seed=3).sop(Scheme.SC_SC, CsiMode.NOCSI)
+    est = _mc(base_params, Scheme.SC_SC, CsiMode.NOCSI, Metric.SOP, 10**5, seed=3)
     assert est.trials == 10**5
     assert est.stderr == pytest.approx(
         math.sqrt(est.value * (1.0 - est.value) / est.trials)
@@ -130,22 +143,22 @@ def test_sop_estimate_stderr_formula(base_params):
 
 def test_high_target_rate_saturates(base_params):
     p = base_params.with_(rate_rs=60.0)
-    est = oracles.monte_carlo_all(p, 10**4, seed=5).sop(Scheme.MRC_MRC, CsiMode.NOCSI)
+    est = _mc(p, Scheme.MRC_MRC, CsiMode.NOCSI, Metric.SOP, 10**4, seed=5)
     assert est.value == 1.0
 
 
 def test_wiretap_coin_flip(wiretap_params):
-    est = oracles.monte_carlo_all(wiretap_params, 10**6, seed=8).sop(Scheme.MRC_SC, CsiMode.NOCSI)
+    est = _mc(wiretap_params, Scheme.MRC_SC, CsiMode.NOCSI, Metric.SOP, 10**6, seed=8)
     assert abs(est.value - 0.5) < 0.0015
 
 
 def test_esr_estimates(wiretap_params, base_params):
     # symmetric silent-relay channel has zero expected log-ratio
-    est = oracles.monte_carlo_all(wiretap_params, 10**6, seed=9).esr(Scheme.SC_SC, CsiMode.NOCSI)
+    est = _mc(wiretap_params, Scheme.SC_SC, CsiMode.NOCSI, Metric.ESR, 10**6, seed=9)
     assert abs(est.value) <= 3.0 * est.stderr
     # the CSI statistic is non-negative by construction
     for seed in (1, 2, 3):
-        est = oracles.monte_carlo_all(base_params, 10**4, seed=seed).esr(Scheme.SC_MRC, CsiMode.CSI)
+        est = _mc(base_params, Scheme.SC_MRC, CsiMode.CSI, Metric.ESR, 10**4, seed=seed)
         assert est.value >= 0.0
 
 
@@ -154,29 +167,31 @@ def test_esr_estimate_matches_closed_form_reference_point():
     from secrelay.closed_form import esr
 
     p = params_from_db(3.0, 3.5, 9.5, 10.0, 10.0, 3.0, 1.0)
-    est = oracles.monte_carlo_all(p, 10**7, seed=41).esr(Scheme.SC_MRC, CsiMode.CSI)
+    est = _mc(p, Scheme.SC_MRC, CsiMode.CSI, Metric.ESR, 10**7, seed=41)
     assert abs(est.value - esr(p, Scheme.SC_MRC, CsiMode.CSI).value) <= 3.0 * est.stderr
 
 
 def test_trial_count_validation(base_params):
     with pytest.raises(DomainError):
-        oracles.monte_carlo_all(base_params, 0, seed=1)
+        oracles.monte_carlo_all([base_params], ALL_CELLS, 0, seed=1)
     # a bool is an int to isinstance, but not a count or an index
     with pytest.raises(DomainError, match="trial count"):
-        oracles.monte_carlo_all(base_params, True, seed=1)
-    with pytest.raises(DomainError, match="point"):
-        oracles.monte_carlo_all(base_params, 10, seed=1, point=True)
+        oracles.monte_carlo_all([base_params], ALL_CELLS, True, seed=1)
 
 
-def test_estimates_reject_cells_that_are_not_members(base_params):
+def test_estimates_reject_cells_that_are_not_members(base_params, monkeypatch):
     # the name of a CSI mode used to read the CSI tallies, and the name of
-    # a scheme raised a bare ValueError from tuple.index
-    mc = oracles.monte_carlo_all(base_params, 1000, seed=1)
-    for read in (mc.sop, mc.esr):
+    # a scheme raised a bare ValueError from tuple.index; both are now
+    # rejected by the cell check, before any trial is drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew trials for an invalid cell")
+
+    monkeypatch.setattr(fading, "trial_stream", no_draws)
+    for metric in Metric:
         with pytest.raises(DomainError):
-            read(Scheme.MRC_SC, "nocsi")
+            oracles.monte_carlo_all([base_params], [(Scheme.MRC_SC, "nocsi", metric)], 1000, seed=1)
         with pytest.raises(DomainError):
-            read("mrc_sc", CsiMode.CSI)
+            oracles.monte_carlo_all([base_params], [("mrc_sc", CsiMode.CSI, metric)], 1000, seed=1)
 
 
 def test_trial_count_beyond_the_stream_key_fails_before_drawing(base_params, monkeypatch):
@@ -188,7 +203,48 @@ def test_trial_count_beyond_the_stream_key_fails_before_drawing(base_params, mon
     monkeypatch.setattr(fading, "trial_stream", no_draws)
     too_many = oracles.CHUNK_TRIALS * fading.CHUNK_LIMIT + 1
     with pytest.raises(DomainError, match="at most"):
-        oracles.monte_carlo_all(base_params, too_many, seed=1)
+        oracles.monte_carlo_all([base_params], ALL_CELLS, too_many, seed=1)
+
+
+def _bits(rows):
+    """Each point's estimates as exact bits."""
+    return [[(float(e.value).hex(), float(e.stderr).hex(), e.trials) for e in row] for row in rows]
+
+
+def test_points_are_a_sequence_like_the_other_evaluators():
+    grid = sample_grid(3, 7)
+    listed = oracles.monte_carlo_all(grid, ALL_CELLS, 3000, seed=7)
+    assert len(listed) == 3 and all(len(row) == len(ALL_CELLS) for row in listed)
+    assert _bits(oracles.monte_carlo_all(iter(grid), iter(ALL_CELLS), 3000, seed=7)) == _bits(listed)
+    # the worker threads split the points and give the bits of one thread
+    assert _bits(oracles.monte_carlo_all(grid, ALL_CELLS, 3000, seed=7, n_jobs=2)) == _bits(listed)
+    # point i draws from the streams of its place, whatever follows it
+    for i in range(3):
+        assert _bits(oracles.monte_carlo_all(grid[:i + 1], ALL_CELLS, 3000, seed=7))[i] == _bits(listed)[i]
+    # each cell is read from the point's draws whatever the other cells are
+    reverse = oracles.monte_carlo_all(grid, ALL_CELLS[::-1], 3000, seed=7)
+    assert _bits(row[::-1] for row in reverse) == _bits(listed)
+    assert oracles.monte_carlo_all([], ALL_CELLS, 3000, seed=7) == []
+
+
+@pytest.mark.parametrize("evaluator", ["closed_form", "quadrature", "monte_carlo"])
+def test_every_evaluator_rejects_a_point_that_is_not_params(evaluator, base_params, monkeypatch):
+    # quadrature and Monte Carlo used to raise a bare AttributeError; each
+    # evaluator checks every point before it evaluates any
+    def no_work(*args, **kwargs):
+        raise AssertionError("evaluated a point of a call with an invalid point")
+
+    monkeypatch.setattr(closed_form, "_functional", no_work)
+    monkeypatch.setattr(oracles, "_integrate", no_work)
+    monkeypatch.setattr(fading, "trial_stream", no_work)
+    evaluate = {
+        "closed_form": closed_form.cells,
+        "quadrature": lambda points, cells: oracles.quadrature_cells(points, cells, 1e-6),
+        "monte_carlo": lambda points, cells: oracles.monte_carlo_all(points, cells, 1000, seed=1),
+    }[evaluator]
+    for points in ([base_params, "x"], (p for p in (base_params, "x"))):
+        with pytest.raises(DomainError, match="params must be SystemParams, got str"):
+            evaluate(points, ALL_CELLS)
 
 
 def test_one_kernel_whatever_the_environment(base_params, monkeypatch):
@@ -200,14 +256,11 @@ def test_one_kernel_whatever_the_environment(base_params, monkeypatch):
     assert kernels.active_backend() == "numpy"
     # the environment no longer selects a kernel
     monkeypatch.delenv("SECRELAY_BACKEND", raising=False)
-    unset = oracles.monte_carlo_all(base_params, 20_000, seed=8)
+    unset = oracles.monte_carlo_all([base_params], ALL_CELLS, 20_000, seed=8)
     monkeypatch.setenv("SECRELAY_BACKEND", "numba")
     assert kernels.active_backend() == "numpy"
-    numba_set = oracles.monte_carlo_all(base_params, 20_000, seed=8)
-    for scheme in SCHEME_ORDER:
-        for csi in (CsiMode.NOCSI, CsiMode.CSI):
-            assert unset.sop(scheme, csi) == numba_set.sop(scheme, csi)
-            assert unset.esr(scheme, csi) == numba_set.esr(scheme, csi)
+    numba_set = oracles.monte_carlo_all([base_params], ALL_CELLS, 20_000, seed=8)
+    assert unset == numba_set
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +463,12 @@ def test_quadrature_refuses_more_halvings_than_its_limit(monkeypatch):
 
 def test_three_way_agreement_spot_check():
     params = sample_grid(2, seed=55)[1]
-    mc = oracles.monte_carlo_all(params, 10**6, seed=55)
+    mc = dict(zip(ALL_CELLS, oracles.monte_carlo_all([params], ALL_CELLS, 10**6, seed=55)[0]))
     for scheme in SCHEME_ORDER:
         for csi in (CsiMode.NOCSI, CsiMode.CSI):
             cf = sop(params, scheme, csi).value
             q = oracles.quadrature_sop(params, scheme, csi).value
-            est = mc.sop(scheme, csi)
+            est = mc[scheme, csi, Metric.SOP]
             assert abs(cf - q) < 1e-6
             assert abs(cf - est.value) <= 3.0 * est.stderr + 1e-4
 
@@ -424,12 +477,6 @@ def test_three_way_agreement_spot_check():
 # one quadrature batch per point
 # ---------------------------------------------------------------------------
 
-ALL_CELLS = [
-    (scheme, csi, metric)
-    for metric in Metric
-    for csi in (CsiMode.NOCSI, CsiMode.CSI)
-    for scheme in SCHEME_ORDER
-]
 _GRID = sample_grid(4, seed=13)
 BATCH_POINTS = {
     **{f"grid_{k}": p for k, p in enumerate(_GRID)},

@@ -9,6 +9,7 @@ that moves one of them updates its digest here and says why.
 
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +42,14 @@ def test_closed_form_outputs_keep_their_bytes(command):
     out = io.StringIO()
     write_csv(run_sweep(_spec(command)), out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[command]
+
+
+def test_the_committed_record_agrees_with_this_table():
+    # tools/output_digests.txt records every output of the CLI, these at
+    # each --jobs value they run at
+    record = Path(__file__).resolve().parent.parent / "tools" / "output_digests.txt"
+    lines = [line.split(" ", 2) for line in record.read_text().splitlines()[1:]]
+    for command, digest in DIGESTS.items():
+        runs = (command, f"{command} --jobs 1", f"{command} --jobs 2")
+        found = [(d, code) for d, code, c in lines if c in runs]
+        assert found and set(found) == {(digest, "0")}, command

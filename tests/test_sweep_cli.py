@@ -470,6 +470,25 @@ def test_validation_rejects_degenerate_bands(band, monkeypatch):
         run_validation(grid_size=2, seed=3, mc_trials=1000, n_jobs=2, **band)
 
 
+def test_oracle_settings_are_checked_before_the_closed_forms(monkeypatch):
+    # an invalid trial count, seed or tolerance used to be rejected only
+    # by its oracle, after every closed form of the run
+    def no_closed_forms(*args, **kwargs):
+        raise AssertionError("ran the closed forms of a run with an invalid oracle")
+
+    monkeypatch.setattr(closed_form, "cells", no_closed_forms)
+    spec = SweepSpec(Axis.BALANCED_SNR_DB, 0.0, 2.0, 2.0, BASE)
+    for oracle, message in (
+        (McOracle(0), "trial count must be a positive integer, got 0"),
+        (McOracle(10, seed=-1), r"seed must be an integer in \[0, 2\^64\), got -1"),
+        (QuadOracle(0.0), "tol must be positive and finite, got 0.0"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            run_sweep(dataclasses.replace(spec, oracle=oracle))
+    with pytest.raises(DomainError, match="trial count must be a positive integer, got 0"):
+        run_validation(grid_size=2, mc_trials=0)
+
+
 def _nan_for_sc_sc_sop(monkeypatch):
     """Make every SC-SC outage closed form NaN."""
     shipped = closed_form.cells
@@ -517,16 +536,17 @@ def test_validation_report_holds_the_per_cell_values():
     seed, trials = 7, 2000
     report = run_validation(grid_size=3, seed=seed, mc_trials=trials)
     quad_diffs, mc_ratios, variant_diffs, shipped_diffs = [], [], [], []
-    for i, params in enumerate(sample_grid(3, seed)):
-        mc = oracles.monte_carlo_all(params, trials, seed, point=i)
+    grid = sample_grid(3, seed)
+    for i, params in enumerate(grid):
         quad_row, mc_row = [], []
         for r in report.rows:
             if r.metric is Metric.SOP:
-                cf_fn, quad_fn, mc_fn = closed_form.sop, oracles.quadrature_sop, mc.sop
+                cf_fn, quad_fn = closed_form.sop, oracles.quadrature_sop
             else:
-                cf_fn, quad_fn, mc_fn = closed_form.esr, oracles.quadrature_esr, mc.esr
+                cf_fn, quad_fn = closed_form.esr, oracles.quadrature_esr
             cf = cf_fn(params, r.scheme, r.csi).value
-            est = mc_fn(r.scheme, r.csi)
+            # point i draws from the streams of its place in the grid
+            est = oracles.monte_carlo_all(grid[:i + 1], [(r.scheme, r.csi, r.metric)], trials, seed)[i][0]
             quad_row.append(abs(cf - quad_fn(params, r.scheme, r.csi).value))
             mc_row.append(abs(cf - est.value) / (3.0 * est.stderr + sweep.MC_ABS_FLOOR))
         quad_diffs.append(quad_row)

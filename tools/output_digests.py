@@ -1,4 +1,5 @@
-"""Print the SHA-256 of the standard outputs of the CLI in this tree.
+"""Print the SHA-256 of the standard outputs of the CLI in this tree, or
+check them against the committed record ``tools/output_digests.txt``.
 
 The outputs are:
 
@@ -13,30 +14,51 @@ The outputs are:
 - a ``--quad-tol 1e-9`` sweep of all 16 cells on ``balanced-snr-db`` from
   60 to 140 dB, whose links span the widest ranges, so the longest node
   grids, of any output here;
-- ``sweep --preset fig5 --mc-trials 20000``, the Monte Carlo sweep, whose
-  points are the only ones worker threads run.
+- ``sweep --preset fig5 --mc-trials 20000``, a Monte Carlo sweep of 52
+  points;
+- a three-point Monte Carlo sweep of 600000 trials per point, so each
+  point draws more than one 2^19-trial chunk.
 
 All but the shipped presets run at ``--jobs 1`` and at ``--jobs 2``.  Each
-runs in a fresh interpreter on this tree's ``src``, and each line gives the
-digest, the exit code and the command.  Run it in two checkouts and diff
-what it prints to see whether a change moved any byte.  The script exits 1
-if a ``--jobs 2`` output differs from its ``--jobs 1`` output.
+runs in a fresh interpreter on this tree's ``src``.  With no option the
+script prints the record: a first line naming the environment (Python
+major.minor, numpy's version and active SIMD targets, the machine and the
+C library), then per
+output its digest, exit code and command.  It exits 1 if a ``--jobs 2``
+output differs from its ``--jobs 1`` output.
 
-    python tools/output_digests.py
+    python tools/output_digests.py > tools/output_digests.txt
+
+``--check`` reruns the outputs and compares them with the record.  It
+prints each output whose digest or exit code moved, and each recorded
+output it no longer runs, and then exits 1; a ``--jobs`` disagreement
+also exits 1.  Where the environment is not the recorded one, it prints
+both environment lines and compares with the record only the eight
+closed-form outputs (the shipped presets and the ``--asymptote``
+sweeps), whose bytes read CPython and libm but no numpy; it still checks
+that every output agrees across ``--jobs``.
+
+    python tools/output_digests.py --check
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import numpy as np
+
+TOOLS = Path(__file__).resolve().parent
+SRC = TOOLS.parent / "src"
+RECORD = TOOLS / "output_digests.txt"
 sys.path.insert(0, str(SRC))
 from secrelay.sweep import PRESET_NAMES  # noqa: E402
 
+SHIPPED = [["sweep", "--preset", name] for name in PRESET_NAMES]
 VALIDATE = ["validate", "--grid-size", "3", "--mc-trials", "20000"]
 AD_HOC = [
     ["sweep", "--axis", axis, "--from-db", "-10", "--to-db", "50", "--step-db", "1", "--metric", "both", *how]
@@ -46,6 +68,30 @@ AD_HOC = [
 HIGH_SNR = ["sweep", "--axis", "balanced-snr-db", "--from-db", "60", "--to-db", "140", "--step-db", "5",
             "--metric", "both", "--quad-tol", "1e-9"]
 MONTE_CARLO = ["sweep", "--preset", "fig5", "--mc-trials", "20000"]
+MULTI_CHUNK = ["sweep", "--axis", "beta-rd-db", "--from-db", "0", "--to-db", "10", "--step-db", "5",
+               "--mc-trials", "600000"]
+PAIRS = [["sweep", "--preset", name, "--quad-tol", "1e-9"] for name in PRESET_NAMES] + [
+    VALIDATE, *AD_HOC, HIGH_SNR, MONTE_CARLO, MULTI_CHUNK]
+# the commands whose bytes do not depend on numpy: the outputs that
+# tests/test_output_digests.py pins
+CLOSED_FORM = {" ".join(args) for args in SHIPPED} | {
+    " ".join([*args, "--jobs", jobs]) for args in AD_HOC if "--asymptote" in args for jobs in ("1", "2")}
+
+
+def _environment() -> str:
+    """The record's first line: what the oracle outputs' bits may depend on.
+    Besides Python, numpy and the C library, numpy's SIMD dispatch targets
+    that are active on this CPU decide them: with the AVX-512 targets
+    turned off (``NPY_DISABLE_CPU_FEATURES``), every quadrature output
+    moves."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    simd = ",".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    python = ".".join(platform.python_version_tuple()[:2])
+    libc = " ".join(filter(None, platform.libc_ver())) or "unknown-libc"
+    return f"# python {python} numpy {np.__version__} simd {simd} {platform.machine()} {libc}"
 
 
 def _digest(args):
@@ -55,24 +101,50 @@ def _digest(args):
     return hashlib.sha256(run.stdout).hexdigest(), run.returncode
 
 
-def main() -> int:
-    runs = [["sweep", "--preset", name] for name in PRESET_NAMES]
-    pairs = [["sweep", "--preset", name, "--quad-tol", "1e-9"] for name in PRESET_NAMES] + [VALIDATE, *AD_HOC, HIGH_SNR, MONTE_CARLO]
-    differ = []
-    for args in runs:
-        print("%s %d %s" % (*_digest(args), " ".join(args)))
-    for args in pairs:
+def main(argv) -> int:
+    if argv not in ([], ["--check"]):
+        print(f"usage: {sys.argv[0]} [--check]", file=sys.stderr)
+        return 2
+    check, env = bool(argv), _environment()
+    recorded, partial = {}, False
+    if check:
+        recorded_env, *lines = RECORD.read_text().splitlines()
+        recorded = {command: (digest, int(code))
+                    for digest, code, command in (line.split(" ", 2) for line in lines)}
+        partial = recorded_env != env
+        if partial:
+            print(f"recorded environment: {recorded_env}\nthis environment:     {env}\n"
+                  "comparing only the closed-form outputs, which read no numpy, with the record")
+    else:
+        print(env)
+    groups = [[args] for args in SHIPPED] + [[[*args, "--jobs", j] for j in ("1", "2")] for args in PAIRS]
+    moved, differ, ran = [], [], set()
+    for group in groups:
         outs = []
-        for jobs in ("1", "2"):
-            out = _digest([*args, "--jobs", jobs])
-            print("%s %d %s --jobs %s" % (*out, " ".join(args), jobs))
+        for args in group:
+            command = " ".join(args)
+            out = _digest(args)
             outs.append(out)
-        if outs[0] != outs[1]:
-            differ.append(" ".join(args))
+            ran.add(command)
+            if not check:
+                print("%s %d %s" % (*out, command))
+            elif recorded.get(command) != out and (not partial or command in CLOSED_FORM):
+                moved.append(command)
+                was = "%s %d" % recorded[command] if command in recorded else "not recorded"
+                print("moved: %s %d %s (recorded: %s)" % (*out, command, was))
+        if outs[0] != outs[-1]:
+            differ.append(" ".join(group[0][:-2]))
+    if check and not partial:
+        for command in sorted(recorded.keys() - ran):
+            moved.append(command)
+            print(f"not run: {command}")
     for args in differ:
         print(f"--jobs 1 and --jobs 2 differ: {args}", file=sys.stderr)
-    return 1 if differ else 0
+    if check:
+        compared = len(CLOSED_FORM) if partial else len(ran)
+        print(f"{len(moved)} of {compared} commands moved", file=sys.stderr)
+    return 1 if differ or moved else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
