@@ -384,6 +384,15 @@ def test_quadrature_counts_integrand_evaluations(base_params):
     assert sop_q.evaluations == on.evaluations + off.evaluations
 
 
+def test_quadrature_closes_in_its_first_round_at_the_gate_tolerance(base_params):
+    # at tol 1e-9 every integral closes on its node set's first grid, so a
+    # cell evaluates each decode branch's n + 1 first-grid nodes and no more
+    points = [base_params, *sample_grid(20, seed=7)]
+    for params, row in zip(points, oracles.quadrature_cells(points, ALL_CELLS, 1e-9), strict=True):
+        first = sum(oracles._span(fields[1:])[1] + 1 for *_, fields in fading.decode_branches(params))
+        assert [q.evaluations for q in row] == [first] * len(ALL_CELLS)
+
+
 def test_quadrature_integrates_slow_links_across_wide_gaps():
     # 100 dB legitimate links next to 0 dB eavesdropper links: the relayed
     # destination SNR's mass lies 10^8 decay lengths of the fast links out
@@ -450,9 +459,10 @@ def test_quadrature_at_a_rate_of_1e308():
 
 def test_quadrature_refuses_more_halvings_than_its_limit(monkeypatch):
     # the first grid's bound, against the rule at twice its step, is above
-    # these tolerances: each cell needs one halving
+    # these tolerances, which are above the round-off floor: each cell needs
+    # one halving
     params = params_from_db(0.0, 3.0, 3.0, 40.0, 40.0, 3.0, 1.0)
-    for metric, tol in ((Metric.SOP, 1e-9), (Metric.ESR, 1e-11)):
+    for metric, tol in ((Metric.SOP, 1e-11), (Metric.ESR, 1e-12)):
         cell = (Scheme.MRC_SC, CsiMode.NOCSI, metric)
         monkeypatch.setattr(oracles, "_HALVINGS", 1)
         oracles.quadrature_cells([params], [cell], tol)
@@ -562,12 +572,19 @@ _LAWS = ("exp_cdf", "exp_pdf", "sum_exp_cdf", "sum_exp_pdf", "max_exp_cdf", "max
 
 
 def test_a_node_set_evaluates_each_law_once(base_params, monkeypatch):
-    # the point converges in two rounds, the first grid and its midpoints:
-    # in each, its 20 integrals read each (law, combiner, argument) once per
+    # in each round, the first grid and then each halving's midpoints, the
+    # point's 20 integrals read each (law, combiner, argument) once per
     # node set (decode branch), 8 with the relay on (each combiner's CDF at
     # y at both receivers, its CDF at rho (1 + y) - 1 at the destination
     # and its density at the eavesdropper) and 4 with it off, the laws that
-    # the 16 cells read one at a time
+    # the 16 cells read one at a time.  A node set's rounds are those of its
+    # longest integral: k halvings of an n-interval first grid evaluate
+    # n 2^k + 1 nodes, read from the branch alone
+    laws = 0
+    for _, relay_on, fields in fading.decode_branches(base_params):
+        branch = base_params.with_(gamma_th=0.0 if relay_on else math.inf)
+        count = max(q.evaluations for q in oracles.quadrature_cells([branch], ALL_CELLS)[0])
+        laws += (8 if relay_on else 4) * ((count - 1) // oracles._span(fields[1:])[1]).bit_length()
     calls = []
     for name in _LAWS:
 
@@ -580,7 +597,7 @@ def test_a_node_set_evaluates_each_law_once(base_params, monkeypatch):
     assert 0.0 < fading.decode_probability(base_params) < 1.0
     oracles.quadrature_cells([base_params], ALL_CELLS)
     batch = Counter(calls)
-    assert max(batch.values()) == 1 and len(batch) == 2 * (8 + 4)
+    assert max(batch.values()) == 1 and len(batch) == laws
     alone = set()
     for cell in ALL_CELLS:
         calls.clear()
