@@ -4,10 +4,12 @@ Both oracles work straight from the system model - sampled trials on one
 side, the defining one-dimensional integrals on the other - and share no
 algebra with the closed forms they validate.
 
-The quadrature oracle is a trapezoid rule in u = log y, which converges
-geometrically on these integrands (Trefethen & Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014), with
-its step halved until each integral's bound is within its tolerance.
+The quadrature oracle is a trapezoid rule, which converges geometrically
+on these integrands (Trefethen & Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Review 56(3), 2014), with its step halved until
+each integral's bound is within its tolerance.  Its variable is log y,
+graded double-exponentially in the left tail, where the integrands are
+power laws in y (Takahasi & Mori, Publ. RIMS 9, 1974): half the nodes.
 ``quadrature_cells`` takes every cell of a sequence of parameter points:
 a cell is one integral per decode branch (a rate in its by-parts form, of
 the two receivers' CDFs), and an integral that several cells or points
@@ -152,25 +154,39 @@ def monte_carlo_all(points, cells, n: int, seed: int, n_jobs: int = 1) -> list[l
 
 _EPS = float(np.finfo(float).eps)
 
-# The trapezoid rule's first step in u = log y, and how often an integral's
-# step may be halved.  The integrands are analytic in a strip about the real
-# u axis and decay like y as u -> -inf and double-exponentially as u -> +inf,
-# so the rule converges geometrically in 1/h: at step 3/16 the first grid's
-# bound met tol 1e-9 on 2532 of 2548 outage integrals (median 4.5e-11), and
-# 640 random cells were within 0.004 of their bounds of a 100-digit reference.
+# The trapezoid rule's first step in t, and how often it may be halved.  At
+# step 3/16 the first grid's bound met tol 1e-9 on 2532 of 2548 outage
+# integrals of the presets, sample_grid(200, 7) and a 60-140 dB balanced sweep
+# (median 4.5e-11, 99th percentile 8.0e-10, max 2.4e-9), and 1280 random cells
+# were within 0.009 of their bounds and 5.3e-15 of a 100-digit reference.
 _H0 = 0.1875
 _HALVINGS = 5
 
+# The grid's corner c: v = log(fastest rate * y) = t - exp(c - t) is ~t
+# above c and thins out double-exponentially below, from v(_T0) <= log(1e-18).
+# On those random cells the first grid erred by at most 5.3e-15 for c from -11
+# to -16, 1.5e-14 at -10, 2.4e-12 at -4; a unit of c costs ~3% of the nodes.
+_CORNER = -12.0
+_T0 = _CORNER - math.log(_CORNER - math.log(1e-18))
+
 
 def _span(rates) -> tuple[float, int]:
-    """(start, intervals) of a node set's first grid in u = log y, given
-    the rates of its links: it runs from where the fastest link's density
-    times y is ~1e-18 to where the slowest link's density has underflowed
-    (:func:`_cut`).  The ends are differences of logs, so no quotient
-    underflows at an extreme rate."""
-    lo = math.log(1e-18) - math.log(max(rates))
-    hi = math.log(800.0) - math.log(min(rates))
-    return lo, math.ceil((hi - lo) / _H0)
+    """(shift, intervals) of a node set's first grid given its links' rates:
+    ``shift`` is log(fastest rate), and the grid runs from ``_T0`` to just
+    past v = log(800 fastest / slowest), where the slowest link's density
+    has underflowed (:func:`_cut`).  The ends are differences of logs, so no
+    quotient underflows at an extreme rate."""
+    shift = math.log(max(rates))
+    top = math.log(800.0) - math.log(min(rates)) + shift
+    return shift, math.ceil((top + math.exp(_CORNER - top) - _T0) / _H0)
+
+
+def _graded(t, shift):
+    """The nodes y at the points ``t`` of grids of sets with the ``shift``
+    of :func:`_span`, and their weights dy/dt = y (1 + exp(c - t))."""
+    x = np.exp(_CORNER - t)
+    y = np.exp(t - x - shift)
+    return y, y * (1.0 + x)
 
 
 def _integrate(sets):
@@ -180,16 +196,16 @@ def _integrate(sets):
     ``(args, span, integrals)``: ``args`` its (rho, beta_sd, beta_rd,
     alpha_se, alpha_re), ``span`` its first grid (:func:`_span`) and
     ``integrals`` a dict, integral key (see :func:`_integral_key`) ->
-    tolerance.  An integral is the trapezoid sum T_h = h sum(g(y) y) over
-    a grid of step h in u = log y.  All integrals advance together, one
-    round at a time: the first round evaluates each set's grid of step
-    ``_H0``, and each later one the midpoints of the sets that still have
-    an open integral, which halves their step.  A round evaluates each law
-    that a decode branch's open integrals read once on all the branch's
-    new nodes (:class:`_Laws`, each node at its own set's rates), and each
-    open integral builds its integrand and envelope from them
-    (:func:`_integrand`) and adds its sum over its set's new nodes to its
-    total, in node order.  Its bound is |T_h - T_2h| (T_2h from the first
+    tolerance.  An integral is the trapezoid sum T_h = h sum(g(y) dy/dt)
+    over a grid of step h in t (:func:`_graded`).  All integrals advance
+    together, one round at a time: the first round evaluates each set's
+    grid of step ``_H0``, and each later one the midpoints of the sets that
+    still have an open integral, which halves their step.  A round
+    evaluates each law that a decode branch's open integrals read once on
+    all the branch's new nodes (:class:`_Laws`, each node at its own set's
+    rates), and each open integral builds its integrand and envelope from
+    them (:func:`_integrand`) and adds its sum over its set's new nodes to
+    its total, in node order.  Its bound is |T_h - T_2h| (T_2h from the first
     grid's even nodes, then from the round before) plus a round-off floor
     of 50 eps times the envelope's trapezoid sum, and it closes once that
     is within its tolerance.  No integral's result depends on the others.
@@ -201,7 +217,7 @@ def _integrate(sets):
     tols = np.array([[todo.get(key, np.inf) for key in keys] for *_, todo in sets])
     open_ = np.isfinite(tols)  # (set, key): the integral is open
     table = np.array([args for args, _, _ in sets]).T  # a row per rate, a column per set
-    lo = np.array([span[0] for _, span, _ in sets])
+    shift = np.array([span[0] for _, span, _ in sets])
     n = np.array([span[1] for _, span, _ in sets])
     on_set = np.array([next(iter(todo))[2] for *_, todo in sets])
     # per integral: its sum over the nodes so far, and its envelope's
@@ -227,7 +243,7 @@ def _integrate(sets):
                 m = np.arange(node_set.size) - np.repeat(np.cumsum(c) - c, c)
                 if k:
                     m = 2 * m + 1
-                y = np.exp(lo[node_set] + h * m)
+                y, w = _graded(_T0 + h * m, shift[node_set])
                 bins = 2 * node_set + (m & 1)
                 # one set's rates as floats, several sets' as an array each
                 rates = sets[live[0]][0] if live.size == 1 else table[:, node_set]
@@ -238,7 +254,7 @@ def _integrate(sets):
                     # the nodes of the sets that the key's integral is open on
                     rows = slice(None) if on_key[live].all() else on_key[node_set]
                     f, e = _integrand(keys[col], lambda *law: laws[law][rows])
-                    sums = np.bincount(bins[rows], weights=f * y[rows], minlength=2 * len(sets))
+                    sums = np.bincount(bins[rows], weights=f * w[rows], minlength=2 * len(sets))
                     if not np.isfinite(sums).all():  # a set sums to inf or NaN where f is one
                         bad = ~np.isfinite(f)
                         found = " and ".join(sorted(set(map(str, f[bad].tolist()))))
@@ -246,7 +262,7 @@ def _integrate(sets):
                         raise NumericError(f"quadrature failed: the integrand evaluates to {found}")
                     even[:, col], odd[:, col] = sums.reshape(-1, 2).T
                     if e not in envelopes:
-                        envelopes[e] = np.bincount(node_set, weights=laws[e] * y, minlength=len(sets))
+                        envelopes[e] = np.bincount(node_set, weights=laws[e] * w, minlength=len(sets))
                     env_new[:, col] = envelopes[e]  # read only where the integral is open
             evals += open_ * count[:, None]
             # 0 where closed, so a closed integral's sums stay as they were
@@ -301,14 +317,14 @@ def _integral_key(scheme: Scheme, csi: CsiMode, metric: Metric, relay_on: bool):
 _MIN_RATE = 2.0 ** -500
 
 
-def _check_links(params: SystemParams, key) -> None:
-    """:class:`NumericError` where the integral ``key`` is an outage and a
-    link of the eavesdropper density it integrates is below ``_MIN_RATE``
-    (a rate reads no density)."""
-    metric, _, relay_on, *_ = key
-    side = (params.alpha_se, params.alpha_re)[: 2 if relay_on else 1]
-    if metric is Metric.SOP and min(side) < _MIN_RATE:
-        raise NumericError(f"quadrature cannot resolve a link rate below 2^-500 at {params}")
+def _check_links(params: SystemParams, keys) -> None:
+    """:class:`NumericError` where one of the integrals ``keys`` is an outage
+    and a link of the eavesdropper density it integrates is below
+    ``_MIN_RATE`` (a rate reads no density)."""
+    for metric, _, relay_on, *_ in keys:
+        side = (params.alpha_se, params.alpha_re)[: 2 if relay_on else 1]
+        if metric is Metric.SOP and min(side) < _MIN_RATE:
+            raise NumericError(f"quadrature cannot resolve a link rate below 2^-500 at {params}")
 
 
 class _Laws(dict):
@@ -361,13 +377,11 @@ def _integrand(key, law):
 _METRIC_FACTOR = {Metric.SOP: 1.0, Metric.ESR: HALF_LOG2E}
 
 
-# Node sets per :func:`_integrate` call.  A call's per-round node arrays
-# grow with the sets it holds, so this, not the number of points, bounds its
-# memory.  Larger batches gain little: on a shared 2-vCPU container the six
-# presets at tol 1e-9 took 57 ms at one point per batch, 25 ms at 16 points
-# and 26 ms at 32, while a 31-point 16-cell curve's node arrays grew from
-# 1.4 MiB at 16 points per batch to 2.6 MiB at 32.
-_BATCH_SETS = 16
+# Node sets per :func:`_integrate` call: its node arrays grow with the sets
+# it holds, so this bounds its memory.  On a shared 2-vCPU container the six
+# presets' quadrature took 99/27.8/26.7/25.4 ms at 1/16/32/64 sets, and the
+# largest call of a 63-point curve peaked at 0.79/1.50/2.74 MiB at 16/32/64.
+_BATCH_SETS = 32
 
 
 def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL):
@@ -381,8 +395,10 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL):
     set.  One that several cells or points read is integrated once, and
     the node sets go to :func:`_integrate` :data:`_BATCH_SETS` at a time,
     in the order of their first points (no result depends on what else a
-    batch holds).  Each cell's keys are worked out once per call.  Each
-    branch's bound is within ``tol`` on its own, so each cell's is too.
+    batch holds).  A point is resolved once its node sets are, and a set's
+    integrals are dropped after its last point, so a call holds about one
+    batch beyond its results.  Each branch's bound is within ``tol`` on its
+    own, so each cell's is too.
     Returns per point one :class:`QuadratureResult` per cell, in order; its
     ``evaluations`` count every integral the cell reads, shared ones
     included.
@@ -395,38 +411,43 @@ def quadrature_cells(points, cells, tol: float = DEFAULT_QUAD_TOL):
              for s, c, m in cells]
     # per decode branch, each key the cells read and its tolerance
     tols = {on: {keys[on]: tol / f for f, keys in reads} for on in (True, False)}
-    found = {}  # per branch's fields, (value, bound, evaluations) per integral key
-    sets = []  # (fields, node set) per branch's fields whose cells read an integral
-    plans = []  # per point, (weight, relay_on, its fields' results) per decode branch
-    for params in points:
-        branches = []
-        for weight, relay_on, fields in fading.decode_branches(params):
-            if fields not in found:
-                found[fields] = {}
-                todo = tols[relay_on]
-                for key in todo:
-                    _check_links(params, key)
-                if todo:
-                    args = (params.rho, params.beta_sd, params.beta_rd, params.alpha_se, params.alpha_re)
-                    sets.append((fields, (args, _span(fields[1:]), todo)))
-            branches.append((weight, relay_on, found[fields]))
-        plans.append(branches)
-    for start in range(0, len(sets), _BATCH_SETS):
-        batch = sets[start:start + _BATCH_SETS]
-        for (fields, _), results in zip(batch, _integrate([node_set for _, node_set in batch])):
-            found[fields].update(results)
+    plans = [fading.decode_branches(params) for params in points]
+    last = {}  # per branch's fields, the last point that reads them
+    for i, (params, branches) in enumerate(zip(points, plans)):
+        for _, relay_on, fields in branches:
+            if fields not in last:
+                _check_links(params, tols[relay_on])
+            last[fields] = i
+    found = {}  # per branch's fields until its last point, (value, bound, evaluations) per key
+    pending, out = [], []  # (first point, fields, node set) per fields not yet integrated
 
     def result(factor, keys, branches):
-        value = bound = 0.0
-        count = 0
-        for weight, relay_on, known in branches:
-            v, b, c = known[keys[relay_on]]
+        value, bound, count = 0.0, 0.0, 0
+        for weight, relay_on, fields in branches:
+            v, b, c = found[fields][keys[relay_on]]
             value += weight * (factor * v)
             bound += weight * (factor * b)
             count += c
         return QuadratureResult(value, bound, count)
 
-    return [[result(factor, keys, branches) for factor, keys in reads] for branches in plans]
+    for i, (params, branches) in enumerate(zip(points, plans)):
+        for _, relay_on, fields in branches:
+            if fields not in found:
+                found[fields] = {}
+                if tols[relay_on]:
+                    args = (params.rho, params.beta_sd, params.beta_rd, params.alpha_se, params.alpha_re)
+                    pending.append((i, fields, (args, _span(fields[1:]), tols[relay_on])))
+        while len(pending) >= _BATCH_SETS or pending and i == len(points) - 1:
+            batch, pending = pending[:_BATCH_SETS], pending[_BATCH_SETS:]
+            for (_, fields, _), results in zip(batch, _integrate([node_set for *_, node_set in batch])):
+                found[fields].update(results)
+        # the points whose node sets are all integrated, in order
+        for j in range(len(out), pending[0][0] if pending else i + 1):
+            out.append([result(factor, keys, plans[j]) for factor, keys in reads])
+            for *_, fields in plans[j]:
+                if last[fields] == j:
+                    del found[fields]
+    return out
 
 
 def quadrature_sop(

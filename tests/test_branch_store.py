@@ -332,6 +332,24 @@ def test_quadrature_sweep_memory_does_not_grow_with_the_axis(monkeypatch):
     assert max(peaks) < 3 * 2**20
 
 
+def test_long_quadrature_call_holds_little_beyond_its_results():
+    # a 2000-point balanced-snr-db curve from -10 dB in 0.03 dB steps: each
+    # point is resolved once its node sets are integrated, and a node set's
+    # integrals are dropped after the last point that reads them, so the
+    # call peaks at about one batch's node arrays above what it returns
+    points = [BASE.with_(beta_sr=10.0 ** ((10.0 - 0.03 * k) / 10.0),
+                         beta_rd=10.0 ** ((10.0 - 0.03 * k) / 10.0)) for k in range(2000)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = oracles.quadrature_cells(points, ALL_CELLS, 1e-6)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 2000
+    assert peak - held < 2 * 2**20, (peak - start, held - start)
+
+
 # Eavesdropper links at -3000 dB on a 3-point threshold sweep: the MRC
 # eavesdropper transform evaluates to NaN in the decoding branch, which
 # every point of the curve shares.  SC-MRC has no threshold floor, so the

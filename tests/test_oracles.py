@@ -457,6 +457,53 @@ def test_quadrature_at_a_rate_of_1e308():
         oracles.quadrature_cells([params], ALL_CELLS, 1e-9)
 
 
+@pytest.fixture(scope="module")
+def random_points():
+    """40 points, with links from -20 to 100 dB (wider than sample_grid's
+    +-13 dB), thresholds from -10 to 20 dB and rate_rs from 0.05 to 8, and
+    each cell's reference, (point, cell) -> value."""
+    rng = np.random.default_rng(2026)
+    points = [params_from_db(*rng.uniform(-20.0, 100.0, 5), rng.uniform(-10.0, 20.0), rng.uniform(0.05, 8.0))
+              for _ in range(40)]
+    return points, {(k, cell): mp_reference(params, cell[0], cell[1], cell[2].value)
+                    for k, params in enumerate(points) for cell in ALL_CELLS}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_quadrature_bound_covers_mpmath_reference_at_random_points(random_points, tol):
+    points, refs = random_points
+    for k, row in enumerate(oracles.quadrature_cells(points, ALL_CELLS, tol)):
+        for cell, q in zip(ALL_CELLS, row, strict=True):
+            assert 0.0 < q.abs_error_bound <= tol
+            assert abs(q.value - refs[k, cell]) <= q.abs_error_bound, (k, cell, q, refs[k, cell])
+
+
+_FASTEST = [2.0 ** -500, 1e-150, 1e-3, 1.0, 1e3, 1e150, 1e308]
+
+
+@pytest.mark.parametrize("rates", [(r, r) for r in _FASTEST] + [(1.0, 1e-150)])
+def test_graded_grid_reaches_both_ends_with_finite_weights(rates):
+    # the first node sits where the fastest link's density times y, r y to
+    # leading order, is at most 1e-18; the last where the slowest link's
+    # density has underflowed, 800 decay lengths out (up to rounding)
+    shift, n = oracles._span(rates)
+    y, w = oracles._graded(oracles._T0 + oracles._H0 * np.arange(n + 1), shift)
+    assert y[0] * max(rates) <= 1e-18
+    assert y[-1] * min(rates) >= 800.0 * (1.0 - 1e-12)
+    assert np.isfinite(w).all() and (w >= 0.0).all()
+    assert (np.diff(y) >= 0.0).all()
+
+
+def test_graded_grid_has_about_half_the_uniform_grids_intervals():
+    # a uniform grid of step _H0 in log y over the same ends
+    for params in sample_grid(20, seed=7):
+        for *_, fields in fading.decode_branches(params):
+            rates = fields[1:]
+            uniform = math.ceil(
+                (math.log(800.0) - math.log(1e-18) + math.log(max(rates) / min(rates))) / oracles._H0)
+            assert oracles._span(rates)[1] < 0.55 * uniform
+
+
 def test_quadrature_refuses_more_halvings_than_its_limit(monkeypatch):
     # the first grid's bound, against the rule at twice its step, is above
     # these tolerances, which are above the round-off floor: each cell needs

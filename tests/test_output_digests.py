@@ -4,11 +4,14 @@ The six figure presets as shipped and ``tools/output_digests.py``'s two
 ``--asymptote`` sweeps read only CPython and libm, so their CSV bytes do
 not depend on numpy.  Each is written in-process with ``run_sweep`` and
 ``write_csv``, which gives the bytes ``secrelay sweep`` prints.  A change
-that moves one of them updates its digest here and says why.
+that moves one of them updates its digest here and says why.  The
+digest tool's ``--against`` comparison of two outputs is tested here too.
 """
 
 import hashlib
+import importlib.util
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,31 @@ def test_the_committed_record_agrees_with_this_table():
         runs = (command, f"{command} --jobs 1", f"{command} --jobs 2")
         found = [(d, code) for d, code, c in lines if c in runs]
         assert found and set(found) == {(digest, "0")}, command
+
+
+def _digest_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_field_moves_compares_two_csv_outputs_field_by_field():
+    field_moves = _digest_tool().field_moves
+    old = "axis,variant,value,oracle_value\nbeta_rd_db,a,0.5,0.25\nbeta_rd_db,a,1e-20,0\n"
+    new = "axis,variant,value,oracle_value\nbeta_rd_db,a,0.5,0.25000000000000006\nbeta_rd_db,b,1e-20,0\n"
+    moves = field_moves(old, new)
+    # 0.25 -> 0.25 + 2^-54 is one ulp; unchanged text is not compared
+    assert moves == {
+        "value": (0, 2, 0.0, 0.0),
+        "oracle_value": (1, 2, 2.0 ** -54 / 0.25, 2.0 ** -54),
+        "variant": (1, 1, math.inf, math.inf),
+    }
+    # a move off zero is inf relative
+    assert field_moves(old, old.replace(",0\n", ",1e-30\n"))["oracle_value"] == (1, 2, math.inf, 1e-30)
+    assert field_moves(old, old) == {"value": (0, 2, 0.0, 0.0), "oracle_value": (0, 2, 0.0, 0.0)}
+    with pytest.raises(ValueError):
+        field_moves(old, new + "beta_rd_db,a,1,1\n")
+    with pytest.raises(ValueError):
+        field_moves(old, new.replace(",0\n", ",0,1\n"))

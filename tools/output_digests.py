@@ -39,13 +39,23 @@ sweeps), whose bytes read CPython and libm but no numpy; it still checks
 that every output agrees across ``--jobs``.
 
     python tools/output_digests.py --check
+
+``--against PATH`` runs each output, at ``--jobs 1``, in this tree and in
+the checkout at ``PATH``, and for each output whose bytes differ prints
+how many fields moved and the largest relative and absolute move: per
+column of a CSV (named by its header), and over the numbers of any other
+text (``validate``'s report).  It exits 1 if any output differs.
+
+    python tools/output_digests.py --against ../parent-checkout
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,16 +104,98 @@ def _environment() -> str:
     return f"# python {python} numpy {np.__version__} simd {simd} {platform.machine()} {libc}"
 
 
+def _run(args, src=SRC):
+    """(standard output, exit code) of ``secrelay args`` on the package in ``src``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", "secrelay.cli", *args], capture_output=True, env=env)
+    return run.stdout, run.returncode
+
+
 def _digest(args):
     """(SHA-256 of the standard output, exit code) of ``secrelay args``."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-m", "secrelay.cli", *args], capture_output=True, env=env)
-    return hashlib.sha256(run.stdout).hexdigest(), run.returncode
+    out, code = _run(args)
+    return hashlib.sha256(out).hexdigest(), code
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+
+
+def _fields(line: str, header):
+    """(column, text) per field of a CSV line under ``header``, or of other
+    text: its numbers, "numbers", and the rest, "text"."""
+    if header:
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"{len(fields)} fields under a header of {len(header)}: {line!r}")
+        return list(zip(header, fields))
+    return [("numbers", x) for x in _NUMBER.findall(line)] + [("text", _NUMBER.sub("#", line))]
+
+
+def field_moves(old: str, new: str) -> dict:
+    """Per column, (fields moved, fields compared, largest relative move,
+    largest absolute move) from the output ``old`` to ``new``: the columns
+    of a CSV by its header's names; in other text, such as ``validate``'s
+    report, its numbers as one column and the rest as another.  A field
+    moved where its text changed, by |new - old| / |old| relative; a
+    changed field that is not a number moved by inf.  Raises
+    :class:`ValueError` where the lines or fields do not pair up."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        raise ValueError(f"{len(old_lines)} lines against {len(new_lines)}")
+    csv = bool(old_lines) and "," in old_lines[0] and old_lines[0] == new_lines[0]
+    header = old_lines[0].split(",") if csv else None
+    moves = {}
+    for a, b in zip(old_lines[csv:], new_lines[csv:]):
+        a, b = _fields(a, header), _fields(b, header)
+        if [name for name, _ in a] != [name for name, _ in b]:
+            raise ValueError(f"the fields of {a!r} and {b!r} do not pair up")
+        for (name, text_x), (_, text_y) in zip(a, b):
+            try:
+                x, y = float(text_x), float(text_y)
+            except ValueError:  # text, compared only where it changed: 0 -> inf
+                if text_x == text_y:
+                    continue
+                x, y = 0.0, math.inf
+            moved, compared, rel, absolute = moves.get(name, (0, 0, 0.0, 0.0))
+            if text_x != text_y:
+                d = abs(y - x)
+                d = d if d == d else math.inf  # a NaN on one side
+                moved += 1
+                rel = max(rel, d / abs(x) if x else math.inf if d else 0.0)
+                absolute = max(absolute, d)
+            moves[name] = moved, compared + 1, rel, absolute
+    return moves
+
+
+def _against(path) -> int:
+    """Print how each output moved from the checkout at ``path`` to this tree."""
+    differ = 0
+    for args in [*SHIPPED, *([*args, "--jobs", "1"] for args in PAIRS)]:
+        command = " ".join(args)
+        (old, old_code), (new, new_code) = _run(args, Path(path) / "src"), _run(args)
+        if (old, old_code) == (new, new_code):
+            print(f"same: {command}")
+            continue
+        differ += 1
+        codes = f"exit {old_code} -> {new_code}; " if old_code != new_code else ""
+        try:
+            moves = field_moves(old.decode(), new.decode())
+        except ValueError as e:
+            print(f"moved: {command}: {codes}outputs do not pair up ({e})")
+            continue
+        found = "; ".join(f"{name} {moved}/{compared} fields, largest relative move {rel:.2g}"
+                          f" (absolute {abs_:.2g})"
+                          for name, (moved, compared, rel, abs_) in moves.items() if moved)
+        print(f"moved: {command}: {codes}{found}")
+    print(f"{differ} of {len(SHIPPED) + len(PAIRS)} outputs differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--against":
+        return _against(argv[1])
     if argv not in ([], ["--check"]):
-        print(f"usage: {sys.argv[0]} [--check]", file=sys.stderr)
+        print(f"usage: {sys.argv[0]} [--check | --against PATH]", file=sys.stderr)
         return 2
     check, env = bool(argv), _environment()
     recorded, partial = {}, False
